@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-json alloc-gate chaos fuzz status-smoke fleet-smoke triage-smoke cloak-smoke check
+.PHONY: all build test race vet bench-vet lint bench bench-json alloc-gate chaos fuzz status-smoke fleet-smoke triage-smoke cloak-smoke check
 
 all: build
 
@@ -26,6 +26,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The end-to-end benchmark (_phishbench/) is its own Go module that imports
+# this one, so `go vet ./...` at the root never compiles it. Vetting it here
+# makes a core/journal API change that breaks the benchmark fail the gate
+# instead of the benchmark run.
+bench-vet:
+	cd _phishbench && $(GO) vet ./...
 
 # Static gate: formatting, go vet, and phishvet — the project's
 # determinism-and-durability linter, nine rules across two layers: the
@@ -112,4 +119,4 @@ bench-json:
 alloc-gate:
 	$(GO) test -run 'Alloc|Pooled|HasTokens' ./internal/crawler/... ./internal/textclass/...
 
-check: build lint test race alloc-gate
+check: build lint bench-vet test race alloc-gate

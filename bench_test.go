@@ -55,7 +55,7 @@ func pipeline(b *testing.B) *core.Pipeline {
 		if err != nil {
 			panic(err)
 		}
-		pipe.Crawl()
+		pipe.Crawl(0)
 	})
 	return pipe
 }

@@ -46,7 +46,7 @@ func main() {
 		}
 		fmt.Printf("loaded %d saved sessions from %s (corpus regenerated for models only)\n\n", len(logs), *in)
 	} else {
-		p.Crawl()
+		p.Crawl(0)
 		logs = p.Logs
 	}
 	n := *numSites

@@ -30,30 +30,6 @@ type fleetCLI struct {
 	workerName  string
 }
 
-// fleetParams pins the deterministic universe both fleet roles must share.
-// The chaos profile is fingerprinted so a coordinator running a
-// fault-injected crawl refuses workers serving a healthy feed (and vice
-// versa) — a mismatch would merge sessions from two different universes.
-func fleetParams(opts core.Options, feedURLs int) fleet.Params {
-	p := fleet.Params{
-		Sites:       opts.NumSites,
-		Seed:        opts.Seed,
-		ChaosSeed:   opts.ChaosSeed,
-		FeedURLs:    feedURLs,
-		MinCampaign: opts.MinCampaignSize,
-	}
-	if opts.Chaos != nil {
-		p.Chaos = fmt.Sprintf("%+v", *opts.Chaos)
-	}
-	if opts.Triage != nil {
-		p.Triage = fmt.Sprintf("threshold=%g,topk=%d", opts.Triage.CampaignThreshold, opts.Triage.TopK)
-	}
-	if opts.CloakRate > 0 || opts.CloakRetries > 0 {
-		p.Cloak = fmt.Sprintf("rate=%g,retries=%d", opts.CloakRate, opts.CloakRetries)
-	}
-	return p
-}
-
 // runCoordinator is phishcrawl's -coordinator mode: derive the feed (no
 // model training — the coordinator never crawls), shard it into leases,
 // serve the wire protocol on -fleet-addr until every lease has an accepted
@@ -61,15 +37,18 @@ func fleetParams(opts core.Options, feedURLs int) fleet.Params {
 // single-process run prints. The merged output is pinned byte-identical to
 // a 1-process, 1-worker run over the same flags.
 func runCoordinator(opts core.Options, fl fleetCLI) {
+	manifest, err := opts.Manifest()
+	if err != nil {
+		log.Fatal(err)
+	}
 	corpus, feed := core.NewFeed(opts)
 	urls := feed.URLs()
-	params := fleetParams(opts, len(urls))
 	if fl.sample > 0 && fl.sample < len(urls) {
 		urls = urls[:fl.sample]
 	}
 	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
 		URLs:       urls,
-		Params:     params,
+		Manifest:   manifest,
 		Root:       fl.journalDir,
 		LeaseSites: fl.leaseSites,
 		TTL:        fl.leaseTTL,
@@ -128,7 +107,10 @@ func runWorkerMode(opts core.Options, fl fleetCLI) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	params := fleetParams(opts, len(p.Feed.URLs()))
+	manifest, err := opts.Manifest()
+	if err != nil {
+		log.Fatal(err)
+	}
 	policy, err := parseSyncPolicy(fl.journalSync)
 	if err != nil {
 		log.Fatal(err)
@@ -140,13 +122,12 @@ func runWorkerMode(opts core.Options, fl fleetCLI) {
 	err = fleet.RunWorker(fleet.WorkerConfig{
 		Coordinator: fl.addr,
 		Name:        name,
-		Params:      params,
+		Manifest:    manifest,
 		Root:        fl.journalDir,
 		Logf:        log.Printf,
 		Crawl: func(l fleet.Lease, dir string) (farm.Stats, error) {
 			mon := farm.NewMonitor()
 			mon.SetTotal(l.End - l.Start)
-			mon.AddPreCompleted(len(l.Completed))
 			leaseMon.Store(mon)
 			p.Monitor = mon
 			j, err := journal.Open(dir, journal.Options{Sync: policy})

@@ -243,11 +243,7 @@ func main() {
 	if *journalDir != "" {
 		logs, stats = crawlJournaled(p, *journalDir, *sample, *resume, *compact, *journalSync)
 	} else {
-		if *sample > 0 {
-			p.CrawlSample(*sample)
-		} else {
-			p.Crawl()
-		}
+		p.Crawl(*sample)
 		logs, stats = p.Logs, p.Stats
 	}
 

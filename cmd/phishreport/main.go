@@ -83,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p.Crawl()
+	p.Crawl(0)
 	logs := p.Logs
 
 	section("Crawl statistics (Section 4.6)")

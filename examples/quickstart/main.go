@@ -16,7 +16,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p.Crawl()
+	p.Crawl(0)
 
 	// Pick the session with the most pages: the richest UX flow.
 	best := p.Logs[0]

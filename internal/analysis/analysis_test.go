@@ -29,7 +29,7 @@ func pipeline(t testing.TB) *core.Pipeline {
 	pipeOnce.Do(func() {
 		pipe, pipeErr = core.NewPipeline(core.Options{NumSites: pipeSites, Seed: 11, Workers: 16})
 		if pipeErr == nil {
-			pipe.Crawl()
+			pipe.Crawl(0)
 		}
 	})
 	if pipeErr != nil {

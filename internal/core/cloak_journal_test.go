@@ -8,13 +8,13 @@ import (
 	"repro/internal/journal"
 )
 
-// TestCrawlJournalCloakProtocol pins the journaled cloak-config handshake:
-// a cloak-enabled journaled crawl records its canonical config before any
-// session, a resume under the same flags byte-verifies the stored record,
-// and config drift in either direction — cloaking turned off over a
-// configured journal, turned on over a plain one, or different knobs — is
-// refused instead of silently mixing two cloak universes (and therefore two
-// mutation-schedule universes) in one journal.
+// TestCrawlJournalCloakProtocol pins the cloak knobs' place in the run
+// manifest: a cloak-enabled journaled crawl resumes under the same flags,
+// and cloak drift in either direction — cloaking turned off over a cloaked
+// journal, turned on over a plain one, or a different retry budget — is
+// refused on both the resume and the shard path instead of silently mixing
+// two cloak universes (and therefore two mutation schedules) in one
+// journal.
 func TestCrawlJournalCloakProtocol(t *testing.T) {
 	opts := core.Options{
 		NumSites:           40,
@@ -41,41 +41,6 @@ func TestCrawlJournalCloakProtocol(t *testing.T) {
 		defer j.Close()
 		return p.CrawlJournal(j, 0)
 	}
-
-	dir := t.TempDir()
-	if _, err := crawl(pipe(opts), dir); err != nil {
-		t.Fatalf("fresh cloak crawl: %v", err)
-	}
-
-	// Resume under identical flags: config verifies, every URL complete.
-	p := pipe(opts)
-	skipped, err := crawl(p, dir)
-	if err != nil {
-		t.Fatalf("cloak resume: %v", err)
-	}
-	if skipped != len(p.Feed.URLs()) {
-		t.Fatalf("resume skipped %d of %d URLs", skipped, len(p.Feed.URLs()))
-	}
-
-	// Turning cloaking off entirely changes the generated corpus, so the
-	// feed-mismatch guard refuses such a resume before the cloak check can.
-	noCloak := opts
-	noCloak.CloakRate, noCloak.CloakRetries = 0, 0
-	if _, err := crawl(pipe(noCloak), dir); err == nil || !strings.Contains(err.Error(), "different -sites/-seed") {
-		t.Fatalf("cloak-off resume over configured journal: err = %v, want feed refusal", err)
-	}
-
-	// Different retry budget over the SAME corpus (rate unchanged): the
-	// canonical config record no longer byte-matches.
-	drift := opts
-	drift.CloakRetries = 5
-	if _, err := crawl(pipe(drift), dir); err == nil || !strings.Contains(err.Error(), "does not match") {
-		t.Fatalf("drifted-budget resume: err = %v, want config mismatch", err)
-	}
-
-	// The shard path carries no feed guard (workers trust the coordinator's
-	// params handshake), so the cloak reconciliation itself must refuse a
-	// config-less run over a configured journal — and the reverse.
 	shard := func(p *core.Pipeline, dir string) error {
 		t.Helper()
 		j, err := journal.Open(dir, journal.Options{})
@@ -85,14 +50,47 @@ func TestCrawlJournalCloakProtocol(t *testing.T) {
 		defer j.Close()
 		return p.CrawlJournalShard(j, 0, 0, nil)
 	}
-	if err := shard(pipe(noCloak), dir); err == nil || !strings.Contains(err.Error(), "cloaking off") {
-		t.Fatalf("cloak-off shard over configured journal: err = %v, want refusal", err)
+	refused := func(err error) bool { return err != nil && strings.Contains(err.Error(), "manifest") }
+
+	dir := t.TempDir()
+	if _, err := crawl(pipe(opts), dir); err != nil {
+		t.Fatalf("fresh cloak crawl: %v", err)
+	}
+
+	// Resume under identical flags: the manifest matches, every URL is
+	// complete.
+	p := pipe(opts)
+	skipped, err := crawl(p, dir)
+	if err != nil {
+		t.Fatalf("cloak resume: %v", err)
+	}
+	if skipped != len(p.Feed.URLs()) {
+		t.Fatalf("resume skipped %d of %d URLs", skipped, len(p.Feed.URLs()))
+	}
+
+	// Cloaking off over a cloaked journal: refused.
+	noCloak := opts
+	noCloak.CloakRate, noCloak.CloakRetries = 0, 0
+	if _, err := crawl(pipe(noCloak), dir); !refused(err) {
+		t.Fatalf("cloak-off resume over cloaked journal: err = %v, want manifest refusal", err)
+	}
+
+	// A different retry budget over the same corpus (rate unchanged).
+	drift := opts
+	drift.CloakRetries = 5
+	if _, err := crawl(pipe(drift), dir); !refused(err) {
+		t.Fatalf("drifted-budget resume: err = %v, want manifest refusal", err)
+	}
+
+	// The shard path refuses the same drift in both directions.
+	if err := shard(pipe(noCloak), dir); !refused(err) {
+		t.Fatalf("cloak-off shard over cloaked journal: err = %v, want manifest refusal", err)
 	}
 	plainDir := t.TempDir()
 	if _, err := crawl(pipe(noCloak), plainDir); err != nil {
 		t.Fatalf("plain journaled crawl: %v", err)
 	}
-	if err := shard(pipe(opts), plainDir); err == nil || !strings.Contains(err.Error(), "without cloaking") {
-		t.Fatalf("cloak shard over plain journal: err = %v, want refusal", err)
+	if err := shard(pipe(opts), plainDir); !refused(err) {
+		t.Fatalf("cloak shard over plain journal: err = %v, want manifest refusal", err)
 	}
 }

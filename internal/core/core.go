@@ -8,7 +8,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -99,12 +98,6 @@ type Options struct {
 	// process-wide shared cache (SharedModels), so repeated pipelines with
 	// equal params train once.
 	Models *Models
-	// DisablePooling turns off per-session object-graph recycling: every
-	// session allocates its browser, trace slab, and render buffers fresh.
-	// Session exports are byte-identical either way (the pooled-vs-unpooled
-	// determinism pin); the switch exists for A/B measurement and as an
-	// escape hatch.
-	DisablePooling bool
 }
 
 func (o Options) withDefaults() Options {
@@ -120,7 +113,43 @@ func (o Options) withDefaults() Options {
 	if o.MaxPagesPerSite <= 0 {
 		o.MaxPagesPerSite = crawler.DefaultMaxPages
 	}
+	if o.ChaosSeed == 0 {
+		o.ChaosSeed = o.Seed + 7
+	}
 	return o
+}
+
+// Manifest returns the run manifest: canonical JSON, in a fixed field
+// order, of every option that changes session bytes, resolved through the
+// same defaults NewPipeline applies. A journal records it before its first
+// session and refuses to resume under any other manifest
+// (journal.BindRun); a fleet worker presents it with every lease request
+// and the coordinator compares it byte for byte. Workers, Models, and the
+// CLI's sample, sync and output flags are left out: the byte-identity
+// pins show that none of them changes a session. The triage plan needs no
+// entry of its own: it is a pure function of the feed and the triage
+// options, which the manifest pins.
+func (o Options) Manifest() ([]byte, error) {
+	o = o.withDefaults()
+	return json.Marshal(struct {
+		NumSites           int             `json:"numSites"`
+		Seed               int64           `json:"seed"`
+		DetectorTrainPages int             `json:"detectorTrainPages"`
+		MaxPagesPerSite    int             `json:"maxPagesPerSite"`
+		Chaos              *chaos.Profile  `json:"chaos"`
+		ChaosSeed          int64           `json:"chaosSeed"`
+		SessionBudget      time.Duration   `json:"sessionBudget"`
+		FetchTimeout       time.Duration   `json:"fetchTimeout"`
+		MaxRetries         int             `json:"maxRetries"`
+		RetryBase          time.Duration   `json:"retryBase"`
+		RetryMax           time.Duration   `json:"retryMax"`
+		Triage             *triage.Options `json:"triage"`
+		MinCampaignSize    int             `json:"minCampaignSize"`
+		CloakRate          float64         `json:"cloakRate"`
+		CloakRetries       int             `json:"cloakRetries"`
+	}{o.NumSites, o.Seed, o.DetectorTrainPages, o.MaxPagesPerSite, o.Chaos, o.ChaosSeed,
+		o.SessionBudget, o.FetchTimeout, o.MaxRetries, o.RetryBase, o.RetryMax,
+		o.Triage, o.MinCampaignSize, o.CloakRate, o.CloakRetries})
 }
 
 // Pipeline is the assembled measurement system.
@@ -223,17 +252,13 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 	// targets stay reachable.
 	var transport http.RoundTripper = phishserver.Transport{Registry: p.Registry}
 	if opts.Chaos != nil {
-		chaosSeed := opts.ChaosSeed
-		if chaosSeed == 0 {
-			chaosSeed = opts.Seed + 7
-		}
 		phishHosts := make(map[string]bool, len(p.Corpus.Sites))
 		for _, s := range p.Corpus.Sites {
 			phishHosts[s.Host] = true
 		}
 		p.Injector = &chaos.Injector{
 			Profile:    *opts.Chaos,
-			Seed:       chaosSeed,
+			Seed:       opts.ChaosSeed,
 			Inner:      transport,
 			InjectHost: func(host string) bool { return phishHosts[host] },
 		}
@@ -249,9 +274,7 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 		SessionBudget: opts.SessionBudget,
 		FakerSeed:     opts.Seed + 6,
 		CloakRetries:  opts.CloakRetries,
-	}
-	if !opts.DisablePooling {
-		p.Crawler.Pool = crawler.NewSessionPool()
+		Pool:          crawler.NewSessionPool(),
 	}
 
 	// Triage plan: built before any crawl, over the same browser factory
@@ -315,117 +338,10 @@ func (p *Pipeline) farmConfig() farm.Config {
 	return cfg
 }
 
-// Crawl runs the farm over the filtered feed and attaches feed metadata to
-// the session logs.
-func (p *Pipeline) Crawl() {
-	urls := p.Feed.URLs()
-	p.Logs, p.Stats = farm.Run(p.farmConfig(), urls)
-	analysis.AttachMeta(p.Logs, p.Feed.Filter())
-	p.stampTriage(p.Logs)
-}
-
-// stampTriage attaches the triage verdicts to finished logs (no-op when
-// triage is off).
-func (p *Pipeline) stampTriage(logs []*crawler.SessionLog) {
-	if p.Triage == nil {
-		return
-	}
-	for _, lg := range logs {
-		p.Triage.Stamp(lg)
-	}
-}
-
-// ensureTriageJournaled reconciles this pipeline's triage plan with the
-// journal's plan record. A fresh triage-enabled journal gets the encoded
-// plan appended before any session; a resumed one must hold a record that
-// byte-matches the locally rebuilt plan (the plan is a pure function of the
-// feed and the triage flags, so any mismatch means the journal belongs to a
-// different triage universe). A journal with sessions but no plan record
-// was recorded without -triage and cannot be resumed with it — and vice
-// versa — because the two runs disagree on which URLs get full sessions.
-func (p *Pipeline) ensureTriageJournaled(j *journal.Journal) error {
-	stored, err := j.TriagePlans()
-	if err != nil {
-		return fmt.Errorf("core: reading journaled triage plans: %w", err)
-	}
-	if p.Triage == nil {
-		if len(stored) > 0 {
-			return fmt.Errorf("core: journal holds a triage plan record but this run has -triage off; resume with the original triage flags")
-		}
-		return nil
-	}
-	if len(stored) == 0 {
-		if len(j.CompletedURLs()) > 0 {
-			return fmt.Errorf("core: journal holds sessions but no triage plan record; it was recorded without -triage and cannot be resumed with it")
-		}
-		enc, err := p.Triage.Encode()
-		if err != nil {
-			return fmt.Errorf("core: encoding triage plan: %w", err)
-		}
-		if err := j.AppendTriage(enc); err != nil {
-			return fmt.Errorf("core: journaling triage plan: %w", err)
-		}
-		return nil
-	}
-	for _, rec := range stored {
-		if err := p.Triage.Verify(rec); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	}
-	return nil
-}
-
-// cloakConfig is the journaled cloak configuration record: the corpus's
-// cloak rate and the crawler's retry budget. Field order is fixed, so its
-// JSON encoding is canonical and resume can compare records byte-for-byte.
-type cloakConfig struct {
-	Rate    float64 `json:"rate"`
-	Retries int     `json:"retries"`
-}
-
-// cloakEnabled reports whether this run participates in cloaking at all —
-// either the corpus cloaks or the crawler spends uncloaking retries.
-func (o Options) cloakEnabled() bool {
-	return o.CloakRate > 0 || o.CloakRetries > 0
-}
-
-// ensureCloakJournaled reconciles this run's cloak configuration with the
-// journal's config record, mirroring ensureTriageJournaled: a fresh
-// cloak-enabled journal gets the canonical config appended before any
-// session; a resumed one must hold a byte-identical record. The per-session
-// mutation schedules are pure functions of the config and the feed, so a
-// config mismatch means the journaled sessions were produced by a different
-// cloak universe and cannot be mixed with this run's.
-func (p *Pipeline) ensureCloakJournaled(j *journal.Journal) error {
-	stored, err := j.CloakRecords()
-	if err != nil {
-		return fmt.Errorf("core: reading journaled cloak config: %w", err)
-	}
-	if !p.Opts.cloakEnabled() {
-		if len(stored) > 0 {
-			return fmt.Errorf("core: journal holds a cloak config record but this run has cloaking off; resume with the original -cloak-rate/-cloak-retries")
-		}
-		return nil
-	}
-	enc, err := json.Marshal(cloakConfig{Rate: p.Opts.CloakRate, Retries: p.Opts.CloakRetries})
-	if err != nil {
-		return fmt.Errorf("core: encoding cloak config: %w", err)
-	}
-	if len(stored) == 0 {
-		if len(j.CompletedURLs()) > 0 {
-			return fmt.Errorf("core: journal holds sessions but no cloak config record; it was recorded without cloaking and cannot be resumed with it")
-		}
-		if err := j.AppendCloak(enc); err != nil {
-			return fmt.Errorf("core: journaling cloak config: %w", err)
-		}
-		return nil
-	}
-	for _, rec := range stored {
-		if !bytes.Equal(rec, enc) {
-			return fmt.Errorf("core: journaled cloak config %s does not match this run's %s; resume with the original -cloak-rate/-cloak-retries", rec, enc)
-		}
-	}
-	return nil
+// Crawl crawls the first n feed URLs (0 = all) and keeps their logs in
+// memory, in feed order, with feed metadata attached.
+func (p *Pipeline) Crawl(n int) {
+	_, _ = p.crawl(0, p.feedPrefix(n), nil, nil) // in-memory crawls cannot fail
 }
 
 // CrawlJournal crawls up to sample feed URLs (0 = all), streaming every
@@ -434,46 +350,81 @@ func (p *Pipeline) ensureCloakJournaled(j *journal.Journal) error {
 // the journal already holds are skipped, so reopening the journal of an
 // interrupted run resumes it: only incomplete URLs are re-crawled, and
 // because per-session seeds derive from feed indices, the resumed sessions
-// are identical to the ones an uninterrupted run would have produced. Feed
-// metadata is attached before journaling; a stats record is appended when
-// the run completes. p.Stats reports THIS run only (merged totals come
-// from the journal); p.Logs stays nil. Returns how many URLs were skipped
-// as already complete.
+// are identical to the ones an uninterrupted run would have produced. The
+// journal must hold this run's manifest or none (journal.BindRun), so a
+// resume under changed flags is refused. p.Stats reports THIS run only
+// (merged totals come from the journal); p.Logs stays nil. Returns how many
+// URLs were skipped as already complete.
 func (p *Pipeline) CrawlJournal(j *journal.Journal, sample int) (skipped int, err error) {
-	urls := p.Feed.URLs()
-	// Guard the operator against resuming with a mismatched corpus: every
-	// journaled URL must exist in this feed, or the checkpoint (and the
-	// sessions behind it) belong to a different -sites/-seed.
-	inFeed := make(map[string]bool, len(urls))
-	for _, u := range urls {
-		inFeed[u] = true
+	return p.crawl(0, p.feedPrefix(sample), nil, j)
+}
+
+// CrawlJournalShard is the fleet-worker crawl: it crawls only the feed
+// indices in [start, end), skipping URLs in done (the coordinator's
+// already-journaled set) and URLs the shard journal itself holds (a
+// resumed shard directory). Per-session seeds still derive from global
+// feed indices, so a shard's sessions are byte-identical to the same
+// sessions in a single-process run.
+func (p *Pipeline) CrawlJournalShard(j *journal.Journal, start, end int, done map[string]bool) error {
+	if n := len(p.Feed.URLs()); start < 0 || end > n || start > end {
+		return fmt.Errorf("core: shard range [%d,%d) outside feed of %d URLs", start, end, n)
 	}
-	for u := range j.CompletedURLs() {
-		if !inFeed[u] {
-			return 0, fmt.Errorf("core: journal holds sessions for URLs not in this feed (e.g. %s); it was recorded with different -sites/-seed", u)
+	_, err := p.crawl(start, end, done, j)
+	return err
+}
+
+// feedPrefix returns how many feed URLs a crawl of the first n covers
+// (0 = all).
+func (p *Pipeline) feedPrefix(n int) int {
+	if total := len(p.Feed.URLs()); n <= 0 || n > total {
+		return total
+	}
+	return n
+}
+
+// crawl is the one crawl body behind every entry point. It crawls feed
+// indices [start, end), skipping URLs in done. With j nil the logs stay in
+// p.Logs; otherwise j is bound to this run's manifest, the URLs it already
+// holds are skipped too, each finished session streams into it, and a
+// stats record closes the run. Feed metadata and triage verdicts are
+// attached either way. Returns how many URLs in the range were skipped.
+func (p *Pipeline) crawl(start, end int, done map[string]bool, j *journal.Journal) (skipped int, err error) {
+	urls := p.Feed.URLs()[:end]
+	if j != nil {
+		manifest, err := p.Opts.Manifest()
+		if err != nil {
+			return 0, fmt.Errorf("core: encoding run manifest: %w", err)
+		}
+		if err := j.BindRun(manifest); err != nil {
+			return 0, fmt.Errorf("core: %w", err)
 		}
 	}
-	if sample > 0 && sample < len(urls) {
-		urls = urls[:sample]
-	}
-	for _, u := range urls {
-		if j.Completed(u) {
+	skip := func(u string) bool { return done[u] || (j != nil && j.Completed(u)) }
+	for _, u := range urls[start:] {
+		if skip(u) {
 			skipped++
 		}
 	}
 	p.Monitor.AddPreCompleted(skipped)
-	if err := p.ensureTriageJournaled(j); err != nil {
-		return skipped, err
-	}
-	if err := p.ensureCloakJournaled(j); err != nil {
-		return skipped, err
-	}
 	byURL := analysis.MetaIndex(p.Feed.Filter())
-	cfg := p.farmConfig()
-	cfg.Skip = func(_ int, u string) bool { return j.Completed(u) }
-	cfg.Sink = func(_ int, lg *crawler.SessionLog) error {
+	finish := func(lg *crawler.SessionLog) {
 		analysis.AttachMetaIndexed(lg, byURL)
 		p.Triage.Stamp(lg)
+	}
+	cfg := p.farmConfig()
+	cfg.Skip = func(idx int, u string) bool { return idx < start || skip(u) }
+	p.Logs = nil
+	if j == nil {
+		p.Logs, p.Stats = farm.Run(cfg, urls)
+		for _, lg := range p.Logs {
+			if lg != nil {
+				finish(lg)
+			}
+		}
+		return skipped, nil
+	}
+	cfg.Sink = func(_ int, lg *crawler.SessionLog) error {
+		finish(lg)
 		return j.AppendSession(lg)
 	}
 	// The sink touches only its own session (metadata attach) and the
@@ -481,7 +432,6 @@ func (p *Pipeline) CrawlJournal(j *journal.Journal, sample int) (skipped int, er
 	// the group-commit sync policy. Concurrent delivery keeps workers from
 	// queueing on the farm's tally lock for every fsync.
 	cfg.SinkConcurrent = true
-	p.Logs = nil
 	p.Stats, err = farm.RunStream(cfg, urls)
 	if err != nil {
 		return skipped, fmt.Errorf("core: journaling crawl: %w", err)
@@ -491,63 +441,6 @@ func (p *Pipeline) CrawlJournal(j *journal.Journal, sample int) (skipped int, er
 		return skipped, fmt.Errorf("core: journaling run stats: %w", err)
 	}
 	return skipped, nil
-}
-
-// CrawlJournalShard is the fleet-worker crawl: it crawls only the feed
-// indices in [start, end), skipping URLs in done (the coordinator's
-// already-journaled set) and URLs this shard journal itself holds (a
-// resumed shard directory), streaming every finished session into j. The
-// skip filter composes over the full feed exactly as CrawlJournal's does,
-// so per-session seeds still derive from global feed indices and a shard's
-// sessions are byte-identical to the same sessions in a single-process
-// run. p.Stats reports this shard's crawl; a stats record is appended on
-// completion so the coordinator's merge can account elapsed time and
-// panics per shard.
-func (p *Pipeline) CrawlJournalShard(j *journal.Journal, start, end int, done map[string]bool) error {
-	urls := p.Feed.URLs()
-	if start < 0 || end > len(urls) || start > end {
-		return fmt.Errorf("core: shard range [%d,%d) outside feed of %d URLs", start, end, len(urls))
-	}
-	if err := p.ensureTriageJournaled(j); err != nil {
-		return err
-	}
-	if err := p.ensureCloakJournaled(j); err != nil {
-		return err
-	}
-	byURL := analysis.MetaIndex(p.Feed.Filter())
-	cfg := p.farmConfig()
-	cfg.Skip = func(idx int, u string) bool {
-		return idx < start || idx >= end || done[u] || j.Completed(u)
-	}
-	cfg.Sink = func(_ int, lg *crawler.SessionLog) error {
-		analysis.AttachMetaIndexed(lg, byURL)
-		p.Triage.Stamp(lg)
-		return j.AppendSession(lg)
-	}
-	cfg.SinkConcurrent = true
-	p.Logs = nil
-	var err error
-	p.Stats, err = farm.RunStream(cfg, urls)
-	if err != nil {
-		return fmt.Errorf("core: journaling shard crawl: %w", err)
-	}
-	//phishvet:ignore detertaint: Stats.Elapsed is per-run operational accounting — determinism pins compare session records, never stats timing
-	if err := j.AppendStats(p.Stats); err != nil {
-		return fmt.Errorf("core: journaling shard stats: %w", err)
-	}
-	return nil
-}
-
-// CrawlSample crawls only the first n feed entries (for quick looks and
-// examples); metadata is attached as in Crawl.
-func (p *Pipeline) CrawlSample(n int) {
-	urls := p.Feed.URLs()
-	if n < len(urls) {
-		urls = urls[:n]
-	}
-	p.Logs, p.Stats = farm.Run(p.farmConfig(), urls)
-	analysis.AttachMeta(p.Logs, p.Feed.Filter())
-	p.stampTriage(p.Logs)
 }
 
 // CaptchaAnalysisOptions returns the configured verification options for

@@ -31,7 +31,7 @@ func TestCrawlSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.CrawlSample(10)
+	p.Crawl(10)
 	if len(p.Logs) != 10 {
 		t.Fatalf("sampled logs = %d", len(p.Logs))
 	}

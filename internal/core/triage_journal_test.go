@@ -9,13 +9,12 @@ import (
 	"repro/internal/triage"
 )
 
-// TestCrawlJournalTriageProtocol pins the journaled-plan handshake: a
-// triage-enabled journaled crawl records its plan before any session, a
-// resume under the same flags verifies the stored plan against the one it
-// re-derives from the feed, and flag drift in either direction — triage
-// turned off over a planned journal, triage turned on over a plan-less
-// journal, or different triage knobs — is refused instead of silently
-// mixing two triage universes in one journal.
+// TestCrawlJournalTriageProtocol pins the triage options' place in the run
+// manifest: a triage-enabled journaled crawl resumes under the same flags
+// (the re-derived plan is the same pure function of feed and options), and
+// triage drift in either direction — triage turned off over a triaged
+// journal, turned on over a plain one, or different triage knobs — is
+// refused instead of silently mixing two triage universes in one journal.
 func TestCrawlJournalTriageProtocol(t *testing.T) {
 	opts := core.Options{
 		NumSites:           40,
@@ -42,14 +41,14 @@ func TestCrawlJournalTriageProtocol(t *testing.T) {
 		defer j.Close()
 		return p.CrawlJournal(j, 0)
 	}
+	refused := func(err error) bool { return err != nil && strings.Contains(err.Error(), "manifest") }
 
 	dir := t.TempDir()
 	if _, err := crawl(pipe(opts), dir); err != nil {
 		t.Fatalf("fresh triage crawl: %v", err)
 	}
 
-	// Resume under identical flags: the rebuilt plan verifies against the
-	// journaled record and every URL is already complete.
+	// Resume under identical flags: every URL is already complete.
 	p := pipe(opts)
 	skipped, err := crawl(p, dir)
 	if err != nil {
@@ -59,19 +58,18 @@ func TestCrawlJournalTriageProtocol(t *testing.T) {
 		t.Fatalf("resume skipped %d of %d URLs", skipped, len(p.Feed.URLs()))
 	}
 
-	// Triage off over a journal that holds a plan: refused.
+	// Triage off over a triaged journal: refused.
 	noTriage := opts
 	noTriage.Triage = nil
-	if _, err := crawl(pipe(noTriage), dir); err == nil || !strings.Contains(err.Error(), "-triage off") {
-		t.Fatalf("triage-off resume over planned journal: err = %v, want refusal", err)
+	if _, err := crawl(pipe(noTriage), dir); !refused(err) {
+		t.Fatalf("triage-off resume over triaged journal: err = %v, want manifest refusal", err)
 	}
 
-	// Different triage knobs: the re-derived plan no longer matches the
-	// journaled bytes.
+	// Different triage knobs: refused.
 	drift := opts
 	drift.Triage = &triage.Options{CampaignThreshold: 0.5}
-	if _, err := crawl(pipe(drift), dir); err == nil || !strings.Contains(err.Error(), "journaled plan") {
-		t.Fatalf("drifted-flags resume: err = %v, want plan mismatch", err)
+	if _, err := crawl(pipe(drift), dir); !refused(err) {
+		t.Fatalf("drifted-flags resume: err = %v, want manifest refusal", err)
 	}
 
 	// The reverse direction: a journal crawled without triage cannot be
@@ -80,7 +78,7 @@ func TestCrawlJournalTriageProtocol(t *testing.T) {
 	if _, err := crawl(pipe(noTriage), plainDir); err != nil {
 		t.Fatalf("plain journaled crawl: %v", err)
 	}
-	if _, err := crawl(pipe(opts), plainDir); err == nil || !strings.Contains(err.Error(), "without -triage") {
-		t.Fatalf("triage resume over plan-less journal: err = %v, want refusal", err)
+	if _, err := crawl(pipe(opts), plainDir); !refused(err) {
+		t.Fatalf("triage resume over plain journal: err = %v, want manifest refusal", err)
 	}
 }

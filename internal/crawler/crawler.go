@@ -276,14 +276,6 @@ type Crawler struct {
 	// allocating it fresh. Session exports are byte-identical either way;
 	// see SessionPool for the recycling contract.
 	Pool *SessionPool
-	// Timings, when non-nil, accumulates per-stage durations (render, OCR,
-	// detect, submit) across every attempt this crawler runs. Durations
-	// are measured on the session-logical trace clock, not the wall clock,
-	// so accumulated timings are deterministic. The farm does NOT use this
-	// collector for Stats.Stages (those fold from finished sessions'
-	// traces, final attempt only); it exists for direct callers such as
-	// the profiling harness. nil disables it at zero cost.
-	Timings *metrics.StageTimings
 
 	// DisableOCR turns off the visual label fallback of Section 4.1 — the
 	// ablation quantifying what a DOM-only crawler would miss.
@@ -432,7 +424,7 @@ func (c *Crawler) crawlAttempt(seedURL string, prof browser.Profile, jar map[str
 		} else {
 			next = c.clickThrough(page, &pl)
 		}
-		c.Timings.Observe(metrics.StageSubmit, tr.End(submit))
+		tr.End(submit)
 		log.Pages = append(log.Pages, pl)
 		tr.End(pg)
 		if next == nil {
@@ -472,7 +464,7 @@ func (c *Crawler) observePage(p *browser.Page, index int, eng *ocr.Engine, tr *t
 	render := tr.Begin(trace.KindStage, metrics.StageRender.String())
 	shot := p.Screenshot()
 	tr.Advance(countNodes(p.Doc))
-	c.Timings.Observe(metrics.StageRender, tr.End(render))
+	tr.End(render)
 	pl := PageLog{
 		Index:      index,
 		URL:        p.URL,
@@ -489,7 +481,7 @@ func (c *Crawler) observePage(p *browser.Page, index int, eng *ocr.Engine, tr *t
 		detect := tr.Begin(trace.KindStage, metrics.StageDetect.String())
 		pl.Detections = c.Detector.Detect(shot)
 		tr.Advance(1 + 8*len(pl.Detections))
-		c.Timings.Observe(metrics.StageDetect, tr.End(detect))
+		tr.End(detect)
 		for _, det := range pl.Detections {
 			pl.DetectionHashes = append(pl.DetectionHashes, phash.Compute(shot.Sub(det.Box)))
 		}

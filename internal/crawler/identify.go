@@ -58,7 +58,7 @@ func (c *Crawler) identifyFields(p *browser.Page, eng *ocr.Engine, tr *trace.Ses
 			// The OCR work cost scales with how much label text the visual
 			// search had to read.
 			tr.Advance(1 + len(desc))
-			c.Timings.Observe(metrics.StageOCR, tr.End(span))
+			tr.End(span)
 			info.UsedOCR = true
 		}
 		info.Description = strings.TrimSpace(desc)

@@ -3,9 +3,7 @@ package crawler
 import (
 	"encoding/json"
 	"testing"
-	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -86,31 +84,5 @@ func TestTraceRecordedOnNavigationFailure(t *testing.T) {
 	}
 	if lg.Trace[0].End <= lg.Trace[0].Start {
 		t.Fatalf("root span left open: %+v", lg.Trace[0])
-	}
-}
-
-// TestTimingsFedFromTrace: the optional Crawler.Timings collector
-// receives exactly the logical stage durations the trace records (and a
-// nil collector stays a valid no-op).
-func TestTimingsFedFromTrace(t *testing.T) {
-	c := newCrawler(t, loginPaymentSite())
-	c.Timings = nil // nil must not panic
-	c.Crawl("http://lp.test/")
-
-	c.Timings = &metrics.StageTimings{}
-	lg := c.Crawl("http://lp.test/")
-	wantCount := map[string]int64{}
-	wantTotal := map[string]time.Duration{}
-	for _, sp := range lg.Trace {
-		if sp.Kind == trace.KindStage {
-			wantCount[sp.Name]++
-			wantTotal[sp.Name] += sp.Duration()
-		}
-	}
-	for _, s := range c.Timings.Snapshot() {
-		if s.Count != wantCount[s.Stage] || s.Total != wantTotal[s.Stage] {
-			t.Errorf("stage %s: collector has %d/%v, trace says %d/%v",
-				s.Stage, s.Count, s.Total, wantCount[s.Stage], wantTotal[s.Stage])
-		}
 	}
 }

@@ -383,9 +383,7 @@ func run(cfg Config, urls []string) ([]*crawler.SessionLog, Stats, error) {
 		go func() {
 			defer wg.Done()
 			// Each worker gets its own crawler so faker sequences differ
-			// across sessions without shared state. The copy shares the
-			// template's optional Timings collector (atomic, attempt-level);
-			// Stats.Stages does not read it.
+			// across sessions without shared state.
 			c := *cfg.Crawler
 			for jb := range jobs {
 				// Pre-session fast path: a triage-attributed (or cut) URL

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -22,9 +24,10 @@ type CoordinatorConfig struct {
 	// URLs is the full (post -sample) feed the fleet crawls, in feed
 	// order. Leases are index ranges over this slice.
 	URLs []string
-	// Params pins the deterministic universe; lease requests whose params
-	// differ are refused.
-	Params Params
+	// Manifest is the run manifest (core.Options.Manifest) every shard
+	// journal is bound to; lease requests carrying any other bytes are
+	// refused.
+	Manifest []byte
 	// Root is the fleet journal root: every shard directory lives under
 	// it, and a resumed coordinator recovers completed work by scanning
 	// it.
@@ -93,8 +96,8 @@ type Coordinator struct {
 // NewCoordinator builds the lease table over cfg.URLs and, when resuming,
 // recovers completed work by opening every shard journal under Root —
 // torn tails from killed workers are truncated by the journal's own
-// recovery, and a journaled URL that is not in this feed means the root
-// belongs to a different -sites/-seed and is refused.
+// recovery, and each shard must be bound to cfg.Manifest
+// (journal.BindRun), so a root recorded under other flags is refused.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseSites <= 0 {
 		cfg.LeaseSites = DefaultLeaseSites
@@ -116,23 +119,20 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(dirs) > 0 && !cfg.Resume {
 		return nil, fmt.Errorf("fleet: journal root %s already holds %d shard directories; pass -resume to continue the run or point -journal at a fresh directory", cfg.Root, len(dirs))
 	}
-	inFeed := make(map[string]bool, len(cfg.URLs))
-	for _, u := range cfg.URLs {
-		inFeed[u] = true
-	}
 	for _, dir := range dirs {
 		j, err := journal.Open(dir, journal.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: recovering shard %s: %w", dir, err)
 		}
+		err = j.BindRun(cfg.Manifest)
 		urls := j.CompletedURLs()
-		if err := j.Close(); err != nil {
-			return nil, fmt.Errorf("fleet: closing shard %s: %w", dir, err)
+		if cerr := j.Close(); err == nil && cerr != nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, fmt.Errorf("fleet: recovering shard %s: %w", dir, err)
 		}
 		for u := range urls {
-			if !inFeed[u] {
-				return nil, fmt.Errorf("fleet: shard %s holds sessions for URLs not in this feed (e.g. %s); it was recorded with different -sites/-seed", dir, u)
-			}
 			c.completed[u] = true
 		}
 		c.startupDirs = append(c.startupDirs, dir)
@@ -208,9 +208,9 @@ func (c *Coordinator) sweepExpiredLocked(now time.Time) {
 
 // grant answers one lease request.
 func (c *Coordinator) grant(req LeaseRequest) (LeaseResponse, error) {
-	if req.Params != c.cfg.Params {
-		return LeaseResponse{}, fmt.Errorf("fleet: worker %s params (%s) do not match coordinator (%s); every fleet process needs identical -sites/-seed/-chaos flags",
-			req.Worker, req.Params, c.cfg.Params)
+	if !bytes.Equal(req.Manifest, c.cfg.Manifest) {
+		return LeaseResponse{}, fmt.Errorf("fleet: worker %s run manifest\n  %s\ndoes not match the coordinator's\n  %s\nevery fleet process needs identical byte-affecting flags",
+			req.Worker, req.Manifest, c.cfg.Manifest)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -245,16 +245,19 @@ func (c *Coordinator) grant(req LeaseRequest) (LeaseResponse, error) {
 		}
 		c.logf("fleet: lease %d %s granted to %s (attempt %d, %d already complete)",
 			ls.id, l.Range(), req.Worker, ls.attempt, len(l.Completed))
-		return LeaseResponse{Lease: &l}, nil
+		return LeaseResponse{Lease: &l, HeartbeatMs: c.quarterTTLMs()}, nil
 	}
 	if allDone {
 		return LeaseResponse{Done: true}, nil
 	}
-	retry := int(c.cfg.TTL.Milliseconds() / 4)
-	if retry < 50 {
-		retry = 50
-	}
-	return LeaseResponse{Wait: true, RetryMs: retry}, nil
+	return LeaseResponse{Wait: true, RetryMs: c.quarterTTLMs()}, nil
+}
+
+// quarterTTLMs is a quarter of the lease TTL in milliseconds (at least
+// 50): how often a lease holder must beat, and how long a waiting worker
+// sleeps, to notice a lease change well within one TTL.
+func (c *Coordinator) quarterTTLMs() int {
+	return max(int(c.cfg.TTL.Milliseconds()/4), 50)
 }
 
 // beat answers one heartbeat.
@@ -441,13 +444,22 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBytes caps one worker request body. The largest legitimate
+// one, a result carrying a shard's stats, is a few KB.
+const maxRequestBytes = 1 << 20
+
 func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request: %v", err), status)
 		return false
 	}
 	return true

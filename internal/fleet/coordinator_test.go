@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,13 +24,13 @@ func testURLs(n int) []string {
 	return urls
 }
 
-var testParams = Params{Sites: 10, Seed: 42, FeedURLs: 10}
+var testManifest = []byte(`{"numSites":10,"seed":42}`)
 
 func newTestCoordinator(t *testing.T, urls []string, leaseSites int, ttl time.Duration, resume bool) *Coordinator {
 	t.Helper()
 	c, err := NewCoordinator(CoordinatorConfig{
 		URLs:       urls,
-		Params:     testParams,
+		Manifest:   testManifest,
 		Root:       t.TempDir(),
 		LeaseSites: leaseSites,
 		TTL:        ttl,
@@ -56,12 +58,16 @@ func mkLog(idx int, url, outcome string) *crawler.SessionLog {
 	return &crawler.SessionLog{SeedURL: url, FeedIndex: idx, Outcome: outcome, Attempts: 1}
 }
 
-// journalLease writes sessions for the given indices into the lease's
-// shard directory, plus a stats record, exactly as a worker would.
+// journalLease binds the lease's shard directory to testManifest and
+// writes sessions for the given indices plus a stats record, exactly as a
+// worker would.
 func journalLease(t *testing.T, root string, l Lease, urls []string, idxs []int, outcome string) {
 	t.Helper()
 	j, err := journal.Open(ShardDir(root, l), journal.Options{Sync: journal.SyncNone})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.BindRun(testManifest); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range idxs {
@@ -82,7 +88,7 @@ func TestLeaseShardingPartitionsFeed(t *testing.T) {
 	c := newTestCoordinator(t, urls, 4, time.Minute, false)
 	var got []Lease
 	for {
-		resp, err := c.grant(LeaseRequest{Worker: "w1", Params: testParams})
+		resp, err := c.grant(LeaseRequest{Worker: "w1", Manifest: testManifest})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +116,10 @@ func TestLeaseShardingPartitionsFeed(t *testing.T) {
 
 func TestParamsMismatchRefused(t *testing.T) {
 	c := newTestCoordinator(t, testURLs(4), 4, time.Minute, false)
-	bad := testParams
-	bad.Seed = 99
-	if _, err := c.grant(LeaseRequest{Worker: "w1", Params: bad}); err == nil {
-		t.Fatal("mismatched params were granted a lease")
-	} else if !strings.Contains(err.Error(), "params") {
+	bad := []byte(`{"numSites":10,"seed":99}`)
+	if _, err := c.grant(LeaseRequest{Worker: "w1", Manifest: bad}); err == nil {
+		t.Fatal("mismatched manifest was granted a lease")
+	} else if !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("unhelpful mismatch error: %v", err)
 	}
 }
@@ -124,7 +129,7 @@ func TestLeaseExpiryReissueAndDuplicateSuppression(t *testing.T) {
 	urls := testURLs(4)
 	c := newTestCoordinator(t, urls, 4, 10*time.Second, false)
 
-	resp, err := c.grant(LeaseRequest{Worker: "w1", Params: testParams})
+	resp, err := c.grant(LeaseRequest{Worker: "w1", Manifest: testManifest})
 	if err != nil || resp.Lease == nil {
 		t.Fatalf("grant to w1: %+v, %v", resp, err)
 	}
@@ -137,13 +142,13 @@ func TestLeaseExpiryReissueAndDuplicateSuppression(t *testing.T) {
 		t.Fatal("heartbeat on live lease rejected")
 	}
 	advance(8 * time.Second)
-	if resp, err := c.grant(LeaseRequest{Worker: "w2", Params: testParams}); err != nil || !resp.Wait {
+	if resp, err := c.grant(LeaseRequest{Worker: "w2", Manifest: testManifest}); err != nil || !resp.Wait {
 		t.Fatalf("lease with recent heartbeat was reclaimed: %+v, %v", resp, err)
 	}
 
 	// Silence past the TTL: the range is re-issued to w2 at attempt 2.
 	advance(11 * time.Second)
-	resp, err = c.grant(LeaseRequest{Worker: "w2", Params: testParams})
+	resp, err = c.grant(LeaseRequest{Worker: "w2", Manifest: testManifest})
 	if err != nil || resp.Lease == nil {
 		t.Fatalf("expired lease not re-issued: %+v, %v", resp, err)
 	}
@@ -185,16 +190,16 @@ func TestMergeExcludesAbandonedAttempt(t *testing.T) {
 	advance := fakeClock(t)
 	urls := testURLs(4)
 	root := t.TempDir()
-	c, err := NewCoordinator(CoordinatorConfig{URLs: urls, Params: testParams, Root: root, LeaseSites: 4, TTL: 10 * time.Second, Logf: t.Logf})
+	c, err := NewCoordinator(CoordinatorConfig{URLs: urls, Manifest: testManifest, Root: root, LeaseSites: 4, TTL: 10 * time.Second, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, _ := c.grant(LeaseRequest{Worker: "w1", Params: testParams})
+	resp, _ := c.grant(LeaseRequest{Worker: "w1", Manifest: testManifest})
 	l1 := *resp.Lease
 	// w1 journals half the range, then dies silently.
 	journalLease(t, root, l1, urls, []int{0, 1}, "from-abandoned")
 	advance(11 * time.Second)
-	resp, _ = c.grant(LeaseRequest{Worker: "w2", Params: testParams})
+	resp, _ = c.grant(LeaseRequest{Worker: "w2", Manifest: testManifest})
 	l2 := *resp.Lease
 	journalLease(t, root, l2, urls, []int{0, 1, 2, 3}, "from-accepted")
 	if res := c.result(ResultRequest{Worker: "w2", LeaseID: l2.ID, Attempt: l2.Attempt, Stats: farm.Stats{Sites: 4}}); !res.Accepted {
@@ -226,7 +231,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	urls := testURLs(10)
 	root := t.TempDir()
 	mk := func(resume bool) *Coordinator {
-		c, err := NewCoordinator(CoordinatorConfig{URLs: urls, Params: testParams, Root: root, LeaseSites: 4, TTL: time.Minute, Resume: resume, Logf: t.Logf})
+		c, err := NewCoordinator(CoordinatorConfig{URLs: urls, Manifest: testManifest, Root: root, LeaseSites: 4, TTL: time.Minute, Resume: resume, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,22 +241,22 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	// only half journaled (no result), lease 2 untouched. Then the
 	// coordinator "crashes" (is dropped).
 	c1 := mk(false)
-	r0, _ := c1.grant(LeaseRequest{Worker: "w1", Params: testParams})
+	r0, _ := c1.grant(LeaseRequest{Worker: "w1", Manifest: testManifest})
 	journalLease(t, root, *r0.Lease, urls, []int{0, 1, 2, 3}, "done")
 	if res := c1.result(ResultRequest{Worker: "w1", LeaseID: r0.Lease.ID, Attempt: r0.Lease.Attempt, Stats: farm.Stats{Sites: 4, Elapsed: time.Second}}); !res.Accepted {
 		t.Fatalf("result rejected: %s", res.Reason)
 	}
-	r1, _ := c1.grant(LeaseRequest{Worker: "w1", Params: testParams})
+	r1, _ := c1.grant(LeaseRequest{Worker: "w1", Manifest: testManifest})
 	journalLease(t, root, *r1.Lease, urls, []int{4, 5}, "done")
 
 	// Second incarnation must refuse the root without -resume.
-	if _, err := NewCoordinator(CoordinatorConfig{URLs: urls, Params: testParams, Root: root, LeaseSites: 4, TTL: time.Minute}); err == nil {
+	if _, err := NewCoordinator(CoordinatorConfig{URLs: urls, Manifest: testManifest, Root: root, LeaseSites: 4, TTL: time.Minute}); err == nil {
 		t.Fatal("restart over a non-empty root without Resume was allowed")
 	}
 
 	c2 := mk(true)
 	// Range [0,4) was fully recovered: never leased again.
-	g1, err := c2.grant(LeaseRequest{Worker: "w2", Params: testParams})
+	g1, err := c2.grant(LeaseRequest{Worker: "w2", Manifest: testManifest})
 	if err != nil || g1.Lease == nil {
 		t.Fatalf("grant after restart: %+v, %v", g1, err)
 	}
@@ -266,7 +271,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	if res := c2.result(ResultRequest{Worker: "w2", LeaseID: g1.Lease.ID, Attempt: g1.Lease.Attempt, Stats: farm.Stats{Sites: 2, Elapsed: time.Second}}); !res.Accepted {
 		t.Fatalf("result rejected: %s", res.Reason)
 	}
-	g2, _ := c2.grant(LeaseRequest{Worker: "w2", Params: testParams})
+	g2, _ := c2.grant(LeaseRequest{Worker: "w2", Manifest: testManifest})
 	if g2.Lease == nil || g2.Lease.Start != 8 {
 		t.Fatalf("second lease after restart = %+v, want [8,10)", g2)
 	}
@@ -305,20 +310,65 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesForeignJournal: a resumed coordinator binds every shard
+// directory to its own manifest, so a shard recorded under other flags is
+// refused, and so is one holding sessions but no run manifest at all.
 func TestResumeRefusesForeignJournal(t *testing.T) {
 	urls := testURLs(4)
-	root := t.TempDir()
-	journalLease(t, root, Lease{Start: 0, End: 4, Attempt: 1}, []string{"http://other.test/a", "x", "x", "x"}, []int{0}, "done")
-	_, err := NewCoordinator(CoordinatorConfig{URLs: urls, Params: testParams, Root: root, LeaseSites: 4, TTL: time.Minute, Resume: true})
-	if err == nil || !strings.Contains(err.Error(), "different -sites/-seed") {
-		t.Fatalf("foreign journal accepted (err = %v)", err)
+	for _, tc := range []struct {
+		name     string
+		manifest []byte
+	}{
+		{"other manifest", []byte(`{"numSites":10,"seed":99}`)},
+		{"no manifest", nil},
+	} {
+		root := t.TempDir()
+		j, err := journal.Open(ShardDir(root, Lease{Start: 0, End: 4, Attempt: 1}), journal.Options{Sync: journal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.manifest != nil {
+			if err := j.BindRun(tc.manifest); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.AppendSession(mkLog(0, urls[0], "done")); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewCoordinator(CoordinatorConfig{URLs: urls, Manifest: testManifest, Root: root, LeaseSites: 4, TTL: time.Minute, Resume: true})
+		if err == nil || !strings.Contains(err.Error(), "manifest") {
+			t.Fatalf("%s: foreign journal accepted (err = %v)", tc.name, err)
+		}
+	}
+}
+
+// TestOversizedRequestRefused: worker request bodies are capped, so an
+// oversized lease request gets 413 and no lease.
+func TestOversizedRequestRefused(t *testing.T) {
+	c := newTestCoordinator(t, testURLs(4), 4, time.Minute, false)
+	srv := httptest.NewServer(c.Handler())
+	t.Cleanup(srv.Close)
+	body := `{"worker":"w1","manifest":{"pad":"` + strings.Repeat("x", maxRequestBytes) + `"}}`
+	resp, err := http.Post(srv.URL+PathLease, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized lease request answered %s, want 413", resp.Status)
+	}
+	if st := c.Status(); st.LeasesActive != 0 || len(st.Workers) != 0 {
+		t.Fatalf("oversized request was granted a lease: %+v", st)
 	}
 }
 
 func TestStatusView(t *testing.T) {
 	urls := testURLs(10)
 	c := newTestCoordinator(t, urls, 4, time.Minute, false)
-	resp, _ := c.grant(LeaseRequest{Worker: "w1", Params: testParams})
+	resp, _ := c.grant(LeaseRequest{Worker: "w1", Manifest: testManifest})
 	l := *resp.Lease
 	c.beat(HeartbeatRequest{Worker: "w1", LeaseID: l.ID, Attempt: l.Attempt, Progress: Progress{Done: 2}})
 	st := c.Status()

@@ -18,6 +18,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -35,36 +36,6 @@ const (
 	PathResult    = "/fleet/result"
 	PathStatus    = "/status"
 )
-
-// Params pins the deterministic universe a fleet crawls. Every worker
-// derives the feed locally, so the coordinator refuses workers whose
-// parameters would derive a different one — a mismatched -sites or -seed
-// would silently corrupt the merged output otherwise.
-type Params struct {
-	Sites     int    `json:"sites"`
-	Seed      int64  `json:"seed"`
-	ChaosSeed int64  `json:"chaosSeed"`
-	Chaos     string `json:"chaos,omitempty"` // fingerprint of the chaos profile ("" = healthy feed)
-	FeedURLs  int    `json:"feedUrls"`        // full feed length, pre -sample
-	// Triage fingerprints the triage configuration ("" = triage off;
-	// otherwise "threshold=…,topk=…"). Triage decides which URLs get full
-	// sessions, so a worker disagreeing on it would merge a different
-	// session universe.
-	Triage string `json:"triage,omitempty"`
-	// Cloak fingerprints the cloaking configuration ("" = cloaking off;
-	// otherwise "rate=…,retries=…"). The rate changes the generated corpus
-	// and the retry budget changes session bytes, so workers must agree on
-	// both.
-	Cloak string `json:"cloak,omitempty"`
-	// MinCampaign is the corpus clone-heaviness knob; it changes the
-	// generated sites, so it is part of the universe fingerprint.
-	MinCampaign int `json:"minCampaign,omitempty"`
-}
-
-func (p Params) String() string {
-	return fmt.Sprintf("sites=%d seed=%d chaosSeed=%d chaos=%q feed=%d triage=%q cloak=%q minCampaign=%d",
-		p.Sites, p.Seed, p.ChaosSeed, p.Chaos, p.FeedURLs, p.Triage, p.Cloak, p.MinCampaign)
-}
 
 // Lease is one unit of fleet work: crawl the feed-index range
 // [Start, End), skipping the Completed URLs a previous incarnation already
@@ -84,10 +55,14 @@ type Lease struct {
 // Range renders the lease's half-open index range for logs and status.
 func (l Lease) Range() string { return fmt.Sprintf("[%d,%d)", l.Start, l.End) }
 
-// LeaseRequest asks the coordinator for work.
+// LeaseRequest asks the coordinator for work. Manifest is the worker's run
+// manifest (core.Options.Manifest): every worker derives the feed and its
+// sessions locally, so the coordinator refuses a worker whose manifest is
+// not byte-equal to its own — a mismatched flag would silently merge
+// sessions from two configurations otherwise.
 type LeaseRequest struct {
-	Worker string `json:"worker"`
-	Params Params `json:"params"`
+	Worker   string          `json:"worker"`
+	Manifest json.RawMessage `json:"manifest"`
 }
 
 // LeaseResponse carries a granted lease, or tells the worker to wait
@@ -100,6 +75,10 @@ type LeaseResponse struct {
 	// RetryMs is how long a waiting worker should sleep before asking
 	// again.
 	RetryMs int `json:"retryMs,omitempty"`
+	// HeartbeatMs, sent with a granted lease, is the longest heartbeat
+	// interval that still beats several times per coordinator TTL; a
+	// worker configured to beat less often beats this often instead.
+	HeartbeatMs int `json:"heartbeatMs,omitempty"`
 }
 
 // Progress is the cumulative live-progress payload a worker reports with
@@ -166,6 +145,8 @@ const DefaultLeaseTTL = 10 * time.Second
 
 // DefaultHeartbeatEvery is the worker heartbeat interval; it must beat
 // several times per TTL so one dropped request cannot expire a live lease.
+// A coordinator with a short TTL shortens it per lease
+// (LeaseResponse.HeartbeatMs).
 const DefaultHeartbeatEvery = time.Second
 
 // ShardDir names the journal segment directory for one lease attempt under

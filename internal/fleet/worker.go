@@ -21,9 +21,9 @@ type WorkerConfig struct {
 	// Name identifies this worker in leases, logs, and the fleet status
 	// view.
 	Name string
-	// Params must match the coordinator's; the coordinator refuses the
-	// worker otherwise.
-	Params Params
+	// Manifest is this worker's run manifest; the coordinator refuses the
+	// worker unless it is byte-equal to the coordinator's.
+	Manifest []byte
 	// Root is the fleet journal root; each lease journals into
 	// ShardDir(Root, lease).
 	Root string
@@ -37,7 +37,8 @@ type WorkerConfig struct {
 	// fresh farm.Monitor per Crawl call.
 	Snapshot func() Progress
 	// HeartbeatEvery is the heartbeat interval (default
-	// DefaultHeartbeatEvery).
+	// DefaultHeartbeatEvery); a coordinator's shorter
+	// LeaseResponse.HeartbeatMs overrides it for that lease.
 	HeartbeatEvery time.Duration
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -61,7 +62,7 @@ type worker struct {
 }
 
 // refusedError marks an answer the coordinator gave deliberately (e.g. a
-// parameter mismatch, HTTP 409) — fatal immediately, never retried like a
+// manifest mismatch, HTTP 409) — fatal immediately, never retried like a
 // transport failure.
 type refusedError struct{ msg string }
 
@@ -70,7 +71,7 @@ func (e refusedError) Error() string { return e.msg }
 // RunWorker joins the fleet at cfg.Coordinator and crawls leases until the
 // coordinator reports the feed done. It returns nil on a completed run —
 // including when the coordinator has already shut down after completion —
-// and an error when the coordinator refuses the worker (parameter
+// and an error when the coordinator refuses the worker (manifest
 // mismatch) or was never reachable.
 func RunWorker(cfg WorkerConfig) error {
 	if cfg.Crawl == nil {
@@ -90,7 +91,7 @@ func RunWorker(cfg WorkerConfig) error {
 	w := &worker{cfg: cfg, base: strings.TrimRight(base, "/"), hc: hc}
 	for {
 		var resp LeaseResponse
-		if err := w.post(PathLease, LeaseRequest{Worker: cfg.Name, Params: cfg.Params}, &resp); err != nil {
+		if err := w.post(PathLease, LeaseRequest{Worker: cfg.Name, Manifest: cfg.Manifest}, &resp); err != nil {
 			if done, derr := w.lostCoordinator("requesting lease", err); done {
 				return derr
 			}
@@ -114,7 +115,11 @@ func RunWorker(cfg WorkerConfig) error {
 		dir := ShardDir(cfg.Root, l)
 		w.logf("fleet: worker %s crawling lease %d %s (attempt %d) into %s",
 			cfg.Name, l.ID, l.Range(), l.Attempt, dir)
-		stop := w.startHeartbeats(l)
+		every := w.cfg.HeartbeatEvery
+		if d := time.Duration(resp.HeartbeatMs) * time.Millisecond; d > 0 && d < every {
+			every = d
+		}
+		stop := w.startHeartbeats(l, every)
 		stats, err := cfg.Crawl(l, dir)
 		stop()
 		if err != nil {
@@ -154,16 +159,16 @@ func (w *worker) lostCoordinator(during string, err error) (done bool, _ error) 
 	return false, nil
 }
 
-// startHeartbeats renews lease l every HeartbeatEvery until the returned
-// stop function is called. Heartbeat failures are logged, never fatal: the
+// startHeartbeats renews lease l every interval until the returned stop
+// function is called. Heartbeat failures are logged, never fatal: the
 // next beat may succeed, and if the lease meanwhile expired the result
 // submission is where the worker finds out.
-func (w *worker) startHeartbeats(l Lease) (stop func()) {
+func (w *worker) startHeartbeats(l Lease, every time.Duration) (stop func()) {
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		tick := time.NewTicker(w.cfg.HeartbeatEvery)
+		tick := time.NewTicker(every)
 		defer tick.Stop()
 		for {
 			select {
@@ -189,7 +194,7 @@ func (w *worker) startHeartbeats(l Lease) (stop func()) {
 }
 
 // post sends one JSON request and decodes the JSON response. A non-2xx
-// status becomes an error carrying the coordinator's message (parameter
+// status becomes an error carrying the coordinator's message (manifest
 // mismatches arrive this way, as HTTP 409).
 func (w *worker) post(path string, req, resp any) error {
 	body, err := json.Marshal(req)

@@ -20,13 +20,18 @@ type fleetHarness struct {
 
 func newFleetHarness(t *testing.T, urls []string, leaseSites int) *fleetHarness {
 	t.Helper()
+	return newFleetHarnessTTL(t, urls, leaseSites, time.Minute)
+}
+
+func newFleetHarnessTTL(t *testing.T, urls []string, leaseSites int, ttl time.Duration) *fleetHarness {
+	t.Helper()
 	root := t.TempDir()
 	coord, err := NewCoordinator(CoordinatorConfig{
 		URLs:       urls,
-		Params:     testParams,
+		Manifest:   testManifest,
 		Root:       root,
 		LeaseSites: leaseSites,
-		TTL:        time.Minute,
+		TTL:        ttl,
 		Logf:       t.Logf,
 	})
 	if err != nil {
@@ -42,7 +47,7 @@ func (h *fleetHarness) workerConfig(t *testing.T, name string, urls []string) Wo
 	return WorkerConfig{
 		Coordinator:    h.srv.URL,
 		Name:           name,
-		Params:         testParams,
+		Manifest:       testManifest,
 		Root:           h.root,
 		HeartbeatEvery: 10 * time.Millisecond,
 		Logf:           t.Logf,
@@ -144,18 +149,62 @@ func TestRunWorkerHeartbeats(t *testing.T) {
 	}
 }
 
+// TestRunWorkerBeatsWithinShortTTL: a worker configured to beat rarely
+// still beats several times per TTL of a short-TTL coordinator, so a live
+// lease held past that TTL is neither expired nor re-issued.
+func TestRunWorkerBeatsWithinShortTTL(t *testing.T) {
+	urls := testURLs(4)
+	const ttl = 400 * time.Millisecond
+	h := newFleetHarnessTTL(t, urls, 4, ttl)
+	cfg := h.workerConfig(t, "w1", urls)
+	cfg.HeartbeatEvery = time.Hour
+	inner := cfg.Crawl
+	release := make(chan struct{})
+	cfg.Snapshot = func() Progress { return Progress{Done: 2} }
+	cfg.Crawl = func(l Lease, dir string) (farm.Stats, error) {
+		<-release
+		return inner(l, dir)
+	}
+	done := make(chan error, 1)
+	go func() { done <- RunWorker(cfg) }()
+
+	deadline := time.After(5 * time.Second)
+	for {
+		st := h.coord.Status()
+		if len(st.Workers) == 1 && st.Workers[0].Done == 2 {
+			break
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("no heartbeat within 5s under a 400ms TTL: %+v", st.Workers)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	time.Sleep(2 * ttl) // hold the lease past the TTL
+	if r, err := h.coord.grant(LeaseRequest{Worker: "w2", Manifest: testManifest}); err != nil || !r.Wait {
+		t.Fatalf("second worker got %+v, %v; want wait (lease still held)", r, err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := h.coord.Status(); st.LeasesDone != st.Leases {
+		t.Fatalf("lease result not accepted: %d of %d leases done", st.LeasesDone, st.Leases)
+	}
+}
+
 // TestRunWorkerParamsMismatchFatal: a refused worker must exit with the
 // coordinator's message, not retry forever.
 func TestRunWorkerParamsMismatchFatal(t *testing.T) {
 	urls := testURLs(4)
 	h := newFleetHarness(t, urls, 4)
 	cfg := h.workerConfig(t, "w1", urls)
-	cfg.Params.Seed = 99
+	cfg.Manifest = []byte(`{"numSites":10,"seed":99}`)
 	err := RunWorker(cfg)
 	if err == nil {
 		t.Fatal("mismatched worker ran to completion")
 	}
-	if !strings.Contains(err.Error(), "409") && !strings.Contains(err.Error(), "params") {
+	if !strings.Contains(err.Error(), "409") && !strings.Contains(err.Error(), "manifest") {
 		t.Fatalf("unhelpful refusal error: %v", err)
 	}
 }
@@ -183,7 +232,7 @@ func TestRunWorkerNeverConnected(t *testing.T) {
 	cfg := WorkerConfig{
 		Coordinator: "127.0.0.1:1", // nothing listens on port 1
 		Name:        "w1",
-		Params:      testParams,
+		Manifest:    testManifest,
 		Root:        t.TempDir(),
 		Crawl:       func(Lease, string) (farm.Stats, error) { return farm.Stats{}, nil },
 		Logf:        t.Logf,

@@ -15,6 +15,7 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -109,6 +110,9 @@ type checkpoint struct {
 	// URLs maps each completed URL to the sequence number of its latest
 	// session record.
 	URLs map[string]uint64 `json:"urls"`
+	// Run is the run manifest record's payload, so a reopen that skips the
+	// sealed segment holding that record still knows it.
+	Run []byte `json:"run,omitempty"`
 }
 
 // Journal is an open crawl journal. All methods are safe for concurrent
@@ -124,8 +128,9 @@ type Journal struct {
 	activeSize int64
 	nextSeq    uint64
 	completed  map[string]uint64
-	unsynced   int // appends since the last fsync (SyncBatch, SyncGroup)
-	dirtyCkpt  int // session appends since the last checkpoint write
+	run        []byte // the run manifest record's payload; nil until one exists
+	unsynced   int    // appends since the last fsync (SyncBatch, SyncGroup)
+	dirtyCkpt  int    // session appends since the last checkpoint write
 	closed     bool
 
 	// Group-commit state (SyncGroup only). pending is the queue the commit
@@ -167,6 +172,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 			return nil, err
 		}
 		j.completed = map[string]uint64{}
+		j.run = nil
 		if err := j.recover(nil); err != nil {
 			return nil, err
 		}
@@ -282,6 +288,7 @@ func (j *Journal) recover(ckpt *checkpoint) error {
 		for u, s := range ckpt.URLs {
 			j.completed[u] = s
 		}
+		j.run = ckpt.Run
 	}
 	// dataMax is the highest sequence number the segment files provably
 	// hold — from scanning, or from a skipped sealed segment's coverage
@@ -369,6 +376,9 @@ func (j *Journal) scanSegment(i int, last bool, ckpt *checkpoint) (maxSeq, first
 				j.completed[url] = rec.Seq
 			}
 		}
+		if rec.Kind == KindRun && j.run == nil {
+			j.run = rec.Payload
+		}
 		off += int64(n)
 	}
 	if last {
@@ -409,6 +419,38 @@ func (j *Journal) AppendSession(lg *crawler.SessionLog) error {
 	if j.dirtyCkpt >= j.opts.CheckpointEvery {
 		return j.writeCheckpointLocked()
 	}
+	return nil
+}
+
+// BindRun ties the journal to one run configuration, given as the run
+// manifest: the canonical bytes of every option that changes session
+// bytes. A journal with neither a run record nor sessions records the
+// manifest durably before anything else. A journal with a run record
+// accepts only byte-equal manifests. A journal with sessions but no run
+// record predates run manifests; nothing vouches for the configuration
+// behind its sessions, so it is refused (it still opens and reports).
+// Resumed crawls and fleet shards call BindRun before their first session,
+// so no journal ever mixes sessions from two configurations.
+func (j *Journal) BindRun(manifest []byte) error {
+	//phishvet:ignore locknoblock: j.mu is the WAL's write order — the run record and its fsync must precede every session append
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch {
+	case j.run != nil:
+		if !bytes.Equal(j.run, manifest) {
+			return fmt.Errorf("journal: %s was recorded under run manifest\n  %s\nbut this run's manifest is\n  %s\nresume with the original flags or point at a fresh directory", j.dir, j.run, manifest)
+		}
+		return nil
+	case len(j.completed) > 0:
+		return fmt.Errorf("journal: %s holds %d sessions but no run manifest (it predates run manifests); it can be reported but not resumed", j.dir, len(j.completed))
+	}
+	if _, err := j.appendLocked(KindRun, manifest); err != nil {
+		return err
+	}
+	if err := j.syncActiveLocked(); err != nil {
+		return err
+	}
+	j.run = append([]byte(nil), manifest...)
 	return nil
 }
 
@@ -516,7 +558,7 @@ func (j *Journal) writeCheckpointLocked() error {
 	if err := j.syncActiveLocked(); err != nil {
 		return err
 	}
-	c := checkpoint{Seq: j.nextSeq - 1, URLs: j.completed}
+	c := checkpoint{Seq: j.nextSeq - 1, URLs: j.completed, Run: j.run}
 	data, err := json.Marshal(&c)
 	if err != nil {
 		return fmt.Errorf("journal: encoding checkpoint: %w", err)
@@ -699,66 +741,6 @@ func (j *Journal) Sessions() ([]*crawler.SessionLog, error) {
 		return out[a].SeedURL < out[b].SeedURL
 	})
 	return out, nil
-}
-
-// AppendTriage appends one triage plan record (an opaque, already-encoded
-// payload — the journal stays a byte store and never decodes triage
-// structures). Appended once, before a triage-enabled crawl's first
-// session, so a resumed run can verify its rebuilt plan matches.
-func (j *Journal) AppendTriage(payload []byte) error {
-	if j.opts.Sync == SyncGroup {
-		return j.appendGroup(KindTriage, append([]byte(nil), payload...), "")
-	}
-	//phishvet:ignore locknoblock: j.mu is the WAL's write order — the append and its fsync must be serialized against every other writer
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err := j.appendLocked(KindTriage, payload)
-	return err
-}
-
-// TriagePlans returns the payload of every triage plan record, oldest
-// first. A journal written by one uninterrupted or correctly-resumed
-// triage run holds exactly one; more than one with differing bytes means
-// runs with different triage configs wrote into the same directory.
-func (j *Journal) TriagePlans() ([][]byte, error) {
-	var out [][]byte
-	err := j.Scan(func(r Record) error {
-		if r.Kind != KindTriage {
-			return nil
-		}
-		out = append(out, append([]byte(nil), r.Payload...))
-		return nil
-	})
-	return out, err
-}
-
-// AppendCloak appends one cloak configuration record (an opaque,
-// already-encoded payload, like AppendTriage's plan records). Appended
-// once, before a cloak-enabled crawl's first session.
-func (j *Journal) AppendCloak(payload []byte) error {
-	if j.opts.Sync == SyncGroup {
-		return j.appendGroup(KindCloak, append([]byte(nil), payload...), "")
-	}
-	//phishvet:ignore locknoblock: j.mu is the WAL's write order — the append and its fsync must be serialized against every other writer
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err := j.appendLocked(KindCloak, payload)
-	return err
-}
-
-// CloakRecords returns the payload of every cloak configuration record,
-// oldest first. A journal written by one uninterrupted or correctly-resumed
-// cloak-enabled run holds exactly one.
-func (j *Journal) CloakRecords() ([][]byte, error) {
-	var out [][]byte
-	err := j.Scan(func(r Record) error {
-		if r.Kind != KindCloak {
-			return nil
-		}
-		out = append(out, append([]byte(nil), r.Payload...))
-		return nil
-	})
-	return out, err
 }
 
 // StatsRuns decodes the stats record of every completed run, oldest first.

@@ -324,3 +324,58 @@ func TestJournalRejectsSealedSegmentCorruption(t *testing.T) {
 		t.Fatal("Open accepted a corrupt sealed segment")
 	}
 }
+
+// TestBindRunPolicy pins the run-record policy: a fresh journal records
+// the manifest, a journal holding one accepts only byte-equal manifests —
+// also after a reopen that skips the sealed segment holding the record
+// (checkpoint), after one that rescans every segment, and after
+// compaction — and a journal with sessions but no run record is refused.
+func TestBindRunPolicy(t *testing.T) {
+	manifest, other := []byte(`{"seed":1}`), []byte(`{"seed":2}`)
+	check := func(j *Journal, when string) {
+		t.Helper()
+		if err := j.BindRun(manifest); err != nil {
+			t.Fatalf("%s: own manifest refused: %v", when, err)
+		}
+		err := j.BindRun(other)
+		if err == nil || !strings.Contains(err.Error(), string(manifest)) || !strings.Contains(err.Error(), string(other)) {
+			t.Fatalf("%s: other manifest: err = %v, want a refusal showing both", when, err)
+		}
+	}
+
+	dir := t.TempDir()
+	opts := Options{Sync: SyncNone, SegmentBytes: 512, CheckpointEvery: 4}
+	j := mustOpen(t, dir, opts)
+	check(j, "fresh")
+	appendN(t, j, 20, 0)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(j.segments) < 3 {
+		t.Fatalf("journal has %d segments; the reopen below must skip a sealed one", len(j.segments))
+	}
+	j = mustOpen(t, dir, opts)
+	check(j, "reopened from checkpoint")
+	if _, err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check(j, "compacted")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, checkpointName)); err != nil {
+		t.Fatal(err)
+	}
+	j = mustOpen(t, dir, opts)
+	check(j, "reopened by rescan")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	legacy := mustOpen(t, t.TempDir(), opts)
+	defer legacy.Close()
+	appendN(t, legacy, 1, 0)
+	if err := legacy.BindRun(manifest); err == nil || !strings.Contains(err.Error(), "no run manifest") {
+		t.Fatalf("sessions without a run record: err = %v, want a refusal", err)
+	}
+}

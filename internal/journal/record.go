@@ -29,19 +29,15 @@ const (
 	// KindStats frames a JSON-encoded farm.Stats — one run's aggregate
 	// statistics, appended when the run completes.
 	KindStats Kind = 2
-	// KindTriage frames a JSON-encoded triage plan record (the per-URL
-	// verdicts and campaign index assignments of internal/triage), appended
-	// once before a triage-enabled crawl starts. A resumed run rebuilds the
-	// plan from the feed and verifies it against this record, so a journal
-	// can never mix sessions from two different triage universes.
-	KindTriage Kind = 3
-	// KindCloak frames the JSON-encoded cloak configuration (sitegen cloak
-	// rate plus the adaptive-uncloaking retry budget), appended once before
-	// a cloak-enabled crawl starts. A resumed run re-encodes its config and
-	// verifies it byte-for-byte against this record — the per-session
-	// mutation schedules are pure functions of that config and the feed, so
-	// matching configs pin matching session bytes.
-	KindCloak Kind = 4
+	// Kind numbers 3 and 4 framed the per-feature triage-plan and
+	// cloak-config records that the run manifest replaced. Journals written
+	// before then still hold them; every reader skips kinds it does not
+	// ask for, so such journals open and report. Never reuse 3 or 4.
+
+	// KindRun frames the run manifest: the canonical bytes of every option
+	// that changes session bytes, appended once before the first session
+	// (see Journal.BindRun).
+	KindRun Kind = 5
 )
 
 const (

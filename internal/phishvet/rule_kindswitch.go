@@ -10,10 +10,10 @@ import (
 // The kindswitch rule enforces exhaustive switches over the repo's closed
 // const sets: journal record kinds and sync policies, session outcomes
 // (crawler's and the farm's run-level extras), chaos fault classes, trace
-// span kinds. These sets grow — PR 8 added KindTriage and two triage
-// outcomes — and a switch in a resume/merge/report path that silently
-// falls through a new member is exactly how a record kind becomes data
-// corruption instead of a compile-time question.
+// span kinds. These sets grow — the triage funnel added two outcomes,
+// the run manifest a record kind — and a switch in a resume/merge/report
+// path that silently falls through a new member is exactly how a record
+// kind becomes data corruption instead of a compile-time question.
 //
 // A switch participates when it has no default clause and at least one
 // case resolves to a member of a registered set; it must then cover every

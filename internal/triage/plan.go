@@ -1,7 +1,6 @@
 package triage
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -212,7 +211,7 @@ func (p *Plan) Funnel() Funnel {
 	return f
 }
 
-// planRecord is the journaled form of a plan: config plus the per-entry
+// planRecord is the byte form of a plan: config plus the per-entry
 // verdicts and campaign index assignments — compact (no fingerprints), and
 // canonical (field order fixed by the struct), so two encodings of the same
 // plan are byte-equal.
@@ -230,10 +229,9 @@ type entryRecord struct {
 	Similarity float64  `json:"m,omitempty"`
 }
 
-// Encode serializes the plan's verdicts for the journal. A resumed run (or
-// a fleet shard) rebuilds the plan from the feed and verifies it against
-// the journaled record with Verify — persisting the index entries while
-// keeping the journal a byte store.
+// Encode serializes the plan's verdicts in canonical form, so two plans
+// can be compared byte for byte (the plan is a pure function of the feed
+// and the triage options, whatever the probe parallelism).
 func (p *Plan) Encode() ([]byte, error) {
 	rec := planRecord{Threshold: p.Threshold, TopK: p.TopK, Campaigns: p.Campaigns,
 		Entries: make([]entryRecord, len(p.Entries))}
@@ -243,19 +241,4 @@ func (p *Plan) Encode() ([]byte, error) {
 			Campaign: e.Campaign, Similarity: e.Similarity}
 	}
 	return json.Marshal(&rec)
-}
-
-// Verify checks a journaled plan record against this (rebuilt) plan.
-// A mismatch means the journal was recorded under different triage flags,
-// a different corpus, or a different code version — resuming would mix two
-// different triage universes in one journal.
-func (p *Plan) Verify(stored []byte) error {
-	want, err := p.Encode()
-	if err != nil {
-		return fmt.Errorf("triage: encoding plan: %w", err)
-	}
-	if !bytes.Equal(stored, want) {
-		return fmt.Errorf("triage: journaled plan does not match the plan derived from this feed and these flags (-triage/-campaign-threshold/-triage-topk changed, or the journal belongs to a different corpus)")
-	}
-	return nil
 }

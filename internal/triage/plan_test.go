@@ -66,9 +66,6 @@ func TestBuildPlanDeterministicAcrossWorkers(t *testing.T) {
 	if !bytes.Equal(b1, b8) {
 		t.Fatalf("plan diverged across probe worker counts:\n1 worker:  %s\n8 workers: %s", b1, b8)
 	}
-	if err := p1.Verify(b8); err != nil {
-		t.Fatalf("Verify rejected an identical plan: %v", err)
-	}
 }
 
 // TestBuildPlanClusterPurity measures the campaign index against the
@@ -228,24 +225,25 @@ func TestFastPathAndStamp(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsDifferentPlan pins the journal guard: a stored record
-// from different triage flags must be refused.
-func TestVerifyRejectsDifferentPlan(t *testing.T) {
+// TestEncodeDistinguishesPlans keeps the byte-determinism pin above
+// meaningful: plans built under different triage options must encode
+// differently, and a plan's encoding must be stable.
+func TestEncodeDistinguishesPlans(t *testing.T) {
 	urls, _, nb := testUniverse(t, 40, 5)
 	p := buildPlan(t, urls, nb, triage.Options{}, 4)
 	other := buildPlan(t, urls, nb, triage.Options{TopK: 5}, 4)
-	stored, err := other.Encode()
-	if err != nil {
-		t.Fatal(err)
+	enc := func(pl *triage.Plan) []byte {
+		t.Helper()
+		b, err := pl.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	if err := p.Verify(stored); err == nil {
-		t.Fatal("Verify accepted a plan built under different flags")
+	if bytes.Equal(enc(p), enc(other)) {
+		t.Fatal("plans built under different options encode identically")
 	}
-	own, err := p.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Verify(own); err != nil {
-		t.Fatalf("Verify rejected the plan's own encoding: %v", err)
+	if !bytes.Equal(enc(p), enc(p)) {
+		t.Fatal("a plan's encoding is not stable")
 	}
 }
