@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench-vet lint bench bench-json alloc-gate chaos fuzz status-smoke fleet-smoke triage-smoke cloak-smoke check
+.PHONY: all build test race vet bench-vet lint bench bench-json alloc-gate pins chaos fuzz status-smoke fleet-smoke triage-smoke cloak-smoke check
 
 all: build
 
@@ -119,4 +119,16 @@ bench-json:
 alloc-gate:
 	$(GO) test -run 'Alloc|Pooled|HasTokens' ./internal/crawler/... ./internal/textclass/...
 
-check: build lint bench-vet test race alloc-gate
+# Byte-identity pins under varied scheduling: the farm's 1-vs-30-worker
+# pins (plain, pooled, fault-injected, stage table), the triage probe
+# pool's 1-vs-8-worker pin and the pooled == unpooled session pins, three
+# times each at GOMAXPROCS=1 and GOMAXPROCS=2. Sessions give their compute
+# slot back while they wait on the network, so the order sessions run in
+# changes with every schedule; these pins prove the bytes do not.
+PINS = ^(TestRunDeterministicAcrossWorkerCounts.*|TestChaosDeterministicAcrossWorkerCounts|TestStagesIdenticalAcrossWorkerCounts|TestBuildPlanDeterministicAcrossWorkers|TestCrawlPooledMatchesUnpooled.*)$$
+pins:
+	for procs in 1 2; do \
+		GOMAXPROCS=$$procs $(GO) test -count=3 -run '$(PINS)' ./internal/farm/ ./internal/crawler/ ./internal/triage/ || exit 1; \
+	done
+
+check: build lint bench-vet test race alloc-gate pins

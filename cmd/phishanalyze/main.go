@@ -24,7 +24,7 @@ import (
 func main() {
 	numSites := flag.Int("sites", 1000, "corpus size")
 	seed := flag.Int64("seed", 42, "seed")
-	workers := flag.Int("workers", 30, "parallel crawl sessions")
+	workers := flag.Int("workers", 30, "sessions computing at once (up to 4x this many in flight)")
 	table := flag.Int("table", 0, "print one table (1-7)")
 	figure := flag.Int("figure", 0, "print one figure (7-9)")
 	all := flag.Bool("all", false, "print everything")

@@ -129,7 +129,8 @@ func TestCloakSmoke(t *testing.T) {
 	// Kill/resume leg: journal an adaptive run, SIGKILL it once the journal
 	// holds data, tear the tail mid-record, resume with the same flags, and
 	// require the merged export to match the clean run byte-for-byte (the
-	// journaled cloak config record must verify against this run's).
+	// journal's run manifest, which pins the cloak options, must match
+	// this run's).
 	jdir := filepath.Join(dir, "journal")
 	jargs := append(append([]string{}, args...), "-cloak-retries", "5", "-workers", "30", "-journal", jdir, "-journal-sync", "group")
 	cmd := exec.Command(bin, jargs...)

@@ -121,9 +121,6 @@ func validateFlags(f cliFlags) error {
 	if f.campaignMin < 0 {
 		return fmt.Errorf("-campaign-min must be >= 0 (got %d; 0 keeps the paper's campaign-size distribution)", f.campaignMin)
 	}
-	if f.triage && f.compact {
-		return fmt.Errorf("-triage cannot be combined with -compact: compaction drops superseded session records, but the triage plan record must stay paired with every session that was crawled under it; compact the journal offline after the run")
-	}
 	if !f.triage && f.triageTopK > 0 {
 		return fmt.Errorf("-triage-topk does nothing without -triage: the lexical cut is the first stage of the triage funnel")
 	}

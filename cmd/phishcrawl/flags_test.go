@@ -178,7 +178,7 @@ func TestValidateFlags(t *testing.T) {
 			f.campaignThreshold = triage.DefaultCampaignThreshold
 			f.journalDir = "j"
 			f.compact = true
-		}, "-triage cannot be combined with -compact"},
+		}, ""},
 		{"topk without triage", func(f *cliFlags) {
 			f.triageTopK = 10
 		}, "-triage-topk does nothing without -triage"},

@@ -153,8 +153,8 @@ func TestTriageSmoke(t *testing.T) {
 	// Kill/resume leg: journal a triage run, SIGKILL it once the journal
 	// holds data, tear the tail mid-record, resume with the same triage
 	// flags, and require the merged export to match the clean triage run
-	// byte-for-byte (the journaled plan record must Verify against the
-	// rebuilt plan).
+	// byte-for-byte (the journal's run manifest, which pins the triage
+	// options, must match this run's).
 	jdir := filepath.Join(dir, "journal")
 	jargs := append(append([]string{}, args...), "-triage", "-workers", "30", "-journal", jdir, "-journal-sync", "group")
 	cmd := exec.Command(bin, jargs...)

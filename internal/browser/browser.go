@@ -63,6 +63,15 @@ type Event struct {
 // DefaultFetchTimeout bounds each fetch when Options.Timeout is unset.
 const DefaultFetchTimeout = 10 * time.Second
 
+// ResolveTimeout applies the fetch timeout's default: a non-positive
+// timeout becomes DefaultFetchTimeout.
+func ResolveTimeout(d time.Duration) time.Duration {
+	if d <= 0 {
+		return DefaultFetchTimeout
+	}
+	return d
+}
+
 // Browser is one browsing profile. Create a fresh Browser per crawl session
 // to model the paper's clean-container-per-site setup (Section 4.6) — or,
 // equivalently, Reset a recycled one: a reset browser is observationally
@@ -85,6 +94,10 @@ type Browser struct {
 
 	// profile is the identity presented on every request; see Profile.
 	profile Profile
+
+	// wait, when set, brackets every transport round trip; see
+	// SetWaitHook.
+	wait func() (resume func())
 
 	// NetLog accumulates every request across the session.
 	NetLog []NetRequest
@@ -138,9 +151,7 @@ type Options struct {
 // logged), so the http.Client middle layer would only re-clone headers per
 // request.
 func New(opts Options) *Browser {
-	if opts.Timeout <= 0 {
-		opts.Timeout = DefaultFetchTimeout
-	}
+	opts.Timeout = ResolveTimeout(opts.Timeout)
 	transport := opts.Transport
 	if transport == nil {
 		transport = http.DefaultTransport
@@ -166,6 +177,7 @@ func (b *Browser) Reset() {
 	b.ctx = context.Background()
 	b.profile = DefaultProfile()
 	b.now = sessionClock()
+	b.wait = nil
 }
 
 // EnableRecycle opts this browser into pooled-session-graph mode: see the
@@ -182,6 +194,22 @@ func (b *Browser) SetContext(ctx context.Context) {
 	if ctx != nil {
 		b.ctx = ctx
 	}
+}
+
+// SetWaitHook installs the session's wait hook: wait is called just
+// before each transport round trip and the resume it returns as soon as
+// the round trip ends, normally or by panic. The crawl farm uses it to
+// give a session's compute slot back while the session waits on the
+// network. Nil removes the hook; Reset removes it too.
+func (b *Browser) SetWaitHook(wait func() (resume func())) { b.wait = wait }
+
+// send is the browser's one transport round trip, bracketed by the wait
+// hook.
+func (b *Browser) send(req *http.Request) (*http.Response, error) {
+	if b.wait != nil {
+		defer b.wait()()
+	}
+	return b.transport.RoundTrip(req)
 }
 
 // Page is one loaded page: its DOM, rendering, behaviours, and event state.
@@ -342,7 +370,7 @@ func (b *Browser) roundTrip(method, cur string, form url.Values, kind string, ca
 		req.Header.Set("Cookie", sb.String())
 		b.cookieNames = names
 	}
-	resp, rerr := b.transport.RoundTrip(req)
+	resp, rerr := b.send(req)
 	if rerr != nil {
 		b.NetLog = append(b.NetLog, NetRequest{Method: method, URL: cur, Status: 0, Kind: kind, Time: b.now()})
 		return "", 0, "", "", fmt.Errorf("browser: fetch %s: %w", cur, rerr)

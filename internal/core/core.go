@@ -39,7 +39,9 @@ type Options struct {
 	NumSites int
 	// Seed drives all generation and training randomness.
 	Seed int64
-	// Workers is the farm parallelism (default 30, the paper's setting).
+	// Workers is the number of sessions the farm computes at once (default
+	// 30, the paper's setting); sessions waiting on the network or the
+	// journal hold none, and up to 4×Workers are in flight (farm.Config).
 	Workers int
 	// DetectorTrainPages is the number of generated pages the object
 	// detector is fitted on (paper: 10,000). Default 600, which reaches
@@ -116,6 +118,12 @@ func (o Options) withDefaults() Options {
 	if o.ChaosSeed == 0 {
 		o.ChaosSeed = o.Seed + 7
 	}
+	// The farm, crawler and browser defaults resolve here, through the
+	// resolvers those layers apply themselves, so the manifest records the
+	// values a crawl runs with and not how they were spelled.
+	o.SessionBudget = crawler.ResolveSessionBudget(o.SessionBudget)
+	o.FetchTimeout = browser.ResolveTimeout(o.FetchTimeout)
+	o.MaxRetries, o.RetryBase, o.RetryMax = farm.ResolveRetries(o.MaxRetries, o.RetryBase, o.RetryMax)
 	return o
 }
 

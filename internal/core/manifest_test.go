@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/browser"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/crawler"
+	"repro/internal/farm"
 	"repro/internal/fleet"
 	"repro/internal/journal"
 	"repro/internal/triage"
@@ -139,6 +141,29 @@ func TestRunManifestRefusals(t *testing.T) {
 		skipped, err := resume(t, p, dir, 0)
 		if err != nil {
 			t.Fatalf("resume with another worker count: %v", err)
+		}
+		if skipped != len(p.Feed.URLs()) {
+			t.Fatalf("resume skipped %d of %d URLs", skipped, len(p.Feed.URLs()))
+		}
+		if got := lease(o); got != http.StatusOK {
+			t.Fatalf("lease request answered %d, want 200", got)
+		}
+	})
+
+	t.Run("defaults spelled out", func(t *testing.T) {
+		// The farm, crawler and browser defaults resolve before the
+		// manifest is taken: -retries 0 and -retries 2 run the same crawl.
+		o := base
+		o.MaxRetries = farm.DefaultMaxRetries
+		o.SessionBudget = crawler.DefaultSessionBudget
+		o.FetchTimeout = browser.DefaultFetchTimeout
+		if !bytes.Equal(manifest(o), manifest(base)) {
+			t.Fatalf("manifest pins how a default was spelled:\n%s\n%s", manifest(o), manifest(base))
+		}
+		p := pipe(o)
+		skipped, err := resume(t, p, dir, 0)
+		if err != nil {
+			t.Fatalf("resume with the defaults spelled out: %v", err)
 		}
 		if skipped != len(p.Feed.URLs()) {
 			t.Fatalf("resume skipped %d of %d URLs", skipped, len(p.Feed.URLs()))

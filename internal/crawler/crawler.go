@@ -52,6 +52,19 @@ const DefaultMaxPages = 10
 // (sessions complete in milliseconds, so 20s is proportionally generous).
 const DefaultSessionBudget = 20 * time.Second
 
+// ResolveSessionBudget applies the session budget's default: 0 becomes
+// DefaultSessionBudget and a negative budget (none) becomes -1, so every
+// spelling of "no budget" resolves alike.
+func ResolveSessionBudget(d time.Duration) time.Duration {
+	switch {
+	case d == 0:
+		return DefaultSessionBudget
+	case d < 0:
+		return -1
+	}
+	return d
+}
+
 // Submit strategy names, in ladder order (Section 4.3).
 const (
 	SubmitEnter       = "enter"
@@ -276,6 +289,11 @@ type Crawler struct {
 	// allocating it fresh. Session exports are byte-identical either way;
 	// see SessionPool for the recycling contract.
 	Pool *SessionPool
+	// WaitHook, when non-nil, is installed on each session's browser (see
+	// browser.SetWaitHook): it runs around every transport round trip, so
+	// the crawl farm can give the session's compute slot back while it
+	// waits on the network.
+	WaitHook func() (resume func())
 
 	// DisableOCR turns off the visual label fallback of Section 4.1 — the
 	// ablation quantifying what a DOM-only crawler would miss.
@@ -302,10 +320,7 @@ func (c *Crawler) crawlAttempt(seedURL string, prof browser.Profile, jar map[str
 	if c.DisableOCR {
 		eng = nil
 	}
-	budget := c.SessionBudget
-	if budget == 0 {
-		budget = DefaultSessionBudget
-	}
+	budget := ResolveSessionBudget(c.SessionBudget)
 	ctx := context.Background()
 	cancel := func() {}
 	if budget > 0 {
@@ -335,6 +350,7 @@ func (c *Crawler) crawlAttempt(seedURL string, prof browser.Profile, jar map[str
 	}
 	b.SetContext(ctx)
 	b.SetProfile(prof)
+	b.SetWaitHook(c.WaitHook)
 	if len(jar) > 0 {
 		b.ImportCookies(jar)
 	}

@@ -2,7 +2,10 @@
 // crawler farm of Section 4.6: a pool of parallel workers, each giving
 // every site a fresh browser profile (the paper's clean container per
 // session), with aggregate throughput accounting (the paper sustains more
-// than 1,000 sites per day on 30 parallel sessions). Because real feeds
+// than 1,000 sites per day on 30 parallel sessions). A worker is a compute
+// slot, not a session: a session gives its slot back while it waits on the
+// network or the journal, so dead and stalling hosts cost the farm no
+// worker time. Because real feeds
 // are full of dead, slow, and flaky sites, the farm also carries the
 // operational machinery a production crawl needs: a retry queue with
 // capped exponential backoff and deterministic jitter for transient
@@ -23,6 +26,12 @@ import (
 
 // DefaultWorkers matches the paper's 30 parallel Docker sessions.
 const DefaultWorkers = 30
+
+// inFlightPerWorker bounds the sessions in flight at once to this many
+// times Config.Workers. Only Workers of them compute; the rest wait on the
+// network, a slot, or the sink. The bound caps the memory a feed of
+// stalling hosts can pin.
+const inFlightPerWorker = 4
 
 // DefaultMaxRetries is how many extra attempts a transiently-failed
 // session gets before the farm gives up.
@@ -52,7 +61,9 @@ const OutcomePanic = "panic"
 
 // Config configures a crawl farm.
 type Config struct {
-	// Workers is the parallel session count (default 30).
+	// Workers is the number of sessions computing at once (default 30).
+	// A session waiting on a transport round trip or on the sink holds no
+	// worker, and up to 4×Workers sessions are in flight.
 	Workers int
 	// Crawler is the shared crawler template; its NewBrowser hook supplies
 	// the per-session fresh profile.
@@ -102,6 +113,11 @@ type Config struct {
 	// Monitor, when non-nil, receives live progress (completions, retries,
 	// panics, stage latencies) for the status endpoint and progress line.
 	Monitor *Monitor
+
+	// observe, when non-nil, is told of every change to the number of
+	// sessions computing and in flight, by the session making it while it
+	// holds its slot. Tests pin the farm's concurrency bounds through it.
+	observe func(computing, inFlight int)
 }
 
 // Stats summarizes a finished run.
@@ -269,26 +285,9 @@ func run(cfg Config, urls []string) ([]*crawler.SessionLog, Stats, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers
 	}
-	if workers > len(include) && len(include) > 0 {
-		workers = len(include)
-	}
-	maxRetries := cfg.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = DefaultMaxRetries
-	}
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
-	retryBase, retryMax := cfg.RetryBase, cfg.RetryMax
-	if retryBase <= 0 {
-		retryBase = defaultRetryBase
-	}
-	if retryMax < retryBase {
-		retryMax = defaultRetryMax
-	}
-	if retryMax < retryBase {
-		retryMax = retryBase
-	}
+	inFlight := min(inFlightPerWorker*workers, len(include))
+	maxRetries, retryBase, retryMax := ResolveRetries(cfg.MaxRetries, cfg.RetryBase, cfg.RetryMax)
+	maxRetries = max(maxRetries, 0)
 
 	// Streaming mode keeps no log slice at all; that is the point.
 	var logs []*crawler.SessionLog
@@ -377,51 +376,66 @@ func run(cfg Config, urls []string) ([]*crawler.SessionLog, Stats, error) {
 	// timer ever blocks: each URL has at most one outstanding job at any
 	// moment, so capacity len(include) suffices.
 	jobs := make(chan job, len(include))
+	// attempt runs one queued attempt and returns its final log, or nil
+	// when the attempt failed transiently and was re-queued.
+	attempt := func(c *crawler.Crawler, jb job) *crawler.SessionLog {
+		// Pre-session fast path: a triage-attributed (or cut) URL lands its
+		// synthesized log through the normal completion path without ever
+		// opening a browser. Fast-path outcomes are never retryable, so
+		// this only triggers on attempt 0.
+		if cfg.FastPath != nil && jb.attempt == 0 {
+			if lg := cfg.FastPath(jb.idx, urls[jb.idx]); lg != nil {
+				lg.Attempts = 1
+				lg.FeedIndex = jb.idx
+				return lg
+			}
+		}
+		// The faker seed derives from the job index (not the worker or the
+		// attempt), which keeps runs reproducible across worker counts and
+		// makes retries exact re-executions.
+		c.FakerSeed = cfg.Crawler.FakerSeed + int64(jb.idx)*7919
+		lg := crawlGuarded(c, urls[jb.idx], &panics, cfg.Monitor)
+		if retryable(lg.Outcome) {
+			if jb.attempt < maxRetries {
+				atomic.AddInt64(&retries, 1)
+				cfg.Monitor.noteRetry()
+				next := job{idx: jb.idx, attempt: jb.attempt + 1}
+				time.AfterFunc(
+					backoffDelay(retryBase, retryMax, next.attempt, cfg.RetrySeed, next.idx),
+					func() { jobs <- next })
+				return nil
+			}
+			// Retries exhausted: keep the taxonomy class in Error.
+			lg.Error = lg.Outcome
+			lg.Outcome = OutcomeGaveUp
+		}
+		lg.Attempts = jb.attempt + 1
+		lg.FeedIndex = jb.idx
+		return lg
+	}
+	sl := slots{free: make(chan struct{}, workers), observe: cfg.observe}
 	pending.Add(len(include))
-	for w := 0; w < workers; w++ {
+	for range inFlight {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker gets its own crawler so faker sequences differ
-			// across sessions without shared state.
+			// Each session runner gets its own crawler so faker sequences
+			// differ across sessions without shared state; its wait hook
+			// gives the slot back for every round trip.
 			c := *cfg.Crawler
+			c.WaitHook = sl.wait
 			for jb := range jobs {
-				// Pre-session fast path: a triage-attributed (or cut) URL
-				// lands its synthesized log through the normal completion
-				// path without ever opening a browser. Fast-path outcomes
-				// are never retryable, so this only triggers on attempt 0.
-				if cfg.FastPath != nil && jb.attempt == 0 {
-					if lg := cfg.FastPath(jb.idx, urls[jb.idx]); lg != nil {
-						lg.Attempts = 1
-						lg.FeedIndex = jb.idx
-						finish(lg)
-						pending.Done()
-						continue
-					}
+				sl.note(0, 1)
+				sl.take()
+				lg := attempt(&c, jb)
+				// The slot goes back before the sink, so a journal fsync
+				// never holds one.
+				sl.give()
+				if lg != nil {
+					finish(lg)
+					pending.Done()
 				}
-				// The faker seed derives from the job index (not the worker
-				// or the attempt), which keeps runs reproducible across
-				// worker counts and makes retries exact re-executions.
-				c.FakerSeed = cfg.Crawler.FakerSeed + int64(jb.idx)*7919
-				lg := crawlGuarded(&c, urls[jb.idx], &panics, cfg.Monitor)
-				if retryable(lg.Outcome) {
-					if jb.attempt < maxRetries {
-						atomic.AddInt64(&retries, 1)
-						cfg.Monitor.noteRetry()
-						next := job{idx: jb.idx, attempt: jb.attempt + 1}
-						time.AfterFunc(
-							backoffDelay(retryBase, retryMax, next.attempt, cfg.RetrySeed, next.idx),
-							func() { jobs <- next })
-						continue
-					}
-					// Retries exhausted: keep the taxonomy class in Error.
-					lg.Error = lg.Outcome
-					lg.Outcome = OutcomeGaveUp
-				}
-				lg.Attempts = jb.attempt + 1
-				lg.FeedIndex = jb.idx
-				finish(lg)
-				pending.Done()
+				sl.note(0, -1)
 			}
 		}()
 	}
@@ -461,6 +475,62 @@ func run(cfg Config, urls []string) ([]*crawler.SessionLog, Stats, error) {
 // own panic classification.
 func retryable(outcome string) bool {
 	return crawler.Retryable(outcome) || outcome == OutcomePanic
+}
+
+// slots is the farm's compute semaphore: Config.Workers slots, one held
+// by each session while it computes.
+type slots struct {
+	free    chan struct{}
+	observe func(computing, inFlight int)
+}
+
+func (s slots) take() {
+	s.free <- struct{}{}
+	s.note(1, 0)
+}
+
+func (s slots) give() {
+	s.note(-1, 0)
+	<-s.free
+}
+
+// wait is the per-session wait hook (crawler.Crawler.WaitHook): the slot
+// goes back for the round trip and is taken again when it returns. The
+// browser defers the resume, so a round trip that panics still takes its
+// slot back before crawlGuarded recovers.
+func (s slots) wait() (resume func()) {
+	s.give()
+	return s.take
+}
+
+func (s slots) note(computing, inFlight int) {
+	if s.observe != nil {
+		s.observe(computing, inFlight)
+	}
+}
+
+// ResolveRetries applies the retry queue's defaults: maxRetries 0 becomes
+// DefaultMaxRetries and a negative one (retrying disabled) -1; a
+// non-positive base becomes 25ms; a cap below the base becomes 400ms, and
+// then at least the base. Resolving a resolved policy changes nothing, so
+// the run manifest records the policy the farm actually runs.
+func ResolveRetries(maxRetries int, base, max time.Duration) (int, time.Duration, time.Duration) {
+	switch {
+	case maxRetries == 0:
+		maxRetries = DefaultMaxRetries
+	case maxRetries < 0:
+		maxRetries = -1
+	}
+	if base <= 0 {
+		base = defaultRetryBase
+	}
+	if max < base {
+		max = defaultRetryMax
+	}
+	if max < base {
+		max = base
+	}
+	return maxRetries, base, max
 }
 
 // crawlGuarded runs one session under the per-worker panic guard: a panic
