@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench-vet lint bench bench-json alloc-gate pins chaos fuzz status-smoke fleet-smoke triage-smoke cloak-smoke check
+.PHONY: all build test race vet bench-check lint bench alloc-gate pins chaos fuzz status-smoke fleet-smoke triage-smoke cloak-smoke check
 
 all: build
 
@@ -28,11 +28,12 @@ vet:
 	$(GO) vet ./...
 
 # The end-to-end benchmark (_phishbench/) is its own Go module that imports
-# this one, so `go vet ./...` at the root never compiles it. Vetting it here
-# makes a core/journal API change that breaks the benchmark fail the gate
-# instead of the benchmark run.
-bench-vet:
-	cd _phishbench && $(GO) vet ./...
+# this one, so neither `go vet ./...` nor `go test ./...` at the root ever
+# compiles it. Vetting and testing it here makes a core/farm/journal change
+# that breaks the benchmark, or the byte-identity of its sessions across
+# worker counts, fail the gate instead of the benchmark run (~25 s).
+bench-check:
+	cd _phishbench && $(GO) vet ./... && $(GO) test ./...
 
 # Static gate: formatting, go vet, and phishvet — the project's
 # determinism-and-durability linter, nine rules across two layers: the
@@ -101,17 +102,11 @@ cloak-smoke:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=15s ./internal/journal
 
-# Hot-path microbenchmarks plus the end-to-end throughput run. Scale the
-# corpus with PHISH_BENCH_SITES (default 600).
+# Hot-path microbenchmarks: the detector pass, the per-page OCR label
+# search, one crawl session (fresh and pooled) and the model build. End-to-end
+# throughput is measured by `python3 _phishbench/run.py`, not here.
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkOCRPage|BenchmarkCrawlThroughput|BenchmarkNewPipeline' -benchmem ./...
-
-# Machine-readable benchmark snapshot: runs the same selection as `bench`
-# plus the triage funnel benchmark, and writes BENCH_8.json (sites/sec,
-# ns/op, B/op, allocs/op, triage hit-rate and fast-path latency per
-# benchmark). Commit the refreshed file when perf-relevant code changes.
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_8.json
+	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline' -benchmem ./...
 
 # Allocation gates: the per-session allocs/op budgets and the
 # pooled-vs-unpooled byte-identity pins (testing.AllocsPerRun enforces the
@@ -131,4 +126,4 @@ pins:
 		GOMAXPROCS=$$procs $(GO) test -count=3 -run '$(PINS)' ./internal/farm/ ./internal/crawler/ ./internal/triage/ || exit 1; \
 	done
 
-check: build lint bench-vet test race alloc-gate pins
+check: build lint bench-check test race alloc-gate pins

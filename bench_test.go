@@ -21,7 +21,6 @@ import (
 	"repro/internal/farm"
 	"repro/internal/fielddata"
 	"repro/internal/fieldspec"
-	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/ocr"
 	"repro/internal/pagegen"
@@ -334,44 +333,12 @@ func BenchmarkCampaignClustering(b *testing.B) {
 	b.ReportMetric(float64(p.Corpus.Campaigns), "generated-campaigns")
 }
 
-// BenchmarkFarmThroughput measures end-to-end crawl throughput (Section
-// 4.6: the paper sustains >1,000 sites/day on 30 parallel sessions).
-func BenchmarkFarmThroughput(b *testing.B) {
-	p := pipeline(b)
-	urls := p.Feed.URLs()
-	if len(urls) > 100 {
-		urls = urls[:100]
-	}
-	var stats farm.Stats
-	for i := 0; i < b.N; i++ {
-		_, stats = farm.Run(farm.Config{Workers: 30, Crawler: p.Crawler}, urls)
-	}
-	b.ReportMetric(stats.SitesPerDay(), "sites/day")
-}
-
 // --- Hot-path micro-benches (perf harness) ---
 //
-// These three benches capture the visual hot path's cost so optimizations
-// land with a reproducible before/after number (see the "Performance"
-// section of README.md). They deliberately exercise the exact call shapes
-// the crawler uses per page: one detector pass, the per-field OCR label
-// search, and the end-to-end farm loop.
-
-// BenchmarkDetect measures one full detector pass (proposals + features +
-// NMS) over a generated page screenshot.
-func BenchmarkDetect(b *testing.B) {
-	det, err := vision.Train(pagegen.GenerateSet(200, 1, pagegen.Config{}), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pages := pagegen.GenerateSet(8, 9, pagegen.Config{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		det.Detect(pages[i%len(pages)].Image)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/page")
-}
+// The per-field OCR label search in the exact call shape the crawler uses
+// per page (see the "Performance" section of README.md). The detector pass
+// is benchmarked in internal/vision, and end-to-end throughput is measured
+// by the _phishbench module.
 
 // BenchmarkOCRPage measures the OCR work one crawled page costs: the
 // label search left of and above each input box (Section 4.1 step 3),
@@ -414,72 +381,6 @@ func ocrBenchBoxes() []raster.Rect {
 		out = append(out, raster.R(60, 100+i*90, 220, 18))
 	}
 	return out
-}
-
-// BenchmarkCrawlThroughput measures end-to-end farm throughput on a small
-// corpus, reporting sites/sec — the number behind the paper's >1,000
-// sites/day claim (Section 4.6).
-func BenchmarkCrawlThroughput(b *testing.B) {
-	p, err := core.NewPipeline(core.Options{NumSites: 60, Seed: 7, DetectorTrainPages: 150})
-	if err != nil {
-		b.Fatal(err)
-	}
-	urls := p.Feed.URLs()
-	if len(urls) > 50 {
-		urls = urls[:50]
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var stats farm.Stats
-	for i := 0; i < b.N; i++ {
-		_, stats = farm.Run(farm.Config{Workers: 16, Crawler: p.Crawler}, urls)
-	}
-	b.ReportMetric(float64(stats.Sites)/stats.Elapsed.Seconds(), "sites/sec")
-	b.ReportMetric(stats.Elapsed.Seconds()*1e9/float64(stats.Sites), "ns/site")
-}
-
-// BenchmarkCrawlThroughputJournalGroup is the durable counterpart of
-// BenchmarkCrawlThroughput: the same farm run, but every finished session is
-// streamed into an on-disk journal under the group-commit fsync policy, the
-// configuration a long crawl actually ships with. Comparing its sites/sec
-// against the in-memory benchmark measures the full cost of durability; the
-// acceptance bar is >=0.8x of the in-memory figure.
-func BenchmarkCrawlThroughputJournalGroup(b *testing.B) {
-	p, err := core.NewPipeline(core.Options{NumSites: 60, Seed: 7, DetectorTrainPages: 150})
-	if err != nil {
-		b.Fatal(err)
-	}
-	urls := p.Feed.URLs()
-	if len(urls) > 50 {
-		urls = urls[:50]
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var stats farm.Stats
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		j, err := journal.Open(b.TempDir(), journal.Options{Sync: journal.SyncGroup})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		stats, err = farm.RunStream(farm.Config{
-			Workers:        16,
-			Crawler:        p.Crawler,
-			SinkConcurrent: true,
-			Sink: func(_ int, lg *crawler.SessionLog) error {
-				return j.AppendSession(lg)
-			},
-		}, urls)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(stats.Sites)/stats.Elapsed.Seconds(), "sites/sec")
-	b.ReportMetric(stats.Elapsed.Seconds()*1e9/float64(stats.Sites), "ns/site")
 }
 
 // BenchmarkTriage measures the triage funnel on a clone-heavy feed (240

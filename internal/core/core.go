@@ -415,34 +415,31 @@ func (p *Pipeline) crawl(start, end int, done map[string]bool, j *journal.Journa
 	}
 	p.Monitor.AddPreCompleted(skipped)
 	byURL := analysis.MetaIndex(p.Feed.Filter())
-	finish := func(lg *crawler.SessionLog) {
-		analysis.AttachMetaIndexed(lg, byURL)
-		p.Triage.Stamp(lg)
+	var logs []*crawler.SessionLog
+	if j == nil {
+		logs = make([]*crawler.SessionLog, len(urls))
 	}
 	cfg := p.farmConfig()
 	cfg.Skip = func(idx int, u string) bool { return idx < start || skip(u) }
-	p.Logs = nil
-	if j == nil {
-		p.Logs, p.Stats = farm.Run(cfg, urls)
-		for _, lg := range p.Logs {
-			if lg != nil {
-				finish(lg)
-			}
+	// The sink touches only its own session and log slot, or the journal,
+	// whose appends are internally serialized (and batched under the
+	// group-commit sync policy), so concurrent delivery needs no lock.
+	cfg.Sink = func(idx int, lg *crawler.SessionLog) error {
+		analysis.AttachMetaIndexed(lg, byURL)
+		p.Triage.Stamp(lg)
+		if j == nil {
+			logs[idx] = lg
+			return nil
 		}
-		return skipped, nil
-	}
-	cfg.Sink = func(_ int, lg *crawler.SessionLog) error {
-		finish(lg)
 		return j.AppendSession(lg)
 	}
-	// The sink touches only its own session (metadata attach) and the
-	// journal, whose appends are internally serialized — and batched, under
-	// the group-commit sync policy. Concurrent delivery keeps workers from
-	// queueing on the farm's tally lock for every fsync.
-	cfg.SinkConcurrent = true
 	p.Stats, err = farm.RunStream(cfg, urls)
+	p.Logs = logs
 	if err != nil {
 		return skipped, fmt.Errorf("core: journaling crawl: %w", err)
+	}
+	if j == nil {
+		return skipped, nil
 	}
 	//phishvet:ignore detertaint: Stats.Elapsed is per-run operational accounting — determinism pins compare session records, never stats timing
 	if err := j.AppendStats(p.Stats); err != nil {

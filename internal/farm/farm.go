@@ -16,12 +16,14 @@ package farm
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/crawler"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // DefaultWorkers matches the paper's 30 parallel Docker sessions.
@@ -94,22 +96,16 @@ type Config struct {
 	// per-session seed from its original index, so a resumed crawl
 	// reproduces the uninterrupted run's sessions exactly.
 	Skip func(idx int, url string) bool
-	// Sink, when non-nil, receives each finished session as it completes
-	// and switches the farm to streaming mode: logs are not accumulated and
-	// Run returns a nil slice. The index is the session's position in the
-	// input URL list. By default calls are serialized — a journal append
-	// needs no extra locking. After a sink error the farm keeps crawling
-	// but stops delivering; RunStream surfaces the first error.
+	// Sink receives each finished session as it completes; the index is
+	// the session's position in the input URL list. RunStream requires it
+	// and Run supplies its own. Deliveries run outside the farm's tally
+	// lock and may overlap, so the sink must be safe for concurrent use:
+	// the journal sink's encode and fsync then run in each session's own
+	// goroutine, and its group commit can batch overlapping appends into
+	// one fsync. After a sink error no new delivery starts, deliveries
+	// already in flight run to completion, and RunStream surfaces the
+	// first error; the crawl itself keeps going.
 	Sink func(idx int, lg *crawler.SessionLog) error
-	// SinkConcurrent declares that Sink is safe for concurrent use, letting
-	// workers deliver sessions without holding the farm's shared tally
-	// lock: the expensive part of a delivery — JSON encoding plus fsync in
-	// the journal sink — then runs in each worker's own goroutine, and the
-	// journal's group commit can batch overlapping deliveries into one
-	// fsync. After a sink error no NEW deliveries start, but deliveries
-	// already in flight run to completion; the first error recorded is the
-	// one surfaced.
-	SinkConcurrent bool
 	// Monitor, when non-nil, receives live progress (completions, retries,
 	// panics, stage latencies) for the status endpoint and progress line.
 	Monitor *Monitor
@@ -192,51 +188,90 @@ func (s *Stats) Merge(o Stats) {
 	s.Stages = metrics.MergeStageStats(s.Stages, o.Stages)
 }
 
-// Tally recomputes the session-derived part of Stats from final logs:
-// Sites, Outcomes, Failures, Degraded, Retries (each session's final
-// Attempts-1 re-queues), and Stages — stage latencies fold from each log's
-// trace spans exactly as a live run folds them at completion, so a resumed
-// crawl's tallied Stages match an uninterrupted run's byte for byte even
-// when an earlier run was killed before writing its stats record. (They
-// must NOT additionally be merged from journaled per-run stats records:
-// that would double-count every session a completed run already tallied.)
-// Elapsed and Panics are run-level facts a log cannot carry; they stay
-// zero. A nil entry counts as lost, exactly as Run counts a session no
-// worker recorded.
-func Tally(logs []*crawler.SessionLog) Stats {
+// tally is the one rule for how a finished session counts into Stats. The
+// live run adds each session as it lands, Tally replays journaled logs
+// through it, and the Monitor keeps one for the status endpoint. Stage
+// latencies fold from each log's trace spans on the session-logical
+// clock, and only final attempts are added, so live, streamed and
+// journal-resumed runs all derive the same histograms at any worker
+// count. The zero value is ready to use; callers lock.
+type tally struct {
+	sites, fastPathed, retries, degraded, uncloaked, cloakAttempts int
+	outcomes, failures                                             map[string]int
+	stages                                                         metrics.StageTimings
+}
+
+// add counts one finished session; a nil log counts as lost.
+func (t *tally) add(lg *crawler.SessionLog) {
+	if t.outcomes == nil {
+		t.outcomes, t.failures = map[string]int{}, map[string]int{}
+	}
+	t.sites++
+	if lg == nil {
+		t.outcomes[OutcomeLost]++
+		return
+	}
+	for _, sp := range lg.Trace {
+		if st, ok := metrics.StageByName(sp.Name); ok && sp.Kind == trace.KindStage {
+			t.stages.Observe(st, sp.Duration())
+		}
+	}
+	t.outcomes[lg.Outcome]++
+	t.retries += lg.Attempts - 1
+	if lg.Cloak != nil {
+		t.cloakAttempts += len(lg.Cloak.Attempts) - 1
+		if lg.Cloak.Uncloaked {
+			t.uncloaked++
+		}
+	}
+	switch lg.Outcome {
+	case OutcomeGaveUp:
+		t.failures[lg.Error]++
+	case crawler.OutcomeAttributed, crawler.OutcomeTriagedOut:
+		t.fastPathed++
+	default:
+		if lg.Attempts > 1 {
+			t.degraded++
+		}
+	}
+}
+
+// stats snapshots the tally. Elapsed and Panics are run-level facts a log
+// cannot carry, so the caller supplies them.
+func (t *tally) stats(elapsed time.Duration, panics int) Stats {
 	s := Stats{
-		Sites:    len(logs),
-		Outcomes: map[string]int{},
-		Failures: map[string]int{},
+		Sites:         t.sites,
+		Elapsed:       elapsed,
+		Outcomes:      map[string]int{},
+		Stages:        t.stages.Snapshot(),
+		FastPathed:    t.fastPathed,
+		Retries:       t.retries,
+		Degraded:      t.degraded,
+		Panics:        panics,
+		Failures:      map[string]int{},
+		Uncloaked:     t.uncloaked,
+		CloakAttempts: t.cloakAttempts,
 	}
-	stages := &metrics.StageTimings{}
-	for _, l := range logs {
-		if l == nil {
-			s.Outcomes[OutcomeLost]++
-			continue
-		}
-		observeTrace(stages, l.Trace)
-		s.Outcomes[l.Outcome]++
-		s.Retries += l.Attempts - 1
-		if l.Cloak != nil {
-			s.CloakAttempts += len(l.Cloak.Attempts) - 1
-			if l.Cloak.Uncloaked {
-				s.Uncloaked++
-			}
-		}
-		switch l.Outcome {
-		case OutcomeGaveUp:
-			s.Failures[l.Error]++
-		case crawler.OutcomeAttributed, crawler.OutcomeTriagedOut:
-			s.FastPathed++
-		default:
-			if l.Attempts > 1 {
-				s.Degraded++
-			}
-		}
-	}
-	s.Stages = stages.Snapshot()
+	maps.Copy(s.Outcomes, t.outcomes)
+	maps.Copy(s.Failures, t.failures)
 	return s
+}
+
+// Tally recomputes the session-derived part of Stats from final logs, by
+// the same rule a live run counts them with: Sites, Outcomes, Failures,
+// Degraded, FastPathed, the cloak counts, Retries (each session's final
+// Attempts-1 re-queues) and Stages. A resumed crawl's tallied Stats
+// therefore match an uninterrupted run's byte for byte even when an
+// earlier run was killed before writing its stats record. (They must NOT
+// additionally be merged from journaled per-run stats records: that would
+// double-count every session a completed run already tallied.) Elapsed and
+// Panics stay zero. A nil entry counts as lost.
+func Tally(logs []*crawler.SessionLog) Stats {
+	var t tally
+	for _, l := range logs {
+		t.add(l)
+	}
+	return t.stats(0, 0)
 }
 
 // job is one queued crawl attempt.
@@ -245,33 +280,33 @@ type job struct {
 	attempt int // 0 = first try
 }
 
-// Run crawls every URL with the configured parallelism and returns the
-// session logs in input order plus run statistics. Sessions that fail with
-// a transient (retryable) outcome are re-queued with capped exponential
-// backoff up to MaxRetries times; a session that panics is recovered,
-// classified, and retried like any other transient failure, so one bad
-// site never costs a worker or loses the run. With Config.Sink set the
-// farm streams instead of accumulating and the returned slice is nil; use
-// RunStream to also observe sink errors.
+// Run crawls like RunStream and returns the session logs in input order
+// (nil at skipped indices) plus run statistics. It supplies its own sink,
+// which keeps every log; Config.Sink is ignored.
 func Run(cfg Config, urls []string) ([]*crawler.SessionLog, Stats) {
-	logs, stats, _ := run(cfg, urls)
+	logs := make([]*crawler.SessionLog, len(urls))
+	cfg.Sink = func(idx int, lg *crawler.SessionLog) error {
+		logs[idx] = lg
+		return nil
+	}
+	stats, _ := RunStream(cfg, urls)
 	return logs, stats
 }
 
-// RunStream crawls like Run but requires Config.Sink: each finished
-// session is handed to the sink as it completes and never retained, so a
-// 43-day crawl holds O(workers) sessions in memory instead of O(feed).
-// The returned error is the first sink failure (the crawl itself finishes
-// regardless, and Stats still counts every session).
+// RunStream crawls every URL with the configured parallelism and hands
+// each finished session to Config.Sink, which it requires, as it
+// completes. The farm keeps no log, so a 43-day crawl holds O(workers)
+// sessions in memory instead of O(feed). Sessions that fail with a
+// transient (retryable) outcome are re-queued with capped exponential
+// backoff up to MaxRetries times; a session that panics is recovered,
+// classified, and retried like any other transient failure, so one bad
+// site never costs a worker or loses the run. The returned error is the
+// first sink failure (the crawl itself finishes regardless, and Stats
+// still counts every session).
 func RunStream(cfg Config, urls []string) (Stats, error) {
 	if cfg.Sink == nil {
 		return Stats{}, fmt.Errorf("farm: RunStream requires a Config.Sink")
 	}
-	_, stats, err := run(cfg, urls)
-	return stats, err
-}
-
-func run(cfg Config, urls []string) ([]*crawler.SessionLog, Stats, error) {
 	// Apply the skip filter first: include holds the original feed indices
 	// that will actually be crawled, so seed derivation below is untouched
 	// by resume.
@@ -289,19 +324,6 @@ func run(cfg Config, urls []string) ([]*crawler.SessionLog, Stats, error) {
 	maxRetries, retryBase, retryMax := ResolveRetries(cfg.MaxRetries, cfg.RetryBase, cfg.RetryMax)
 	maxRetries = max(maxRetries, 0)
 
-	// Streaming mode keeps no log slice at all; that is the point.
-	var logs []*crawler.SessionLog
-	if cfg.Sink == nil {
-		logs = make([]*crawler.SessionLog, len(urls))
-	}
-	// Stats.Stages folds from each FINISHED session's trace spans, never
-	// from live per-attempt worker timings: a killed run's stats record is
-	// lost but its journaled sessions are not, so deriving stages from
-	// sessions is what keeps a resumed run's Stats identical to an
-	// uninterrupted run's (and what made the old two-source scheme —
-	// worker collectors live, stats records on resume — double-count
-	// retried attempts relative to the journal view).
-	stages := &metrics.StageTimings{}
 	// Throughput accounting is operational, not measured output; it goes
 	// through the metrics stopwatch so the farm itself never reads the
 	// wall clock (phishvet's wallclock rule pins this).
@@ -309,67 +331,36 @@ func run(cfg Config, urls []string) ([]*crawler.SessionLog, Stats, error) {
 	var (
 		wg      sync.WaitGroup
 		pending sync.WaitGroup // open jobs: one per URL until its final attempt lands
-		retries int64
 		panics  int64
 	)
-	// land serializes the completion path: sink delivery and the incremental
-	// outcome tally.
-	var land struct {
+	// landed is the run's tally and first sink error. Stats come only from
+	// FINISHED sessions, never from live per-attempt worker timings: a
+	// killed run's stats record is lost but its journaled sessions are
+	// not, so counting sessions is what keeps a resumed run's Stats
+	// identical to an uninterrupted run's.
+	var landed struct {
 		sync.Mutex
-		outcomes      map[string]int
-		failures      map[string]int
-		degraded      int
-		uncloaked     int
-		cloakAttempts int
-		count         int
-		sinkErr       error
+		tally
+		sinkErr error
 	}
-	land.outcomes = map[string]int{}
-	land.failures = map[string]int{}
+	// finish counts a session under the lock and delivers it outside, so
+	// one session's encode and fsync never stall every other session's
+	// completion path.
 	finish := func(lg *crawler.SessionLog) {
-		land.Lock()
-		land.count++
-		observeTrace(stages, lg.Trace)
+		landed.Lock()
+		landed.add(lg)
+		deliver := landed.sinkErr == nil
+		landed.Unlock()
 		cfg.Monitor.noteDone(lg)
-		land.outcomes[lg.Outcome]++
-		if lg.Outcome == OutcomeGaveUp {
-			land.failures[lg.Error]++
-		} else if lg.Attempts > 1 {
-			land.degraded++
-		}
-		if lg.Cloak != nil {
-			land.cloakAttempts += len(lg.Cloak.Attempts) - 1
-			if lg.Cloak.Uncloaked {
-				land.uncloaked++
-			}
-		}
-		if cfg.Sink == nil {
-			logs[lg.FeedIndex] = lg
-			land.Unlock()
-			return
-		}
-		if !cfg.SinkConcurrent {
-			if land.sinkErr == nil {
-				land.sinkErr = cfg.Sink(lg.FeedIndex, lg)
-			}
-			land.Unlock()
-			return
-		}
-		// Concurrent sink: deliver outside the tally lock, so the encode
-		// and fsync work of one session never stalls every other worker's
-		// completion path (and a group-commit journal can batch the
-		// overlapping appends into one fsync).
-		deliver := land.sinkErr == nil
-		land.Unlock()
 		if !deliver {
 			return
 		}
 		if err := cfg.Sink(lg.FeedIndex, lg); err != nil {
-			land.Lock()
-			if land.sinkErr == nil {
-				land.sinkErr = err
+			landed.Lock()
+			if landed.sinkErr == nil {
+				landed.sinkErr = err
 			}
-			land.Unlock()
+			landed.Unlock()
 		}
 	}
 	// Buffered to the full job count so neither the producer nor a retry
@@ -397,7 +388,6 @@ func run(cfg Config, urls []string) ([]*crawler.SessionLog, Stats, error) {
 		lg := crawlGuarded(c, urls[jb.idx], &panics, cfg.Monitor)
 		if retryable(lg.Outcome) {
 			if jb.attempt < maxRetries {
-				atomic.AddInt64(&retries, 1)
 				cfg.Monitor.noteRetry()
 				next := job{idx: jb.idx, attempt: jb.attempt + 1}
 				time.AfterFunc(
@@ -450,25 +440,9 @@ func run(cfg Config, urls []string) ([]*crawler.SessionLog, Stats, error) {
 	}()
 	wg.Wait()
 
-	stats := Stats{
-		Sites:         len(include),
-		Elapsed:       start.Elapsed(),
-		FastPathed:    land.outcomes[crawler.OutcomeAttributed] + land.outcomes[crawler.OutcomeTriagedOut],
-		Outcomes:      land.outcomes,
-		Stages:        stages.Snapshot(),
-		Retries:       int(atomic.LoadInt64(&retries)),
-		Panics:        int(atomic.LoadInt64(&panics)),
-		Failures:      land.failures,
-		Degraded:      land.degraded,
-		Uncloaked:     land.uncloaked,
-		CloakAttempts: land.cloakAttempts,
-	}
-	// Sessions that never landed (a worker died without recording — the
-	// panic guard should make this impossible) stay visible as lost.
-	if lost := len(include) - land.count; lost > 0 {
-		stats.Outcomes[OutcomeLost] += lost
-	}
-	return logs, stats, land.sinkErr
+	// The runners exit only once every included URL has landed, so the
+	// tally has counted each of them.
+	return landed.stats(start.Elapsed(), int(atomic.LoadInt64(&panics))), landed.sinkErr
 }
 
 // retryable extends the crawler's transient-failure set with the farm's

@@ -254,20 +254,3 @@ func fmtHost(i int) string {
 	const digits = "0123456789"
 	return "s" + string(digits[i/100%10]) + string(digits[i/10%10]) + string(digits[i%10]) + ".test"
 }
-
-func BenchmarkFarmThroughput(b *testing.B) {
-	reg := phishserver.NewRegistry()
-	var urls []string
-	for i := 0; i < 64; i++ {
-		s := quickSite(fmtHost(i))
-		reg.AddSite(s)
-		urls = append(urls, s.SeedURL())
-	}
-	c := testCrawler(reg, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, stats := Run(Config{Workers: 30, Crawler: c}, urls)
-		b.ReportMetric(stats.SitesPerDay(), "sites/day")
-	}
-}

@@ -3,30 +3,13 @@ package farm
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/crawler"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
-
-// observeTrace folds a finished session's stage spans into a timing
-// collector. It is the single source Stats.Stages (and the live Monitor)
-// are built from: only FINAL attempts reach it, so live runs, streamed
-// runs, and journal-resumed runs all derive identical stage histograms —
-// the double-counting fix for merging live worker timings with
-// journal-derived tallies.
-func observeTrace(t *metrics.StageTimings, spans []trace.Span) {
-	for _, sp := range spans {
-		if sp.Kind != trace.KindStage {
-			continue
-		}
-		if st, ok := metrics.StageByName(sp.Name); ok {
-			t.Observe(st, sp.Duration())
-		}
-	}
-}
 
 // Monitor tracks a run's live progress for the -status-addr endpoint and
 // the periodic progress line. All methods are safe for concurrent use and
@@ -36,21 +19,20 @@ func observeTrace(t *metrics.StageTimings, spans []trace.Span) {
 type Monitor struct {
 	total        atomic.Int64
 	preCompleted atomic.Int64
-	done         atomic.Int64
-	fastPathed   atomic.Int64
-	retried      atomic.Int64
-	degraded     atomic.Int64
-	failed       atomic.Int64
-	panics       atomic.Int64
-	stages       *metrics.StageTimings
-	start        metrics.Stopwatch
+	// retried and panics count attempts, before their session finishes.
+	retried atomic.Int64
+	panics  atomic.Int64
+	start   metrics.Stopwatch
+
+	mu    sync.Mutex
+	tally tally // finished sessions, counted by the run's own rule
 }
 
 // NewMonitor returns a monitor whose elapsed clock starts now (through
 // the metrics seam — progress is operational output, never session
 // bytes).
 func NewMonitor() *Monitor {
-	return &Monitor{stages: &metrics.StageTimings{}, start: metrics.NewStopwatch()}
+	return &Monitor{start: metrics.NewStopwatch()}
 }
 
 // SetTotal declares how many feed URLs the run covers (including ones a
@@ -74,18 +56,9 @@ func (m *Monitor) noteDone(lg *crawler.SessionLog) {
 	if m == nil {
 		return
 	}
-	m.done.Add(1)
-	switch lg.Outcome {
-	case OutcomeGaveUp, OutcomeLost:
-		m.failed.Add(1)
-	case crawler.OutcomeAttributed, crawler.OutcomeTriagedOut:
-		m.fastPathed.Add(1)
-	default:
-		if lg.Attempts > 1 {
-			m.degraded.Add(1)
-		}
-	}
-	observeTrace(m.stages, lg.Trace)
+	m.mu.Lock()
+	m.tally.add(lg)
+	m.mu.Unlock()
 }
 
 func (m *Monitor) noteRetry() {
@@ -132,18 +105,21 @@ func (m *Monitor) Snapshot() Progress {
 	if m == nil {
 		return Progress{}
 	}
+	m.mu.Lock()
+	s := m.tally.stats(0, 0)
+	m.mu.Unlock()
 	p := Progress{
 		Total:        int(m.total.Load()),
 		PreCompleted: int(m.preCompleted.Load()),
-		FastPathed:   int(m.fastPathed.Load()),
+		FastPathed:   s.FastPathed,
 		Retried:      int(m.retried.Load()),
-		Degraded:     int(m.degraded.Load()),
-		Failed:       int(m.failed.Load()),
+		Degraded:     s.Degraded,
+		Failed:       s.Outcomes[OutcomeGaveUp] + s.Outcomes[OutcomeLost],
 		Panics:       int(m.panics.Load()),
 		Elapsed:      m.start.Elapsed(),
-		Stages:       m.stages.Snapshot(),
+		Stages:       s.Stages,
 	}
-	p.Done = int(m.done.Load()) + p.PreCompleted
+	p.Done = s.Sites + p.PreCompleted
 	crawled := p.Done - p.PreCompleted
 	if crawled > 0 && p.Elapsed > 0 {
 		p.SitesPerDay = float64(crawled) / p.Elapsed.Seconds() * 86400

@@ -28,12 +28,15 @@ func streamFixture(t *testing.T, base, n int) (*phishserver.Registry, []string) 
 
 func TestRunStreamDeliversEverySessionOnce(t *testing.T) {
 	reg, urls := streamFixture(t, 300, 30)
+	var mu sync.Mutex
 	got := map[int]*crawler.SessionLog{}
 	stats, err := RunStream(Config{
 		Workers: 6,
 		Crawler: testCrawler(reg, nil),
 		Sink: func(idx int, lg *crawler.SessionLog) error {
-			// Calls are serialized: no locking here, by contract.
+			// Deliveries may overlap: the sink locks for itself.
+			mu.Lock()
+			defer mu.Unlock()
 			if _, dup := got[idx]; dup {
 				t.Errorf("index %d delivered twice", idx)
 			}
@@ -60,56 +63,62 @@ func TestRunStreamDeliversEverySessionOnce(t *testing.T) {
 	}
 }
 
-// TestRunStreamConcurrentSink pins the SinkConcurrent contract: deliveries
-// may overlap (the sink must lock for itself), but every session still
-// arrives exactly once with its own index, and a sink error still stops
-// new deliveries and surfaces from RunStream.
+// TestRunStreamConcurrentSink pins that deliveries run outside the farm's
+// tally lock: the first delivery waits until a second one has started, which
+// only completes if the farm lets two sink calls overlap. A farm that
+// serialized its sink would fail here on the timeout instead of hanging.
 func TestRunStreamConcurrentSink(t *testing.T) {
 	reg, urls := streamFixture(t, 640, 30)
-	var mu sync.Mutex
-	got := map[int]*crawler.SessionLog{}
-	stats, err := RunStream(Config{
-		Workers:        6,
-		Crawler:        testCrawler(reg, nil),
-		SinkConcurrent: true,
-		Sink: func(idx int, lg *crawler.SessionLog) error {
+	var (
+		mu      sync.Mutex
+		arrived int
+		calls   int
+	)
+	both := make(chan struct{})
+	_, err := RunStream(Config{
+		Workers: 6,
+		Crawler: testCrawler(reg, nil),
+		Sink: func(int, *crawler.SessionLog) error {
 			mu.Lock()
-			defer mu.Unlock()
-			if _, dup := got[idx]; dup {
-				t.Errorf("index %d delivered twice", idx)
+			calls++
+			arrived++
+			if arrived == 2 {
+				close(both)
 			}
-			got[idx] = lg
-			return nil
+			n := arrived
+			mu.Unlock()
+			if n > 2 {
+				return nil
+			}
+			select {
+			case <-both:
+				return nil
+			case <-time.After(10 * time.Second):
+				return errors.New("no second delivery started while the first was in flight")
+			}
 		},
 	}, urls)
 	if err != nil {
 		t.Fatalf("RunStream: %v", err)
 	}
-	if len(got) != len(urls) {
-		t.Fatalf("sink saw %d sessions, want %d", len(got), len(urls))
-	}
-	for idx, lg := range got {
-		if lg.SeedURL != urls[idx] || lg.FeedIndex != idx {
-			t.Errorf("index %d carries URL %s FeedIndex %d, want %s/%d", idx, lg.SeedURL, lg.FeedIndex, urls[idx], idx)
-		}
-	}
-	if stats.Sites != len(urls) {
-		t.Errorf("Sites = %d, want %d", stats.Sites, len(urls))
+	mu.Lock()
+	defer mu.Unlock()
+	if calls != len(urls) {
+		t.Errorf("sink called %d times, want %d", calls, len(urls))
 	}
 }
 
-// TestRunStreamConcurrentSinkError: the first error a concurrent sink
-// returns is surfaced, and once it is recorded no new delivery starts
-// (in-flight ones may finish — the count stays well below the site count).
+// TestRunStreamConcurrentSinkError: once a sink error is recorded no new
+// delivery starts; in-flight ones may finish, so the count stays well below
+// the site count.
 func TestRunStreamConcurrentSinkError(t *testing.T) {
 	reg, urls := streamFixture(t, 680, 16)
 	boom := errors.New("disk full")
 	var mu sync.Mutex
 	calls := 0
 	_, err := RunStream(Config{
-		Workers:        4,
-		Crawler:        testCrawler(reg, nil),
-		SinkConcurrent: true,
+		Workers: 4,
+		Crawler: testCrawler(reg, nil),
 		Sink: func(int, *crawler.SessionLog) error {
 			mu.Lock()
 			calls++
@@ -126,8 +135,8 @@ func TestRunStreamConcurrentSinkError(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	// At most Workers deliveries could already be in flight when the error
-	// landed; everything after must have been suppressed.
+	// Deliveries already started when the error landed may finish;
+	// everything after must have been suppressed.
 	if calls >= len(urls) {
 		t.Errorf("sink called %d times, error did not stop deliveries", calls)
 	}
@@ -142,13 +151,17 @@ func TestRunStreamRequiresSink(t *testing.T) {
 func TestRunStreamSurfacesFirstSinkError(t *testing.T) {
 	reg, urls := streamFixture(t, 340, 12)
 	boom := errors.New("disk full")
+	var mu sync.Mutex
 	calls := 0
 	stats, err := RunStream(Config{
 		Workers: 4,
 		Crawler: testCrawler(reg, nil),
 		Sink: func(int, *crawler.SessionLog) error {
+			mu.Lock()
 			calls++
-			if calls == 3 {
+			n := calls
+			mu.Unlock()
+			if n == 3 {
 				return boom
 			}
 			return nil
@@ -157,13 +170,17 @@ func TestRunStreamSurfacesFirstSinkError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the sink's error", err)
 	}
-	// The crawl itself still finishes and counts every session, and after
-	// the first failure the sink is never called again.
+	// The crawl itself still finishes and counts every session, delivered
+	// or not.
 	if stats.Sites != len(urls) {
 		t.Errorf("Sites = %d, want %d", stats.Sites, len(urls))
 	}
-	if calls != 3 {
-		t.Errorf("sink called %d times after error, want exactly 3", calls)
+	counted := 0
+	for _, n := range stats.Outcomes {
+		counted += n
+	}
+	if counted != len(urls) {
+		t.Errorf("Outcomes count %d sessions, want %d", counted, len(urls))
 	}
 }
 
@@ -174,12 +191,15 @@ func TestSkipPreservesSeedDerivation(t *testing.T) {
 	// Crawl only the odd indices; their sessions must be byte-for-byte the
 	// sessions the full run produced at the same indices (same derived
 	// seeds), which is what makes journal resume reproduce a clean run.
+	var mu sync.Mutex
 	partial := map[int]*crawler.SessionLog{}
 	_, err := RunStream(Config{
 		Workers: 4,
 		Crawler: testCrawler(reg, nil),
 		Skip:    func(idx int, _ string) bool { return idx%2 == 0 },
 		Sink: func(idx int, lg *crawler.SessionLog) error {
+			mu.Lock()
+			defer mu.Unlock()
 			partial[idx] = lg
 			return nil
 		},

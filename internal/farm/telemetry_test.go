@@ -5,8 +5,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/crawler"
+	"repro/internal/metrics"
 )
 
 // TestStagesIdenticalAcrossWorkerCounts pins the telemetry acceptance
@@ -122,6 +125,37 @@ func TestMonitorProgress(t *testing.T) {
 	line := p.String()
 	if !strings.Contains(line, "progress: 12/12 (100.0%) done") {
 		t.Errorf("progress line = %q", line)
+	}
+
+	// A run with retries, gave-ups and fast-pathed sessions: every
+	// session count the monitor serves equals the run's Stats, because
+	// both count finished sessions by the same rule.
+	reg, urls = streamFixture(t, 490, 30)
+	in := &chaos.Injector{Profile: chaos.Profile{DeadRate: 0.2, FlakyRate: 0.3, FlakyFailures: 1}, Seed: 5}
+	mon = NewMonitor()
+	_, stats = Run(Config{
+		Workers: 4, Crawler: chaosFarmCrawler(reg, in, 150*time.Millisecond), Monitor: mon,
+		MaxRetries: 2, RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
+		FastPath: func(idx int, url string) *crawler.SessionLog {
+			if idx%4 != 0 {
+				return nil
+			}
+			return &crawler.SessionLog{SeedURL: url, Outcome: crawler.OutcomeAttributed}
+		},
+	}, urls)
+	if stats.Retries == 0 || stats.Outcomes[OutcomeGaveUp] == 0 || stats.Degraded == 0 || stats.FastPathed == 0 {
+		t.Fatalf("fixture must retry, give up, degrade and fast-path: %+v", stats)
+	}
+	type counts struct {
+		Done, Failed, Degraded, FastPathed, Retried int
+		Stages                                      []metrics.StageStat
+	}
+	p = mon.Snapshot()
+	got := counts{p.Done, p.Failed, p.Degraded, p.FastPathed, p.Retried, p.Stages}
+	want := counts{stats.Sites, stats.Outcomes[OutcomeGaveUp] + stats.Outcomes[OutcomeLost],
+		stats.Degraded, stats.FastPathed, stats.Retries, stats.Stages}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("monitor %+v diverges from run Stats %+v", got, want)
 	}
 
 	// Resume accounting: pre-completed URLs count toward Done.

@@ -11,42 +11,6 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-// TestStartObserveSinceUsesClockSeam is the regression test for the
-// wallclock bug: StageTimings.Start and ObserveSince used to call
-// time.Now()/time.Since directly, bypassing the metrics clock seam and
-// making stage timings untestable. Both must now read the swappable
-// package clock, so a fake clock fully determines the observed duration
-// and its histogram bucket.
-func TestStartObserveSinceUsesClockSeam(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	defer SetClockForTest(clk.now)()
-
-	var st StageTimings
-	start := st.Start()
-	if !start.Equal(clk.t) {
-		t.Fatalf("Start() = %v, want the fake clock's %v", start, clk.t)
-	}
-	clk.advance(5 * time.Millisecond)
-	st.ObserveSince(StageRender, start)
-	clk.advance(300 * time.Millisecond)
-	start2 := st.Start()
-	clk.advance(100 * time.Millisecond)
-	st.ObserveSince(StageRender, start2)
-
-	render := findStage(t, st.Snapshot(), "render")
-	if render.Count != 2 || render.Total != 105*time.Millisecond {
-		t.Fatalf("render = %+v, want Count 2, Total 105ms", render)
-	}
-	// The fake durations land in exactly the buckets the fake clock
-	// dictates: 5ms -> bucket 3 (8ms bound), 100ms -> bucket 7 (128ms).
-	if render.Buckets[3] != 1 || render.Buckets[7] != 1 {
-		t.Fatalf("buckets = %v, want one observation each in buckets 3 and 7", render.Buckets)
-	}
-	if p99 := render.P99(); p99 != 128*time.Millisecond {
-		t.Fatalf("P99 = %v, want 128ms", p99)
-	}
-}
-
 // TestSetClockForTestRestores pins the restore contract: after the
 // returned func runs, Now() reads the real clock again.
 func TestSetClockForTestRestores(t *testing.T) {

@@ -44,34 +44,12 @@ func StageByName(name string) (Stage, bool) {
 
 // StageTimings accumulates per-stage call counts, total time, and a
 // fixed-bucket latency histogram (see hist.go). It is safe for concurrent
-// use — the farm's workers all record into one shared collector — and the
-// zero value is ready to use. A nil *StageTimings is a valid no-op
+// use, and the zero value is ready to use. A nil *StageTimings is a valid no-op
 // collector, so instrumented code needs no guards.
 type StageTimings struct {
 	counts  [numStages]atomic.Int64
 	nanos   [numStages]atomic.Int64
 	buckets [numStages][NumHistBuckets]atomic.Int64
-}
-
-// Start returns the current time when the collector is active and the zero
-// time otherwise; pair it with ObserveSince so disabled instrumentation
-// skips the clock read entirely. The read goes through the package clock
-// seam, so tests drive stage timings with SetClockForTest.
-func (t *StageTimings) Start() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return Now()
-}
-
-// ObserveSince records one completed stage call begun at start (as returned
-// by Start). A nil collector or zero start is a no-op. Like Start, the
-// clock read goes through the metrics seam, never time.Now directly.
-func (t *StageTimings) ObserveSince(s Stage, start time.Time) {
-	if t == nil || start.IsZero() {
-		return
-	}
-	t.Observe(s, Now().Sub(start))
 }
 
 // Observe records one completed stage call of duration d.
@@ -82,29 +60,6 @@ func (t *StageTimings) Observe(s Stage, d time.Duration) {
 	t.counts[s].Add(1)
 	t.nanos[s].Add(int64(d))
 	t.buckets[s][histBucket(d)].Add(1)
-}
-
-// Merge adds o's accumulated counts, durations, and histogram buckets into
-// t, so per-worker collectors can record contention-free and be combined
-// once at the end of a run. Either side may be nil (no-op). Merging while
-// o is still being written is safe but may miss in-flight observations.
-func (t *StageTimings) Merge(o *StageTimings) {
-	if t == nil || o == nil {
-		return
-	}
-	for i := 0; i < int(numStages); i++ {
-		if n := o.counts[i].Load(); n != 0 {
-			t.counts[i].Add(n)
-		}
-		if n := o.nanos[i].Load(); n != 0 {
-			t.nanos[i].Add(n)
-		}
-		for b := 0; b < NumHistBuckets; b++ {
-			if n := o.buckets[i][b].Load(); n != 0 {
-				t.buckets[i][b].Add(n)
-			}
-		}
-	}
 }
 
 // StageStat is a point-in-time snapshot of one stage's counters.
