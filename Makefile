@@ -97,16 +97,20 @@ triage-smoke:
 cloak-smoke:
 	$(GO) test -run 'CloakSmoke' ./cmd/phishcrawl/...
 
-# Coverage-guided fuzzing of the journal's record framing: encode/decode
-# round-trips, CRC mismatch detection, and hostile length prefixes.
+# Coverage-guided fuzzing: the journal's record framing (encode/decode
+# round-trips, CRC mismatch detection, hostile length prefixes) and the
+# raster cell-count kernel under the perceptual hash and visual embedding
+# (equal to the per-pixel reference loops on random images and regions).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=15s ./internal/journal
+	$(GO) test -run='^$$' -fuzz=FuzzCellCounts -fuzztime=15s ./internal/raster
 
 # Hot-path microbenchmarks: the detector pass, the per-page OCR label
-# search, one crawl session (fresh and pooled) and the model build. End-to-end
-# throughput is measured by `python3 _phishbench/run.py`, not here.
+# search, one crawl session (fresh and pooled), the model build, and the
+# triage probe's pHash and cropped embedding of a rendered landing page.
+# End-to-end throughput is measured by `python3 _phishbench/run.py`, not here.
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline' -benchmem ./...
+	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped' -benchmem ./...
 
 # Allocation gates: the per-session allocs/op budgets and the
 # pooled-vs-unpooled byte-identity pins (testing.AllocsPerRun enforces the

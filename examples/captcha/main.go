@@ -40,7 +40,7 @@ func main() {
 	for _, d := range det.Detect(ex.Image) {
 		line := fmt.Sprintf("  %-13s score %.2f at %v", d.Class, d.Score, d.Box)
 		if k, ok := kindOf(d.Class); ok && k.IsVisual() {
-			n := phash.NearCount(phash.Compute(ex.Image.Sub(d.Box)), exemplars, phash.DefaultSimilarityThreshold)
+			n := phash.NearCount(phash.ComputeRegion(ex.Image, d.Box), exemplars, phash.DefaultSimilarityThreshold)
 			line += fmt.Sprintf(" — pHash matches %d training exemplars (>=3 verifies)", n)
 		}
 		fmt.Println(line)

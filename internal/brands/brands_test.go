@@ -3,6 +3,8 @@ package brands
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/raster"
 )
 
 func TestCatalogueIntegrity(t *testing.T) {
@@ -77,8 +79,8 @@ func TestDrawLogo(t *testing.T) {
 			t.Errorf("%s logo degenerate: %dx%d", b.Name, logo.W, logo.H)
 		}
 		// Logo must be dominated by the brand color.
-		h := logo.Histogram()
-		if h[b.Color] < logo.W*logo.H/3 {
+		h := logo.CellCounts(raster.R(0, 0, logo.W, logo.H), 1, 1)[0]
+		if int(h[b.Color]) < logo.W*logo.H/3 {
 			t.Errorf("%s logo not brand-colored", b.Name)
 		}
 	}
@@ -120,7 +122,7 @@ func mustBrand(t *testing.T, name string) Brand {
 func TestLegitScreenshotUsesColor(t *testing.T) {
 	for _, b := range Top10() {
 		img := b.LegitScreenshot()
-		h := img.Histogram()
+		h := img.CellCounts(raster.R(0, 0, img.W, img.H), 1, 1)[0]
 		if h[b.Color] == 0 {
 			t.Errorf("%s legit page missing brand color", b.Name)
 		}

@@ -21,11 +21,11 @@ func TestAllKindsRender(t *testing.T) {
 			t.Errorf("%s should not return challenge text, got %q", k, text)
 		}
 		// Every CAPTCHA must contain non-background pixels.
-		h := img.Histogram()
+		h := img.CellCounts(raster.R(0, 0, img.W, img.H), 1, 1)[0]
 		nonWhite := 0
 		for c, n := range h {
 			if raster.Color(c) != raster.White {
-				nonWhite += n
+				nonWhite += int(n)
 			}
 		}
 		if nonWhite == 0 {

@@ -499,7 +499,7 @@ func (c *Crawler) observePage(p *browser.Page, index int, eng *ocr.Engine, tr *t
 		tr.Advance(1 + 8*len(pl.Detections))
 		tr.End(detect)
 		for _, det := range pl.Detections {
-			pl.DetectionHashes = append(pl.DetectionHashes, phash.Compute(shot.Sub(det.Box)))
+			pl.DetectionHashes = append(pl.DetectionHashes, phash.ComputeRegion(shot, det.Box))
 		}
 	}
 	return pl

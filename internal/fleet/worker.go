@@ -61,9 +61,11 @@ type worker struct {
 	startupRetries int
 }
 
-// refusedError marks an answer the coordinator gave deliberately (e.g. a
-// manifest mismatch, HTTP 409) — fatal immediately, never retried like a
-// transport failure.
+// refusedError marks an answer retrying cannot change: a refusal the
+// coordinator gave deliberately (e.g. a manifest mismatch, HTTP 409) or a
+// response the worker will not accept (oversized, or a lease that
+// contradicts itself) — fatal immediately, never retried like a transport
+// failure.
 type refusedError struct{ msg string }
 
 func (e refusedError) Error() string { return e.msg }
@@ -112,6 +114,9 @@ func RunWorker(cfg WorkerConfig) error {
 			return fmt.Errorf("fleet: coordinator sent an empty lease response")
 		}
 		l := *resp.Lease
+		if l.Start < 0 || l.End < l.Start || len(l.Completed) > l.End-l.Start {
+			return fmt.Errorf("fleet: coordinator sent an inconsistent lease %d %s with %d completed URLs", l.ID, l.Range(), len(l.Completed))
+		}
 		dir := ShardDir(cfg.Root, l)
 		w.logf("fleet: worker %s crawling lease %d %s (attempt %d) into %s",
 			cfg.Name, l.ID, l.Range(), l.Attempt, dir)
@@ -193,6 +198,12 @@ func (w *worker) startHeartbeats(l Lease, every time.Duration) (stop func()) {
 	}
 }
 
+// maxResponseBytes caps one coordinator response. The largest legitimate
+// one, a lease listing its already-journaled URLs, holds at most one URL
+// per feed index it covers: at 100 bytes a URL, a lease over the paper's
+// whole 51,859-URL feed is about 5 MB.
+const maxResponseBytes = 16 << 20
+
 // post sends one JSON request and decodes the JSON response. A non-2xx
 // status becomes an error carrying the coordinator's message (manifest
 // mismatches arrive this way, as HTTP 409).
@@ -210,7 +221,14 @@ func (w *worker) post(path string, req, resp any) error {
 		msg, _ := io.ReadAll(io.LimitReader(r.Body, 4<<10))
 		return refusedError{msg: fmt.Sprintf("fleet: coordinator %s: %s", r.Status, strings.TrimSpace(string(msg)))}
 	}
-	if err := json.NewDecoder(r.Body).Decode(resp); err != nil {
+	data, err := io.ReadAll(io.LimitReader(r.Body, maxResponseBytes+1))
+	if err != nil {
+		return fmt.Errorf("fleet: reading %s response: %w", path, err)
+	}
+	if len(data) > maxResponseBytes {
+		return refusedError{msg: fmt.Sprintf("fleet: coordinator %s response exceeds %d bytes", path, maxResponseBytes)}
+	}
+	if err := json.Unmarshal(data, resp); err != nil {
 		return fmt.Errorf("fleet: decoding %s response: %w", path, err)
 	}
 	w.connected.Store(true)

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -296,5 +298,54 @@ func TestRunWorkerRejectedResultContinues(t *testing.T) {
 	}
 	if len(logs) != len(urls) {
 		t.Fatalf("merged %d sessions, want %d", len(logs), len(urls))
+	}
+}
+
+// TestRunWorkerRefusesHostileCoordinator: a worker reads coordinator
+// responses up to a cap and checks a lease before crawling it, so a
+// hostile or broken coordinator makes it exit with an error instead of
+// buffering without bound or crawling a lease that contradicts itself.
+func TestRunWorkerRefusesHostileCoordinator(t *testing.T) {
+	cases := map[string]http.HandlerFunc{
+		"oversized response": func(w http.ResponseWriter, r *http.Request) {
+			chunk := strings.Repeat("a", 64<<10)
+			if _, err := io.WriteString(w, `{"lease":{"id":0,"start":0,"end":1,"completed":["`); err != nil {
+				return
+			}
+			for n := 0; n <= maxResponseBytes; n += len(chunk) {
+				if _, err := io.WriteString(w, chunk); err != nil {
+					return // the worker stopped reading
+				}
+			}
+			_, _ = io.WriteString(w, `"]}}`)
+		},
+		"completed list longer than the lease": func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, LeaseResponse{Lease: &Lease{ID: 0, Start: 0, End: 2, Attempt: 1, Completed: []string{"a", "b", "c"}}})
+		},
+	}
+	for name, handler := range cases {
+		t.Run(name, func(t *testing.T) {
+			srv := httptest.NewServer(handler)
+			defer srv.Close()
+			crawled := false
+			err := RunWorker(WorkerConfig{
+				Coordinator: srv.URL,
+				Name:        "w1",
+				Manifest:    testManifest,
+				Root:        t.TempDir(),
+				Crawl: func(Lease, string) (farm.Stats, error) {
+					crawled = true
+					return farm.Stats{}, nil
+				},
+				Logf: t.Logf,
+			})
+			if err == nil {
+				t.Fatal("worker accepted the hostile response")
+			}
+			if crawled {
+				t.Error("worker crawled a lease from the hostile response")
+			}
+			t.Logf("refused: %v", err)
+		})
 	}
 }

@@ -33,32 +33,24 @@ func (h Hash) String() string {
 
 // Compute returns the perceptual hash of img.
 func Compute(img *raster.Image) Hash {
-	// Downsample intensities to gridW x gridH by block averaging.
-	var grid [gridH][gridW]int
-	if img.W == 0 || img.H == 0 {
+	return ComputeRegion(img, raster.R(0, 0, img.W, img.H))
+}
+
+// ComputeRegion returns the perceptual hash of the pixels inside r (clipped
+// to img): the hash of img.Sub(r), without the copy.
+func ComputeRegion(img *raster.Image, r raster.Rect) Hash {
+	if r.Clip(img.W, img.H).Empty() {
 		return Hash{}
 	}
-	for gy := 0; gy < gridH; gy++ {
-		for gx := 0; gx < gridW; gx++ {
-			x0, x1 := gx*img.W/gridW, (gx+1)*img.W/gridW
-			y0, y1 := gy*img.H/gridH, (gy+1)*img.H/gridH
-			if x1 <= x0 {
-				x1 = x0 + 1
-			}
-			if y1 <= y0 {
-				y1 = y0 + 1
-			}
-			sum, n := 0, 0
-			for y := y0; y < y1 && y < img.H; y++ {
-				for x := x0; x < x1 && x < img.W; x++ {
-					sum += img.Intensity(x, y)
-					n++
-				}
-			}
-			if n > 0 {
-				grid[gy][gx] = sum / n
-			}
+	// Downsample intensities to gridW x gridH by block averaging.
+	var grid [gridH][gridW]int
+	for i, cell := range img.CellCounts(r, gridW, gridH) {
+		sum, n := 0, 0
+		for c, k := range cell {
+			sum += int(k) * raster.ColorIntensity(raster.Color(c))
+			n += int(k)
 		}
+		grid[i/gridW][i%gridW] = sum / n
 	}
 	var h Hash
 	// First 128 bits: horizontal gradients on the even rows (8 rows x 16

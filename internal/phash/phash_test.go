@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/browser"
 	"repro/internal/raster"
+	"repro/internal/sitegen"
 )
 
 func pageA() *raster.Image {
@@ -166,6 +168,27 @@ func BenchmarkCompute(b *testing.B) {
 		Compute(img)
 	}
 }
+
+// landingPage renders the first page of a clone-heavy seeded corpus at the
+// crawler's viewport: the kind of screenshot a triage probe hashes.
+func landingPage() *raster.Image {
+	p := sitegen.ScaledParams(40, 42)
+	p.MinCampaignSize = 20
+	s := sitegen.Generate(p).Sites[0]
+	return sitegen.RenderPage(s, s.Pages[0].HTML, browser.ViewportWidth)
+}
+
+func BenchmarkComputeRegion(b *testing.B) {
+	img := landingPage()
+	r := raster.R(0, 0, img.W, img.H)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hashSink = ComputeRegion(img, r)
+	}
+}
+
+var hashSink Hash
 
 func BenchmarkCluster1000(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

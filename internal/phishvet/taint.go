@@ -20,7 +20,9 @@ import (
 // Precision choices, in order of consequence:
 //   - Field-sensitive on the base object: tainting p.Stats does not taint
 //     p.Logs, which is what keeps the journal's session stream clean while
-//     its stats record is correctly flagged.
+//     its stats record is correctly flagged. A read of p whole carries the
+//     taint of every field stored into it, so a value built by field
+//     stores and then returned or passed on stays tainted.
 //   - Summaries are symbolic in the parameters: analyzing a function once
 //     yields which params flow to which results and sinks, so taint steps
 //     across call boundaries without reanalysis (the per-function summary
@@ -104,9 +106,13 @@ func (ta *taintAnalysis) summary(fn *types.Func) *taintSummary {
 
 // funcScope is the per-analysis mutable state for one declaration.
 type funcScope struct {
-	ta      *taintAnalysis
-	fi      *FuncInfo
-	state   map[taintKey]taintMask
+	ta    *taintAnalysis
+	fi    *FuncInfo
+	state map[taintKey]taintMask
+	// fields is, per variable, the union of its field keys' masks: a read
+	// of the whole variable carries the taint of every field stored into
+	// it.
+	fields  map[types.Object]taintMask
 	sum     *taintSummary
 	hitSeen map[token.Pos]bool
 	changed bool
@@ -117,6 +123,7 @@ func (ta *taintAnalysis) analyze(fi *FuncInfo) *taintSummary {
 		ta:      ta,
 		fi:      fi,
 		state:   map[taintKey]taintMask{},
+		fields:  map[types.Object]taintMask{},
 		sum:     &taintSummary{paramToSink: map[int]string{}},
 		hitSeen: map[token.Pos]bool{},
 	}
@@ -186,6 +193,15 @@ func (fs *funcScope) grow(key taintKey, m taintMask) {
 		fs.state[key] = old | m
 		fs.changed = true
 	}
+	if key.field != "" {
+		fs.fields[key.obj] |= m
+	}
+}
+
+// whole is the taint of a read of the whole variable: its own key plus
+// every field stored into it.
+func (fs *funcScope) whole(obj types.Object) taintMask {
+	return fs.state[taintKey{obj: obj}] | fs.fields[obj]
 }
 
 func (fs *funcScope) growResult(i int, m taintMask) {
@@ -313,7 +329,7 @@ func (fs *funcScope) returnStmt(n *ast.ReturnStmt) {
 		// Naked return: read the named result objects.
 		for i, obj := range namedResultObjects(fs.fi) {
 			if obj != nil {
-				fs.growResult(i, fs.state[taintKey{obj: obj}])
+				fs.growResult(i, fs.whole(obj))
 			}
 		}
 		return
@@ -403,7 +419,7 @@ func (fs *funcScope) eval(e ast.Expr) taintMask {
 	switch e := e.(type) {
 	case *ast.Ident:
 		if obj := fs.objectOf(e); obj != nil {
-			return fs.state[taintKey{obj: obj}]
+			return fs.whole(obj)
 		}
 		return 0
 	case *ast.SelectorExpr:
@@ -594,7 +610,9 @@ func sourceFunc(fn *types.Func) bool {
 	case "time":
 		return name == "Now" || name == "Since" || name == "Until"
 	case "math/rand", "math/rand/v2":
-		return !randConstructors[name]
+		// Package-level draws read the global source; a seeded *rand.Rand's
+		// methods are deterministic.
+		return fn.Type().(*types.Signature).Recv() == nil && !randConstructors[name]
 	case "os":
 		return name == "Getpid" || name == "Getppid" || name == "Hostname"
 	}

@@ -5,6 +5,7 @@
 package detertaint
 
 import (
+	"math/rand"
 	"time"
 
 	"repro/internal/phishvet/testdata/src/detertaint/internal/journal"
@@ -49,4 +50,41 @@ func fieldPrecise(j *journal.Journal, sw metrics.Stopwatch) error {
 // Seed-derived bytes are deterministic: clean.
 func clean(j *journal.Journal, seed int64) error {
 	return j.AppendNote([]byte{byte(seed)})
+}
+
+// A seeded generator's draws are seed-derived too: clean. Only the
+// package-level math/rand functions read the process-global source.
+func cleanSeededRand(j *journal.Journal, seed int64) error {
+	var r run
+	r.Logs = []byte{byte(rand.New(rand.NewSource(seed)).Intn(256))}
+	return j.AppendNote(encode(r))
+}
+
+// encode serializes a run whole; its summary charges the caller for any
+// taint in the value passed.
+func encode(r run) []byte {
+	return append([]byte(r.Elapsed.String()), r.Logs...)
+}
+
+// Whole-value reads: reading r whole carries the taint of the field stored
+// into it, while a read of the sibling field stays clean.
+func flaggedWholeValue(j *journal.Journal, sw metrics.Stopwatch) error {
+	var r run
+	r.Elapsed = sw.Elapsed()
+	if err := j.AppendNote(r.Logs); err != nil { // the sibling field is untainted: clean
+		return err
+	}
+	return j.AppendNote(encode(r)) // want "nondeterministic value .* reaches journal.AppendNote"
+}
+
+// stamped builds its result by a field store and returns it whole.
+func stamped(sw metrics.Stopwatch) run {
+	var s run
+	s.Elapsed = sw.Elapsed()
+	return s
+}
+
+// The returned value keeps the taint of its stored field.
+func flaggedReturnedWhole(j *journal.Journal, sw metrics.Stopwatch) error {
+	return j.AppendNote(encode(stamped(sw))) // want "nondeterministic value .* reaches journal.AppendNote"
 }

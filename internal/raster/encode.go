@@ -39,7 +39,9 @@ func Encode(im *Image) []byte {
 	return out
 }
 
-// Decode parses PXI data back into an Image.
+// Decode parses PXI data back into an Image. A color byte outside the
+// palette is malformed: every consumer of a screenshot indexes palette
+// tables by pixel value.
 func Decode(data []byte) (*Image, error) {
 	if len(data) < 12 || [4]byte(data[0:4]) != pxiMagic {
 		return nil, ErrBadImage
@@ -54,6 +56,9 @@ func Decode(data []byte) (*Image, error) {
 	for i := 12; i+1 < len(data); i += 2 {
 		run := int(data[i])
 		c := Color(data[i+1])
+		if c >= NumColors {
+			return nil, fmt.Errorf("%w: color %d outside the palette at offset %d", ErrBadImage, c, i+1)
+		}
 		if pos+run > len(im.Pix) {
 			return nil, fmt.Errorf("%w: overflow at offset %d", ErrBadImage, i)
 		}

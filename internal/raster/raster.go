@@ -180,6 +180,11 @@ func (im *Image) Blit(src *Image, x, y int) {
 func (im *Image) Sub(r Rect) *Image {
 	r = r.Clip(im.W, im.H)
 	out := New(r.W, r.H, White)
+	if r.Empty() {
+		// A region off the right edge keeps an X past the image; there is
+		// nothing to copy.
+		return out
+	}
 	for y := 0; y < r.H; y++ {
 		copy(out.Pix[y*out.W:(y+1)*out.W], im.Pix[(r.Y+y)*im.W+r.X:(r.Y+y)*im.W+r.X+r.W])
 	}
@@ -190,52 +195,6 @@ func (im *Image) Sub(r Rect) *Image {
 func (im *Image) Clone() *Image {
 	out := &Image{W: im.W, H: im.H, Pix: make([]Color, len(im.Pix))}
 	copy(out.Pix, im.Pix)
-	return out
-}
-
-// Histogram returns the count of each palette color in the image.
-func (im *Image) Histogram() [NumColors]int {
-	var h [NumColors]int
-	for _, p := range im.Pix {
-		if p < NumColors {
-			h[p]++
-		}
-	}
-	return h
-}
-
-// Downsample returns a w x h thumbnail where each output pixel is the
-// dominant color of its source block. Used by the visual-similarity model.
-func (im *Image) Downsample(w, h int) *Image {
-	out := New(w, h, White)
-	if im.W == 0 || im.H == 0 {
-		return out
-	}
-	for oy := 0; oy < h; oy++ {
-		for ox := 0; ox < w; ox++ {
-			x0, x1 := ox*im.W/w, (ox+1)*im.W/w
-			y0, y1 := oy*im.H/h, (oy+1)*im.H/h
-			if x1 <= x0 {
-				x1 = x0 + 1
-			}
-			if y1 <= y0 {
-				y1 = y0 + 1
-			}
-			var counts [NumColors]int
-			for y := y0; y < y1 && y < im.H; y++ {
-				for x := x0; x < x1 && x < im.W; x++ {
-					counts[im.At(x, y)]++
-				}
-			}
-			best, bestN := White, -1
-			for c, n := range counts {
-				if n > bestN {
-					best, bestN = Color(c), n
-				}
-			}
-			out.Set(ox, oy, best)
-		}
-	}
 	return out
 }
 

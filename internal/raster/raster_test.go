@@ -86,7 +86,7 @@ func TestBlitClipped(t *testing.T) {
 func TestHistogram(t *testing.T) {
 	im := New(4, 4, White)
 	im.Fill(R(0, 0, 2, 4), Red)
-	h := im.Histogram()
+	h := im.CellCounts(R(0, 0, 4, 4), 1, 1)[0]
 	if h[Red] != 8 || h[White] != 8 {
 		t.Errorf("histogram = red %d white %d, want 8/8", h[Red], h[White])
 	}
@@ -95,14 +95,18 @@ func TestHistogram(t *testing.T) {
 func TestDownsample(t *testing.T) {
 	im := New(20, 20, White)
 	im.Fill(R(0, 0, 10, 20), Navy)
-	th := im.Downsample(2, 1)
-	if th.At(0, 0) != Navy || th.At(1, 0) != White {
-		t.Errorf("downsample = %v %v", th.At(0, 0), th.At(1, 0))
+	th := im.CellCounts(R(0, 0, 20, 20), 2, 1)
+	if th[0].Dominant() != Navy || th[1].Dominant() != White {
+		t.Errorf("downsample = %v %v", th[0].Dominant(), th[1].Dominant())
 	}
-	// Degenerate target sizes must not panic.
-	_ = im.Downsample(1, 1)
+	// Degenerate grids and images must not panic.
+	_ = im.CellCounts(R(0, 0, 20, 20), 1, 1)
 	empty := New(0, 0, White)
-	_ = empty.Downsample(4, 4)
+	for _, c := range empty.CellCounts(R(0, 0, 0, 0), 4, 4) {
+		if c.Dominant() != White {
+			t.Errorf("empty image thumbnail = %v, want white", c.Dominant())
+		}
+	}
 }
 
 func TestRectOps(t *testing.T) {
@@ -296,6 +300,11 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	data := Encode(im)
 	if _, err := Decode(data[:len(data)-2]); err == nil {
 		t.Error("truncated data should fail")
+	}
+	// A color byte outside the palette.
+	data[13] = byte(NumColors)
+	if _, err := Decode(data); err == nil {
+		t.Error("out-of-palette color should fail")
 	}
 }
 

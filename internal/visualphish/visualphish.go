@@ -31,13 +31,33 @@ type Embedding struct {
 
 // Embed computes the embedding of a screenshot.
 func Embed(img *raster.Image) Embedding {
-	e := Embedding{PHash: phash.Compute(img)}
-	th := img.Downsample(thumbW, thumbH)
-	e.Thumb = th.Pix
-	hist := img.Histogram()
+	return embedRegion(img, raster.R(0, 0, img.W, img.H))
+}
+
+// embedRegion embeds the pixels inside r, clipped to img, from one pass of
+// thumbnail cell counts plus the region's perceptual hash.
+func embedRegion(img *raster.Image, r raster.Rect) Embedding {
+	e := Embedding{PHash: phash.ComputeRegion(img, r), Thumb: make([]raster.Color, thumbW*thumbH)}
+	cells := img.CellCounts(r, thumbW, thumbH)
+	var hist raster.Counts
+	r = r.Clip(img.W, img.H)
+	if r.W >= thumbW && r.H >= thumbH {
+		// The cells tile the region: their counts add up to its histogram.
+		for _, cell := range cells {
+			for c, n := range cell {
+				hist[c] += n
+			}
+		}
+	} else {
+		// Cells share pixels; count each pixel once.
+		hist = img.CellCounts(r, 1, 1)[0]
+	}
+	for i := range cells {
+		e.Thumb[i] = cells[i].Dominant()
+	}
 	total := 0
 	for _, n := range hist {
-		total += n
+		total += int(n)
 	}
 	if total > 0 {
 		for c, n := range hist {
@@ -76,40 +96,17 @@ func Distance(a, b Embedding) float64 {
 	return 0.5*thumbD + 0.3*histD + 0.2*hashD
 }
 
-// CropContent returns the sub-image bounded by the non-white content of
-// img, normalizing away viewport margins before similarity comparison:
-// screenshots taken at different viewport widths then compare by layout,
-// not by how much white space surrounded the page.
-func CropContent(img *raster.Image) *raster.Image {
-	minX, minY, maxX, maxY := img.W, img.H, -1, -1
-	for y := 0; y < img.H; y++ {
-		for x := 0; x < img.W; x++ {
-			if img.At(x, y) != raster.White {
-				if x < minX {
-					minX = x
-				}
-				if y < minY {
-					minY = y
-				}
-				if x > maxX {
-					maxX = x
-				}
-				if y > maxY {
-					maxY = y
-				}
-			}
-		}
-	}
-	if maxX < 0 {
-		return img.Clone()
-	}
-	return img.Sub(raster.R(minX, minY, maxX-minX+1, maxY-minY+1))
-}
-
-// EmbedCropped embeds the content-cropped image; use it when query and
-// gallery screenshots come from different viewport geometries.
+// EmbedCropped embeds the image's non-white content, normalizing away
+// viewport margins before similarity comparison: screenshots taken at
+// different viewport widths then compare by layout, not by how much white
+// space surrounded the page. An all-white image embeds whole. Use it when
+// query and gallery screenshots come from different viewport geometries.
 func EmbedCropped(img *raster.Image) Embedding {
-	return Embed(CropContent(img))
+	r := img.ContentBounds()
+	if r.Empty() {
+		r = raster.R(0, 0, img.W, img.H)
+	}
+	return embedRegion(img, r)
 }
 
 // AddCropped inserts a gallery exemplar using the cropped embedding.

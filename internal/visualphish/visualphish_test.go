@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/brands"
+	"repro/internal/browser"
 	"repro/internal/raster"
+	"repro/internal/sitegen"
 )
 
 func gallery(t testing.TB) *Gallery {
@@ -120,17 +122,38 @@ func BenchmarkMatch(b *testing.B) {
 	}
 }
 
+func BenchmarkEmbedCropped(b *testing.B) {
+	// The first page of a clone-heavy seeded corpus at the crawler's
+	// viewport: the kind of screenshot a triage probe embeds.
+	p := sitegen.ScaledParams(40, 42)
+	p.MinCampaignSize = 20
+	s := sitegen.Generate(p).Sites[0]
+	img := sitegen.RenderPage(s, s.Pages[0].HTML, browser.ViewportWidth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		embedSink = EmbedCropped(img)
+	}
+}
+
+var embedSink Embedding
+
 func TestCropContent(t *testing.T) {
 	img := raster.New(200, 100, raster.White)
 	img.Fill(raster.R(50, 20, 60, 30), raster.Navy)
-	crop := CropContent(img)
-	if crop.W != 60 || crop.H != 30 {
-		t.Errorf("crop = %dx%d, want 60x30", crop.W, crop.H)
+	if b := img.ContentBounds(); b != raster.R(50, 20, 60, 30) {
+		t.Errorf("content bounds = %v, want (50,20 60x30)", b)
 	}
-	// All-white image crops to itself.
+	if a, b := EmbedCropped(img), Embed(img.Sub(raster.R(50, 20, 60, 30))); !sameEmbedding(a, b) {
+		t.Error("cropped embedding differs from the embedding of the crop")
+	}
+	// An all-white image embeds whole.
 	blank := raster.New(10, 10, raster.White)
-	if c := CropContent(blank); c.W != 10 || c.H != 10 {
-		t.Errorf("blank crop = %dx%d", c.W, c.H)
+	if b := blank.ContentBounds(); !b.Empty() {
+		t.Errorf("blank content bounds = %v, want empty", b)
+	}
+	if a, b := EmbedCropped(blank), Embed(blank); !sameEmbedding(a, b) {
+		t.Error("blank cropped embedding differs from the whole-image embedding")
 	}
 }
 
