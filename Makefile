@@ -98,14 +98,19 @@ cloak-smoke:
 	$(GO) test -run 'CloakSmoke' ./cmd/phishcrawl/...
 
 # Coverage-guided fuzzing: the journal's record framing (encode/decode
-# round-trips, CRC mismatch detection, hostile length prefixes) and the
+# round-trips, CRC mismatch detection, hostile length prefixes), the
 # raster cell-count kernel under the perceptual hash and visual embedding
-# (equal to the per-pixel reference loops on random images and regions).
+# (equal to the per-pixel reference loops on random images and regions),
+# and the detector's features, proposals and detections (equal to the
+# unpruned checkbox search and integral tightening they replaced).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=15s ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzCellCounts -fuzztime=15s ./internal/raster
+	$(GO) test -run='^$$' -fuzz=FuzzFeatures -fuzztime=15s ./internal/vision
 
-# Hot-path microbenchmarks: the detector pass, the per-page OCR label
+# Hot-path microbenchmarks: the detector pass (BenchmarkDetect on one
+# synthetic page; the pattern also matches BenchmarkDetectPages, Detect per
+# page over every rendered page of a 60-site corpus), the per-page OCR label
 # search, one crawl session (fresh and pooled), the model build, and the
 # triage probe's pHash and cropped embedding of a rendered landing page.
 # End-to-end throughput is measured by `python3 _phishbench/run.py`, not here.

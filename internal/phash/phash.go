@@ -21,7 +21,9 @@ import (
 // Bits is the number of bits in a Hash.
 const Bits = 256
 
-const gridW, gridH = 17, 16 // 16 comparisons per row x 16 rows = 256 bits
+// GridW and GridH are the size of the intensity grid the hash compares:
+// 16 comparisons per row x 16 rows = 256 bits.
+const GridW, GridH = 17, 16
 
 // Hash is a 256-bit perceptual hash.
 type Hash [4]uint64
@@ -42,22 +44,29 @@ func ComputeRegion(img *raster.Image, r raster.Rect) Hash {
 	if r.Clip(img.W, img.H).Empty() {
 		return Hash{}
 	}
-	// Downsample intensities to gridW x gridH by block averaging.
-	var grid [gridH][gridW]int
-	for i, cell := range img.CellCounts(r, gridW, gridH) {
+	return FromCells(img.CellCounts(r, GridW, GridH))
+}
+
+// FromCells returns the hash of a region from its GridW x GridH cell
+// counts, row-major, as raster.Image.CellCounts lays them out. Every cell
+// must hold at least one pixel.
+func FromCells(cells []raster.Counts) Hash {
+	// Downsample intensities to GridW x GridH by block averaging.
+	var grid [GridH][GridW]int
+	for i, cell := range cells {
 		sum, n := 0, 0
 		for c, k := range cell {
 			sum += int(k) * raster.ColorIntensity(raster.Color(c))
 			n += int(k)
 		}
-		grid[i/gridW][i%gridW] = sum / n
+		grid[i/GridW][i%GridW] = sum / n
 	}
 	var h Hash
 	// First 128 bits: horizontal gradients on the even rows (8 rows x 16
 	// comparisons). Gradients capture layout edges.
 	bit := 0
-	for gy := 0; gy < gridH; gy += 2 {
-		for gx := 0; gx < gridW-1; gx++ {
+	for gy := 0; gy < GridH; gy += 2 {
+		for gx := 0; gx < GridW-1; gx++ {
 			if grid[gy][gx] > grid[gy][gx+1] {
 				h[bit/64] |= 1 << uint(bit%64)
 			}
@@ -68,14 +77,14 @@ func ComputeRegion(img *raster.Image, r raster.Rect) Hash {
 	// This distinguishes uniformly dark pages from uniformly light ones,
 	// which gradients alone cannot.
 	sum, n := 0, 0
-	for gy := 0; gy < gridH; gy++ {
-		for gx := 0; gx < gridW; gx++ {
+	for gy := 0; gy < GridH; gy++ {
+		for gx := 0; gx < GridW; gx++ {
 			sum += grid[gy][gx]
 			n++
 		}
 	}
 	mean := sum / n
-	for gy := 0; gy < gridH; gy++ {
+	for gy := 0; gy < GridH; gy++ {
 		for gx := 0; gx < 8; gx++ {
 			if grid[gy][gx*2] > mean {
 				h[bit/64] |= 1 << uint(bit%64)

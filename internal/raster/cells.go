@@ -39,10 +39,9 @@ func (im *Image) CellCounts(r Rect, gw, gh int) []Counts {
 	if gw <= 0 || gh <= 0 {
 		return nil
 	}
-	cells := make([]Counts, gw*gh)
 	r = r.Clip(im.W, im.H)
 	if r.Empty() {
-		return cells
+		return make([]Counts, gw*gh)
 	}
 	var buf [32][2]int
 	xs := buf[:0]
@@ -50,6 +49,37 @@ func (im *Image) CellCounts(r Rect, gw, gh int) []Counts {
 		x0, x1 := cellSpan(gx, r.W, gw)
 		xs = append(xs, [2]int{x0, x1})
 	}
+	return im.cellCounts(r, xs, gh)
+}
+
+// CellCountsCut is CellCounts over r, clipped to the image, with the grid's
+// columns given by cuts: column i spans [r.X+cuts[i], r.X+cuts[i+1]), so the
+// cuts ascend strictly from 0 to the clipped width and len(cuts)-1 columns
+// tile the region. Rows split as in CellCounts. Callers that need two grids
+// with the same rows count once over the union of both grids' cuts and sum
+// the columns into each.
+func (im *Image) CellCountsCut(r Rect, cuts []int, gh int) []Counts {
+	var buf [32][2]int
+	xs := buf[:0]
+	for i := 1; i < len(cuts); i++ {
+		xs = append(xs, [2]int{cuts[i-1], cuts[i]})
+	}
+	if gh <= 0 || len(xs) == 0 {
+		return nil
+	}
+	r = r.Clip(im.W, im.H)
+	if r.Empty() {
+		return make([]Counts, len(xs)*gh)
+	}
+	return im.cellCounts(r, xs, gh)
+}
+
+// cellCounts counts the cells of the grid whose columns span xs, relative to
+// r.X, and whose gh rows split r.H as cellSpan does. r is clipped and not
+// empty.
+func (im *Image) cellCounts(r Rect, xs [][2]int, gh int) []Counts {
+	gw := len(xs)
+	cells := make([]Counts, gw*gh)
 	pix := pixBytes(im.Pix)
 	line := func(y int) []byte { return pix[y*im.W+r.X : y*im.W+r.X+r.W] }
 	for gy := 0; gy < gh; gy++ {
@@ -111,24 +141,34 @@ func runEnd(s []byte, i int, p byte) int {
 }
 
 // ContentBounds returns the smallest rectangle holding every non-White
-// pixel, or the empty Rect when the image is all White. Each row costs one
-// compare of its two ends outside the bounds found so far; a row is
-// scanned pixel by pixel only when it widens them.
+// pixel, or the empty Rect when the image is all White.
 func (im *Image) ContentBounds() Rect {
-	pix := pixBytes(im.Pix)
-	line := func(y int) []byte { return pix[y*im.W : (y+1)*im.W] }
-	top := 0
-	for top < im.H && allWhite(line(top)) {
-		top++
-	}
-	if top == im.H {
+	return im.ContentBoundsIn(R(0, 0, im.W, im.H))
+}
+
+// ContentBoundsIn returns the smallest rectangle holding every non-White
+// pixel inside r (clipped to the image), or the empty Rect when there is
+// none. Each row costs one compare of its two ends outside the bounds found
+// so far; a row is scanned pixel by pixel only when it widens them.
+func (im *Image) ContentBoundsIn(r Rect) Rect {
+	r = r.Clip(im.W, im.H)
+	if r.Empty() {
 		return Rect{}
 	}
-	bottom := im.H - 1
+	pix := pixBytes(im.Pix)
+	line := func(y int) []byte { return pix[y*im.W+r.X : y*im.W+r.X+r.W] }
+	top := r.Y
+	for top < r.Y+r.H && allWhite(line(top)) {
+		top++
+	}
+	if top == r.Y+r.H {
+		return Rect{}
+	}
+	bottom := r.Y + r.H - 1
 	for allWhite(line(bottom)) {
 		bottom--
 	}
-	minX, maxX := im.W, -1
+	minX, maxX := r.W, -1
 	for y := top; y <= bottom; y++ {
 		row := line(y)
 		if !allWhite(row[:minX]) {
@@ -138,13 +178,13 @@ func (im *Image) ContentBounds() Rect {
 			}
 		}
 		if !allWhite(row[maxX+1:]) {
-			maxX = im.W - 1
+			maxX = r.W - 1
 			for row[maxX] == byte(White) {
 				maxX--
 			}
 		}
 	}
-	return Rect{minX, top, maxX - minX + 1, bottom - top + 1}
+	return Rect{r.X + minX, top, maxX - minX + 1, bottom - top + 1}
 }
 
 // whiteRow is a run of White pixels to compare rows against; White is the

@@ -90,8 +90,8 @@ func refContentBounds(im *Image) Rect {
 	return R(minX, minY, maxX-minX+1, maxY-minY+1)
 }
 
-// checkCells compares CellCounts, the thumbnail built from it and
-// ContentBounds with the per-pixel references.
+// checkCells compares CellCounts, its cut form, the thumbnail built from
+// it, ContentBounds and ContentBoundsIn(r) with the per-pixel references.
 func checkCells(t *testing.T, name string, im *Image, r Rect, gw, gh int) {
 	t.Helper()
 	got, want := im.CellCounts(r, gw, gh), refCellCounts(im, r, gw, gh)
@@ -100,8 +100,28 @@ func checkCells(t *testing.T, name string, im *Image, r Rect, gw, gh int) {
 			t.Fatalf("%s %dx%d image, CellCounts(%v, %d, %d) cell %d = %v, want %v", name, im.W, im.H, r, gw, gh, i, got[i], want[i])
 		}
 	}
+	if c := r.Clip(im.W, im.H); c.W >= gw {
+		// Cut at the grid's own bounds, the cut form counts the same cells.
+		cuts := make([]int, gw+1)
+		for i := range cuts {
+			cuts[i] = i * c.W / gw
+		}
+		cut := im.CellCountsCut(r, cuts, gh)
+		for i := range want {
+			if cut[i] != want[i] {
+				t.Fatalf("%s %dx%d image, CellCountsCut(%v, %v, %d) cell %d = %v, want %v", name, im.W, im.H, r, cuts, gh, i, cut[i], want[i])
+			}
+		}
+	}
 	if got, want := im.ContentBounds(), refContentBounds(im); got != want {
 		t.Fatalf("%s %dx%d image, ContentBounds = %v, want %v", name, im.W, im.H, got, want)
+	}
+	wantIn := refContentBounds(im.Sub(r))
+	if c := r.Clip(im.W, im.H); !wantIn.Empty() {
+		wantIn.X, wantIn.Y = wantIn.X+c.X, wantIn.Y+c.Y
+	}
+	if got := im.ContentBoundsIn(r); got != wantIn {
+		t.Fatalf("%s %dx%d image, ContentBoundsIn(%v) = %v, want %v", name, im.W, im.H, r, got, wantIn)
 	}
 	for _, p := range im.Pix {
 		if p >= NumColors {
@@ -167,7 +187,7 @@ func TestCellCountsFoldsOutOfPaletteIntoWhite(t *testing.T) {
 	}
 }
 
-// FuzzCellCounts checks CellCounts and ContentBounds against the per-pixel
+// FuzzCellCounts checks CellCounts and the content bounds against the per-pixel
 // references on images up to 64x64. The pixels repeat each data byte k
 // times and each row rr times, so runs and identical rows are common.
 func FuzzCellCounts(f *testing.F) {

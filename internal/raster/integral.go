@@ -8,12 +8,14 @@ import "sync"
 // coverage — into O(1) lookups per window.
 //
 // An Integral can cover the whole image (NewIntegral) or just one window
-// of it (NewIntegralRegion). The detector builds one Integral per proposal
-// region and shares it across proposal tightening (binary-searched on
-// NonWhiteCount), the grid/border scores (one query per row, column, or
-// strip), and the checkbox search (one query per candidate square instead
-// of a quadratic pixel scan). Screenshots are mostly background, so region
-// tables touch far fewer pixels than a whole-page table would.
+// of it (NewIntegralRegion). The detector builds one Integral per proposal,
+// over the box already tightened to its content, and shares it across the
+// grid/border scores (one query per row, column, or strip) and the checkbox
+// search (one query per row band, then the interior's light count and the
+// four outline strips of the candidate squares that could still win, read
+// unclipped with NonWhiteIn and LightIn). Screenshots are mostly
+// background, so region tables touch far fewer pixels than a whole-page
+// table would.
 //
 // Only the three statistics that are queried many times per window get
 // prefix-sum lanes; one-shot whole-window statistics (the color histogram
@@ -148,15 +150,15 @@ func (in *Integral) InkCount(r Rect) int {
 	return in.sumLane(laneInk, r)
 }
 
-// LightCount returns the number of light pixels (Intensity >= 200) inside
-// r, the white background included.
-func (in *Integral) LightCount(r Rect) int {
-	r = r.Intersect(in.Region)
-	if r.Empty() {
-		return 0
-	}
-	return in.sumLane(laneLight, r)
-}
+// NonWhiteIn is NonWhiteCount without the clipping, for inner loops whose
+// windows are known to lie inside Region. A window reaching outside Region
+// reads wrong counts or panics.
+func (in *Integral) NonWhiteIn(r Rect) int { return in.sumLane(laneNonWhite, r) }
+
+// LightIn returns the number of light pixels (Intensity >= 200, the white
+// background included) inside r, which must lie inside Region: like
+// NonWhiteIn it does not clip.
+func (in *Integral) LightIn(r Rect) int { return in.sumLane(laneLight, r) }
 
 // Stats scans r directly (one O(r.Area()) pass over the source image) and
 // returns its per-color histogram and the counts of horizontally and

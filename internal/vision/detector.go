@@ -61,6 +61,11 @@ var ErrNoTraining = errors.New("vision: no training annotations")
 // here "training" is moment estimation, deterministic given the seed used
 // for background sampling.
 func Train(examples []Example, seed int64) (*Detector, error) {
+	return train(examples, seed, Features)
+}
+
+// train is Train with the feature extractor as a parameter.
+func train(examples []Example, seed int64, features func(*raster.Image, raster.Rect) []float64) (*Detector, error) {
 	type acc struct {
 		sum, sumSq []float64
 		n          int
@@ -82,7 +87,7 @@ func Train(examples []Example, seed int64) (*Detector, error) {
 	total := 0
 	for _, ex := range examples {
 		for _, an := range ex.Annotations {
-			observe(an.Class, Features(ex.Image, an.Box))
+			observe(an.Class, features(ex.Image, an.Box))
 			total++
 		}
 		// Background negatives: random crops that do not overlap any
@@ -104,7 +109,7 @@ func Train(examples []Example, seed int64) (*Detector, error) {
 			if overlaps {
 				continue
 			}
-			observe(ClassBackground, Features(ex.Image, box))
+			observe(ClassBackground, features(ex.Image, box))
 			got++
 		}
 	}
@@ -152,24 +157,9 @@ func (cs *classStats) score(f []float64) float64 {
 	return math.Exp(-0.5 * d2)
 }
 
-// ScoreRegion classifies a single region, returning the best non-background
-// class and a confidence that compares it against the background class.
-// The integral is built over the region only, so the call is O(box.Area())
-// regardless of image size.
-func (d *Detector) ScoreRegion(img *raster.Image, box raster.Rect) (string, float64) {
-	in := raster.NewIntegralRegion(img, box)
-	class, conf := d.ScoreRegionFrom(in, box)
-	in.Release()
-	return class, conf
-}
-
-// ScoreRegionFrom classifies the window box against a prebuilt integral
-// image covering it, sharing one region table across tightening and every
-// feature statistic.
-func (d *Detector) ScoreRegionFrom(in *raster.Integral, box raster.Rect) (string, float64) {
-	return d.scoreFeatures(FeaturesFrom(in, box))
-}
-
+// scoreFeatures classifies one feature vector, returning the best
+// non-background class and a confidence that compares it against the
+// background class.
 func (d *Detector) scoreFeatures(f []float64) (string, float64) {
 	bestClass, bestScore := ClassBackground, 0.0
 	bgScore := 1e-12
@@ -189,8 +179,8 @@ func (d *Detector) scoreFeatures(f []float64) (string, float64) {
 
 // Detect runs proposal generation, region classification, and per-class
 // non-max suppression over a page screenshot. Each proposal's integral
-// image is built once over its window and shared by proposal tightening
-// and the window's feature extraction.
+// image is built once over its tight box and shared by every feature
+// statistic.
 func (d *Detector) Detect(img *raster.Image) []Detection {
 	threshold := d.Threshold
 	if threshold <= 0 {
@@ -198,14 +188,15 @@ func (d *Detector) Detect(img *raster.Image) []Detection {
 	}
 	var dets []Detection
 	f := make([]float64, FeatureDim)
-	for _, p := range proposalsIn(img) {
-		featuresInto(f, p.in, p.box)
-		p.in.Release()
+	for _, box := range Proposals(img) {
+		in := raster.NewIntegralRegion(img, box)
+		featuresInto(f, in, box)
+		in.Release()
 		class, conf := d.scoreFeatures(f)
 		if class == ClassBackground || conf < threshold {
 			continue
 		}
-		dets = append(dets, Detection{Class: class, Score: conf, Box: p.box})
+		dets = append(dets, Detection{Class: class, Score: conf, Box: box})
 	}
 	return NonMaxSuppression(dets, 0.3)
 }

@@ -18,24 +18,13 @@ import (
 const FeatureDim = 28
 
 // Features computes the appearance feature vector of the region r in img.
-// One-off convenience wrapper: it builds a summed-area table over r only, so
-// the cost is O(r.Area()) regardless of image size. Callers computing several
-// statistics of the same window should build the integral once with
-// raster.NewIntegralRegion and call FeaturesFrom.
+// It builds a summed-area table over r only, so the cost is O(r.Area())
+// regardless of image size.
 func Features(img *raster.Image, r raster.Rect) []float64 {
 	in := raster.NewIntegralRegion(img, r)
-	f := FeaturesFrom(in, r)
+	f := featuresInto(make([]float64, FeatureDim), in, r)
 	in.Release()
 	return f
-}
-
-// FeaturesFrom computes the appearance feature vector of the window r using
-// a prebuilt integral image covering (at least) r. Repeatedly-queried
-// statistics are O(1) against the table; whole-window statistics come from
-// one streaming Stats pass, so one table per proposal region serves
-// tightening plus the whole feature vector.
-func FeaturesFrom(in *raster.Integral, r raster.Rect) []float64 {
-	return featuresInto(make([]float64, FeatureDim), in, r)
 }
 
 // featuresInto fills f (length FeatureDim) with the window's feature vector
@@ -132,25 +121,40 @@ func borderScore(in *raster.Integral, r raster.Rect) float64 {
 }
 
 // checkboxScore looks for a small light square with a darker outline in the
-// left quarter of the region — the signature of the "I'm not a robot"
-// widget. With the integral image each candidate square costs O(1) instead
-// of O(size^2).
+// left third of the region — the signature of the "I'm not a robot"
+// widget. A square scores its outline's non-white fraction times its
+// interior's light fraction, and the best square wins. The search is exact
+// but skips what cannot beat the best so far: a band of rows with no
+// non-white pixel scores 0 in every square; a square whose light fraction
+// is at most the best cannot exceed it, since the outline fraction is at
+// most 1 and float rounding is monotone; and nothing exceeds a perfect 1.
+// Every square lies inside r, so the reads skip clipping.
 func checkboxScore(in *raster.Integral, r raster.Rect) float64 {
 	if r.W < 30 || r.H < 14 {
 		return 0
 	}
+	x0, x1 := r.X+2, r.X+r.W/3 // squares start at x0 and end before x1-1
 	best := 0.0
-	for size := 8; size <= 16; size += 2 {
+	for size := 8; size <= 16 && x0+size < x1; size += 2 {
 		inner := size - 4
-		n := inner * inner
+		n, per := float64(inner*inner), float64(4*size)
 		for y := r.Y + 2; y+size < r.Y+r.H-2; y++ {
-			for x := r.X + 2; x+size < r.X+r.W/3; x++ {
-				sq := raster.R(x, y, size, size)
-				// Outline must be non-white, interior light.
-				edge := borderScore(in, sq)
-				interiorLight := in.LightCount(raster.R(sq.X+2, sq.Y+2, inner, inner))
-				s := edge * float64(interiorLight) / float64(n)
-				if s > best {
+			if in.NonWhiteIn(raster.R(x0, y, x1-x0, size)) == 0 {
+				continue
+			}
+			for x := x0; x+size < x1; x++ {
+				light := float64(in.LightIn(raster.R(x+2, y+2, inner, inner)))
+				if light/n <= best {
+					continue
+				}
+				hit := in.NonWhiteIn(raster.R(x, y, size, 1)) +
+					in.NonWhiteIn(raster.R(x, y+size-1, size, 1)) +
+					in.NonWhiteIn(raster.R(x, y, 1, size)) +
+					in.NonWhiteIn(raster.R(x+size-1, y, 1, size))
+				if s := float64(hit) / per * light / n; s > best {
+					if s >= 1 {
+						return s
+					}
 					best = s
 				}
 			}

@@ -1,7 +1,6 @@
 package vision
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/raster"
@@ -19,15 +18,7 @@ const (
 	maxProposals = 300 // safety cap for pathological pages
 )
 
-// proposal couples a candidate box with the integral image of its window,
-// so tightening and feature extraction share one table per region instead
-// of re-scanning the window's pixels per statistic.
-type proposal struct {
-	box raster.Rect
-	in  *raster.Integral
-}
-
-// propScratch holds the transient buffers of one proposalsIn call, recycled
+// propScratch holds the transient buffers of one Proposals call, recycled
 // through a pool so steady-state detection does not allocate per page.
 type propScratch struct {
 	occupied []bool
@@ -38,23 +29,19 @@ type propScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(propScratch) }}
 
-// Proposals returns candidate object regions in img, largest first.
+// Proposals returns candidate object regions in img, each tightened to its
+// content, largest first. Tightening removes the cell-granularity margins
+// the coarse grid introduces, so detection features align with the
+// exact-box features the detector trained on. It reads the box's pixels
+// directly, and every feature reads only pixels inside the tight box, so
+// Detect builds each proposal's integral over that box alone.
 func Proposals(img *raster.Image) []raster.Rect {
-	props := proposalsIn(img)
-	if props == nil {
-		return nil
-	}
-	out := make([]raster.Rect, len(props))
-	for i, p := range props {
-		out[i] = p.box
-		p.in.Release()
-	}
-	return out
+	return proposals(img, (*raster.Image).ContentBoundsIn)
 }
 
-// proposalsIn finds, tightens, filters, and ranks candidate regions,
-// returning each with its window integral for downstream scoring.
-func proposalsIn(img *raster.Image) []proposal {
+// proposals finds the connected components of img's content, shrinks each
+// component's box with tighten, and filters and ranks the results.
+func proposals(img *raster.Image, tighten func(*raster.Image, raster.Rect) raster.Rect) []raster.Rect {
 	w, h := img.W, img.H
 	if w == 0 || h == 0 {
 		return nil
@@ -147,68 +134,35 @@ func proposalsIn(img *raster.Image) []proposal {
 			(maxX-minX+1)*dilate, (maxY-minY+1)*dilate,
 		))
 	}
-	// Tighten to content, filter, and clip. Tightening removes the
-	// cell-granularity margins the coarse grid introduces, so detection
-	// features align with the exact-box features the detector trained on.
-	var out []proposal
+	var out []raster.Rect
 	for _, b := range boxes {
-		b = b.Clip(w, h)
-		in := raster.NewIntegralRegion(img, b)
-		b = tighten(in, b)
+		b = tighten(img, b) // never empty: b holds a non-white cell
 		if b.W < minPropW || b.H < minPropH || b.Area() > w*h*9/10 {
 			// Too small to classify, or a whole-page blob with no
 			// localization signal.
-			in.Release()
 			continue
 		}
-		out = append(out, proposal{box: b, in: in})
+		out = append(out, b)
 	}
 	// Stable insertion sort by descending area: proposal counts are small
 	// and this avoids the per-call closure and swapper allocations of the
 	// reflection-based sort.
 	for i := 1; i < len(out); i++ {
-		p := out[i]
+		b := out[i]
 		j := i - 1
-		for j >= 0 && out[j].box.Area() < p.box.Area() {
+		for j >= 0 && out[j].Area() < b.Area() {
 			out[j+1] = out[j]
 			j--
 		}
-		out[j+1] = p
+		out[j+1] = b
 	}
 	if len(out) > maxProposals {
-		for _, p := range out[maxProposals:] {
-			p.in.Release()
-		}
 		out = out[:maxProposals]
 	}
 	// Return the grown scratch buffers to the pool (out escapes; the rest
 	// do not outlive this call).
 	s.boxes, s.queue = boxes[:0], queue[:0]
 	return out
-}
-
-// tighten shrinks box to the bounding rectangle of its non-white pixels,
-// binary-searching prefix counts on the integral image instead of scanning
-// the box's pixels: O(log) queries per edge rather than O(area).
-func tighten(in *raster.Integral, box raster.Rect) raster.Rect {
-	if in.NonWhiteCount(box) == 0 {
-		return box // no content: keep as-is
-	}
-	// minX: smallest x whose prefix [box.X, x] contains content.
-	minX := box.X + sort.Search(box.W, func(i int) bool {
-		return in.NonWhiteCount(raster.R(box.X, box.Y, i+1, box.H)) > 0
-	})
-	// maxX: largest x whose suffix [x, end) contains content.
-	maxX := box.X + box.W - 1 - sort.Search(box.W, func(i int) bool {
-		return in.NonWhiteCount(raster.R(box.X+box.W-1-i, box.Y, i+1, box.H)) > 0
-	})
-	minY := box.Y + sort.Search(box.H, func(i int) bool {
-		return in.NonWhiteCount(raster.R(box.X, box.Y, box.W, i+1)) > 0
-	})
-	maxY := box.Y + box.H - 1 - sort.Search(box.H, func(i int) bool {
-		return in.NonWhiteCount(raster.R(box.X, box.Y+box.H-1-i, box.W, i+1)) > 0
-	})
-	return raster.R(minX, minY, maxX-minX+1, maxY-minY+1)
 }
 
 // NonMaxSuppression removes detections that overlap a higher-scoring

@@ -17,7 +17,9 @@ import (
 	"repro/internal/raster"
 )
 
-const thumbW, thumbH = 16, 16
+// The thumbnail has the perceptual hash's rows, so one pass over a region
+// serves both grids.
+const thumbW, thumbH = 16, phash.GridH
 
 // Embedding is the visual feature representation of a screenshot.
 type Embedding struct {
@@ -34,13 +36,40 @@ func Embed(img *raster.Image) Embedding {
 	return embedRegion(img, raster.R(0, 0, img.W, img.H))
 }
 
-// embedRegion embeds the pixels inside r, clipped to img, from one pass of
-// thumbnail cell counts plus the region's perceptual hash.
+// embedRegion embeds the pixels inside r, clipped to img. A region at least
+// phash.GridW pixels wide is counted in one pass: no cells of either grid
+// share pixels there, so a grid cut at the union of the hash's and the
+// thumbnail's column bounds sums into both. A narrower region has cells that
+// share pixels and takes one pass per grid.
 func embedRegion(img *raster.Image, r raster.Rect) Embedding {
-	e := Embedding{PHash: phash.ComputeRegion(img, r), Thumb: make([]raster.Color, thumbW*thumbH)}
-	cells := img.CellCounts(r, thumbW, thumbH)
-	var hist raster.Counts
+	e := Embedding{Thumb: make([]raster.Color, thumbW*thumbH)}
 	r = r.Clip(img.W, img.H)
+	var cells []raster.Counts
+	if r.W >= phash.GridW && r.H > 0 {
+		var hash [phash.GridW * phash.GridH]raster.Counts
+		cells = make([]raster.Counts, thumbW*thumbH)
+		cuts := unionCuts(r.W)
+		fine := img.CellCountsCut(r, cuts, thumbH)
+		n := len(cuts) - 1
+		hx, tx := 0, 0
+		for j := 0; j < n; j++ {
+			for (hx+1)*r.W/phash.GridW <= cuts[j] {
+				hx++
+			}
+			for (tx+1)*r.W/thumbW <= cuts[j] {
+				tx++
+			}
+			for gy := 0; gy < thumbH; gy++ {
+				add(&hash[gy*phash.GridW+hx], &fine[gy*n+j])
+				add(&cells[gy*thumbW+tx], &fine[gy*n+j])
+			}
+		}
+		e.PHash = phash.FromCells(hash[:])
+	} else {
+		e.PHash = phash.ComputeRegion(img, r)
+		cells = img.CellCounts(r, thumbW, thumbH)
+	}
+	var hist raster.Counts
 	if r.W >= thumbW && r.H >= thumbH {
 		// The cells tile the region: their counts add up to its histogram.
 		for _, cell := range cells {
@@ -65,6 +94,38 @@ func embedRegion(img *raster.Image, r raster.Rect) Embedding {
 		}
 	}
 	return e
+}
+
+// unionCuts returns the column bounds, relative to a region w pixels wide,
+// of both the hash's phash.GridW columns and the thumbnail's thumbW, in
+// ascending order without repeats.
+func unionCuts(w int) []int {
+	cuts := make([]int, 0, phash.GridW+thumbW+2)
+	for i, j := 0, 0; i <= phash.GridW || j <= thumbW; {
+		a, b := w+1, w+1
+		if i <= phash.GridW {
+			a = i * w / phash.GridW
+		}
+		if j <= thumbW {
+			b = j * w / thumbW
+		}
+		c := min(a, b)
+		if a == c {
+			i++
+		}
+		if b == c {
+			j++
+		}
+		cuts = append(cuts, c)
+	}
+	return cuts
+}
+
+// add adds the counts of b to a.
+func add(a, b *raster.Counts) {
+	for c := range a {
+		a[c] += b[c]
+	}
 }
 
 // Distance returns a dissimilarity in [0, ~2] combining thumbnail layout
