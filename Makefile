@@ -72,11 +72,13 @@ chaos: status-smoke fleet-smoke triage-smoke cloak-smoke
 status-smoke:
 	$(GO) test -run 'StatusSmoke' ./cmd/phishcrawl/...
 
-# Distributed-determinism smoke: a coordinator and two loopback workers
-# crawl the feed as a fleet, one worker is SIGKILLed mid-lease (forcing a
-# lease expiry and re-issue) and a replacement joins mid-run, and the
-# coordinator's merged export must match a single-process run
-# byte-for-byte. See docs/DISTRIBUTED.md.
+# Distributed-determinism smoke: a coordinator and loopback workers crawl
+# the feed as a fleet. The first worker runs alone with
+# PHISHCRAWL_CRASH_AFTER=20 and SIGKILLs itself after its 20th journaled
+# session, inside its first 60-site lease (forcing a lease expiry and
+# re-issue); two more workers then crawl the rest, and the coordinator's
+# merged export must match a single-process run byte-for-byte. See
+# docs/DISTRIBUTED.md.
 fleet-smoke:
 	$(GO) test -run 'FleetSmoke' ./cmd/phishcrawl/...
 
@@ -101,11 +103,15 @@ cloak-smoke:
 # round-trips, CRC mismatch detection, hostile length prefixes), the
 # raster cell-count kernel under the perceptual hash and visual embedding
 # (equal to the per-pixel reference loops on random images and regions),
-# and the detector's features, proposals and detections (equal to the
-# unpruned checkbox search and integral tightening they replaced).
+# the PXI image decoder (no panic on hostile data, equal to a per-pixel
+# reference decoder, Decode(Encode(img)) round-trips), and the detector's
+# features, proposals and detections (equal to the cell-by-cell labeling,
+# the 3-lane summed-area features and the unpruned checkbox search they
+# replaced).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=15s ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzCellCounts -fuzztime=15s ./internal/raster
+	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=15s ./internal/raster
 	$(GO) test -run='^$$' -fuzz=FuzzFeatures -fuzztime=15s ./internal/vision
 
 # Hot-path microbenchmarks: the detector pass (BenchmarkDetect on one

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // parseCloakBanner parses the "Cloak: ..." line from a run's output.
@@ -126,50 +125,14 @@ func TestCloakSmoke(t *testing.T) {
 		t.Fatalf("adaptive loop recovered %d of %d cloaked URLs, want >= 90%%", recovered, len(lost))
 	}
 
-	// Kill/resume leg: journal an adaptive run, SIGKILL it once the journal
-	// holds data, tear the tail mid-record, resume with the same flags, and
+	// Kill/resume leg: journal an adaptive run, let it SIGKILL itself
+	// mid-crawl, tear the tail mid-record, resume with the same flags, and
 	// require the merged export to match the clean run byte-for-byte (the
 	// journal's run manifest, which pins the cloak options, must match
 	// this run's).
 	jdir := filepath.Join(dir, "journal")
 	jargs := append(append([]string{}, args...), "-cloak-retries", "5", "-workers", "30", "-journal", jdir, "-journal-sync", "group")
-	cmd := exec.Command(bin, jargs...)
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(90 * time.Second)
-	for {
-		var total int64
-		for _, seg := range segmentFiles(jdir) {
-			if fi, err := os.Stat(seg); err == nil {
-				total += fi.Size()
-			}
-		}
-		if total > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			cmd.Wait()
-			t.Fatal("journal never grew; crawl did not start?")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	cmd.Wait()
-
-	segs := segmentFiles(jdir)
-	if len(segs) == 0 {
-		t.Fatal("no journal segments after kill")
-	}
-	last := segs[len(segs)-1]
-	if fi, err := os.Stat(last); err == nil && fi.Size() > 1 {
-		if err := os.Truncate(last, fi.Size()-1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	crashJournaled(t, bin, jargs, jdir, 40)
 
 	resumed := filepath.Join(dir, "adaptive-resumed.jsonl")
 	out := run("-cloak-retries", "5", "-workers", "30", "-journal", jdir, "-resume", "-o", resumed)

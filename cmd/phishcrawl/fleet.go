@@ -130,7 +130,7 @@ func runWorkerMode(opts core.Options, fl fleetCLI) {
 			mon.SetTotal(l.End - l.Start)
 			leaseMon.Store(mon)
 			p.Monitor = mon
-			j, err := journal.Open(dir, journal.Options{Sync: policy})
+			j, err := journal.Open(dir, journal.Options{Sync: policy, AfterSession: crashAfter})
 			if err != nil {
 				return farm.Stats{}, err
 			}

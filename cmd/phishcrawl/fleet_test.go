@@ -1,36 +1,24 @@
 package main
 
 import (
-	"encoding/json"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
-	"repro/internal/fleet"
+	"repro/internal/journal"
 )
 
-// pollFleetStatus fetches the coordinator's /status?format=json view.
-func pollFleetStatus(addr string) (fleet.Status, error) {
-	var st fleet.Status
-	resp, err := http.Get("http://" + addr + fleet.PathStatus + "?format=json")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	return st, err
-}
-
 // TestFleetSmoke is the distributed-determinism smoke run wired into
-// `make fleet-smoke` (and `make chaos`): a coordinator and two workers
-// crawl the feed as a fleet, one worker is SIGKILLed mid-lease (its range
-// must expire and be re-issued) and a replacement joins mid-run, and the
-// coordinator's merged export and per-stage timing table must match a
+// `make fleet-smoke` (and `make chaos`): a first worker SIGKILLs itself
+// after its crashAt-th journaled session, inside its first lease (which
+// must then expire and be re-issued), two more workers crawl the rest, and
+// the coordinator's merged export and per-stage timing table must match a
 // single-process run byte-for-byte — N processes × M workers ≡ 1 × 1.
 func TestFleetSmoke(t *testing.T) {
 	if testing.Short() {
@@ -97,9 +85,10 @@ func TestFleetSmoke(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	startWorker := func(name string) *exec.Cmd {
+	startWorker := func(name string, env ...string) *exec.Cmd {
 		w := exec.Command(bin, append(append([]string{}, args...),
 			"-worker", "-fleet-addr", addr, "-journal", jdir, "-worker-name", name)...)
+		w.Env = append(os.Environ(), env...)
 		out, err := os.Create(filepath.Join(dir, name+".log"))
 		if err != nil {
 			t.Fatal(err)
@@ -112,38 +101,33 @@ func TestFleetSmoke(t *testing.T) {
 		}
 		return w
 	}
-	victim := startWorker("w1")
-	survivor := startWorker("w2")
 
-	// SIGKILL w1 once the coordinator confirms it holds a lease and has
-	// crawled into it — a mid-lease kill, so the range MUST be re-issued.
-	deadline = time.Now().Add(120 * time.Second)
-	for {
-		st, err := pollFleetStatus(addr)
-		if err == nil {
-			killed := false
-			for _, w := range st.Workers {
-				if w.Name == "w1" && w.Lease != "" && w.Done > 0 {
-					t.Logf("killing w1 mid-lease %s (%d sessions in)", w.Lease, w.Done)
-					if err := victim.Process.Kill(); err != nil {
-						t.Fatal(err)
-					}
-					victim.Wait()
-					killed = true
-				}
-			}
-			if killed {
-				break
-			}
-			if st.LeasesDone == st.Leases {
-				t.Fatal("fleet finished before w1 could be killed mid-lease; lower -lease-sites or slow the crawl")
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("w1 never held a lease with progress; coordinator log:\n%s", readCoordLog())
-		}
-		time.Sleep(10 * time.Millisecond)
+	// w1 runs alone and kills itself inside its first 60-site lease, so
+	// the range MUST be re-issued. Its shard journal holds exactly the
+	// sessions appended before the kill.
+	const crashAt = 20
+	victim := startWorker("w1", "PHISHCRAWL_CRASH_AFTER="+strconv.Itoa(crashAt))
+	err = victim.Wait()
+	victimLog, _ := os.ReadFile(filepath.Join(dir, "w1.log"))
+	if ws, ok := victim.ProcessState.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
+		t.Fatalf("w1 exited with %v, want death by SIGKILL:\n%s", err, victimLog)
 	}
+	m := regexp.MustCompile(`crawling lease \d+ \S+ \(attempt 1\) into (\S+)`).FindSubmatch(victimLog)
+	if m == nil {
+		t.Fatalf("w1 never announced its lease:\n%s", victimLog)
+	}
+	shard, err := journal.Open(string(m[1]), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := shard.CompletedCount(); n != crashAt {
+		t.Errorf("w1's shard journal holds %d sessions, want exactly %d", n, crashAt)
+	}
+	if err := shard.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("w1 killed itself after %d sessions of its lease", crashAt)
+	survivor := startWorker("w2")
 
 	// A replacement joins mid-run, like an operator restarting the dead
 	// process.

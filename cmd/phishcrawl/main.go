@@ -333,7 +333,7 @@ func crawlJournaled(p *core.Pipeline, dir string, sample int, resume, compact bo
 	if err != nil {
 		log.Fatal(err)
 	}
-	j, err := journal.Open(dir, journal.Options{Sync: policy})
+	j, err := journal.Open(dir, journal.Options{Sync: policy, AfterSession: crashAfter})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,9 +5,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
-	"time"
 )
 
 // readExport reads an export verbatim. NetLog timestamps come from the
@@ -43,6 +44,34 @@ func segmentFiles(dir string) []string {
 	return segs
 }
 
+// crashJournaled runs phishcrawl with args, which journal into jdir, until
+// it SIGKILLs itself right after its n-th journaled session
+// (PHISHCRAWL_CRASH_AFTER), mid-crawl. It then tears the tail of the last
+// segment by one byte, simulating a crash mid-append: the resume must
+// truncate the torn record and re-crawl its URL.
+func crashJournaled(t *testing.T, bin string, args []string, jdir string, n int) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), "PHISHCRAWL_CRASH_AFTER="+strconv.Itoa(n))
+	out, err := cmd.CombinedOutput()
+	if cmd.ProcessState == nil {
+		t.Fatal(err)
+	}
+	if ws, ok := cmd.ProcessState.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
+		t.Fatalf("journaled crawl exited with %v, want death by SIGKILL after %d sessions:\n%s", err, n, out)
+	}
+	segs := segmentFiles(jdir)
+	if len(segs) == 0 {
+		t.Fatal("no journal segments after kill")
+	}
+	last := segs[len(segs)-1]
+	if fi, err := os.Stat(last); err == nil && fi.Size() > 1 {
+		if err := os.Truncate(last, fi.Size()-1); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestKillResumeSmoke is the crash-recovery smoke run wired into `make
 // chaos`: crawl with a journal, SIGKILL the process mid-crawl, tear the
 // journal's tail mid-record, resume with -resume, and require the resumed
@@ -70,53 +99,15 @@ func TestKillResumeSmoke(t *testing.T) {
 	clean := filepath.Join(dir, "clean.jsonl")
 	cleanOut := run("-o", clean)
 
-	// Interrupted run: SIGKILL as soon as the journal holds data, which is
-	// mid-crawl (sessions stream into the journal as they complete). The
-	// interrupted leg runs under -journal-sync group, so the kill lands on
-	// the group-commit path: the crash may only lose the unacknowledged
-	// batch, and the resume below must still reproduce the clean run
-	// byte-for-byte. (The pipeline pools session graphs by default, so this
-	// pin also covers pooling across a kill/resume boundary.)
+	// Interrupted run: the crawl SIGKILLs itself after its 50th journaled
+	// session, mid-crawl, and the tail is torn. The interrupted leg runs
+	// under -journal-sync group, so the kill lands on the group-commit
+	// path: the crash may only lose the unacknowledged batch, and the
+	// resume below must still reproduce the clean run byte-for-byte. (The
+	// pipeline pools session graphs by default, so this pin also covers
+	// pooling across a kill/resume boundary.)
 	jdir := filepath.Join(dir, "journal")
-	cmd := exec.Command(bin, append(append([]string{}, args...), "-journal", jdir, "-journal-sync", "group")...)
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(90 * time.Second)
-	for {
-		var total int64
-		for _, seg := range segmentFiles(jdir) {
-			if fi, err := os.Stat(seg); err == nil {
-				total += fi.Size()
-			}
-		}
-		if total > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			cmd.Wait()
-			t.Fatal("journal never grew; crawl did not start?")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	cmd.Wait() // expected to report the kill; the journal is what matters
-
-	// Tear the tail: chop one byte off the last segment, simulating a crash
-	// mid-append. Resume must truncate the torn record and re-crawl its URL.
-	segs := segmentFiles(jdir)
-	if len(segs) == 0 {
-		t.Fatal("no journal segments after kill")
-	}
-	last := segs[len(segs)-1]
-	if fi, err := os.Stat(last); err == nil && fi.Size() > 1 {
-		if err := os.Truncate(last, fi.Size()-1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	crashJournaled(t, bin, append(append([]string{}, args...), "-journal", jdir, "-journal-sync", "group"), jdir, 50)
 
 	// Resume and export the merged view.
 	resumed := filepath.Join(dir, "resumed.jsonl")

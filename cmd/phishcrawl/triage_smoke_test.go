@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // triageFunnel parses the "Triage: ..." banner from a run's output.
@@ -150,50 +149,14 @@ func TestTriageSmoke(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Kill/resume leg: journal a triage run, SIGKILL it once the journal
-	// holds data, tear the tail mid-record, resume with the same triage
+	// Kill/resume leg: journal a triage run, let it SIGKILL itself
+	// mid-crawl, tear the tail mid-record, resume with the same triage
 	// flags, and require the merged export to match the clean triage run
 	// byte-for-byte (the journal's run manifest, which pins the triage
 	// options, must match this run's).
 	jdir := filepath.Join(dir, "journal")
 	jargs := append(append([]string{}, args...), "-triage", "-workers", "30", "-journal", jdir, "-journal-sync", "group")
-	cmd := exec.Command(bin, jargs...)
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(90 * time.Second)
-	for {
-		var total int64
-		for _, seg := range segmentFiles(jdir) {
-			if fi, err := os.Stat(seg); err == nil {
-				total += fi.Size()
-			}
-		}
-		if total > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			cmd.Wait()
-			t.Fatal("journal never grew; crawl did not start?")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	cmd.Wait()
-
-	segs := segmentFiles(jdir)
-	if len(segs) == 0 {
-		t.Fatal("no journal segments after kill")
-	}
-	last := segs[len(segs)-1]
-	if fi, err := os.Stat(last); err == nil && fi.Size() > 1 {
-		if err := os.Truncate(last, fi.Size()-1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	crashJournaled(t, bin, jargs, jdir, 60)
 
 	resumed := filepath.Join(dir, "triage-resumed.jsonl")
 	out := run("-triage", "-workers", "30", "-journal", jdir, "-resume", "-o", resumed)

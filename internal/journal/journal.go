@@ -69,6 +69,12 @@ type Options struct {
 	// many session appends (default 256). The checkpoint is an
 	// optimization only — recovery never trusts it past the data.
 	CheckpointEvery int
+	// AfterSession, when set, is called at the end of every AppendSession
+	// that succeeded, before it returns. Under every policy but SyncGroup
+	// it runs under the journal's write lock, so no other append lands
+	// between the call and its record; crash tests use it to kill the
+	// process at an exact record count.
+	AfterSession func()
 }
 
 func (o Options) withDefaults() Options {
@@ -405,7 +411,11 @@ func (j *Journal) AppendSession(lg *crawler.SessionLog) error {
 		return fmt.Errorf("journal: encoding session: %w", err)
 	}
 	if j.opts.Sync == SyncGroup {
-		return j.appendGroup(KindSession, payload, lg.SeedURL)
+		if err := j.appendGroup(KindSession, payload, lg.SeedURL); err != nil {
+			return err
+		}
+		j.afterSession()
+		return nil
 	}
 	//phishvet:ignore locknoblock: j.mu is the WAL's write order — the append and its fsync must be serialized against every other writer
 	j.mu.Lock()
@@ -417,9 +427,18 @@ func (j *Journal) AppendSession(lg *crawler.SessionLog) error {
 	j.completed[lg.SeedURL] = seq
 	j.dirtyCkpt++
 	if j.dirtyCkpt >= j.opts.CheckpointEvery {
-		return j.writeCheckpointLocked()
+		if err := j.writeCheckpointLocked(); err != nil {
+			return err
+		}
 	}
+	j.afterSession()
 	return nil
+}
+
+func (j *Journal) afterSession() {
+	if j.opts.AfterSession != nil {
+		j.opts.AfterSession()
+	}
 }
 
 // BindRun ties the journal to one run configuration, given as the run

@@ -379,3 +379,22 @@ func TestBindRunPolicy(t *testing.T) {
 		t.Fatalf("sessions without a run record: err = %v, want a refusal", err)
 	}
 }
+
+// TestAfterSessionCountsAppends checks the crash-test hook: it runs once
+// per successful session append, before the append returns, under the
+// serial and the group-commit policies.
+func TestAfterSessionCountsAppends(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncGroup} {
+		calls := 0
+		j := mustOpen(t, t.TempDir(), Options{Sync: policy, AfterSession: func() { calls++ }})
+		for i := 0; i < 5; i++ {
+			appendN(t, j, 1, i)
+			if calls != i+1 {
+				t.Errorf("policy %v: hook ran %d times after %d appends", policy, calls, i+1)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

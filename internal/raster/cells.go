@@ -80,7 +80,7 @@ func (im *Image) CellCountsCut(r Rect, cuts []int, gh int) []Counts {
 func (im *Image) cellCounts(r Rect, xs [][2]int, gh int) []Counts {
 	gw := len(xs)
 	cells := make([]Counts, gw*gh)
-	pix := pixBytes(im.Pix)
+	pix := im.Bytes()
 	line := func(y int) []byte { return pix[y*im.W+r.X : y*im.W+r.X+r.W] }
 	for gy := 0; gy < gh; gy++ {
 		y0, y1 := cellSpan(gy, r.H, gh)
@@ -116,7 +116,7 @@ func cellSpan(i, n, g int) (lo, hi int) {
 func countRuns(c *Counts, s []byte, m int32) {
 	for i := 0; i < len(s); {
 		p := s[i]
-		j := runEnd(s, i+1, p)
+		j := RunEnd(s, i+1, p)
 		if p >= byte(NumColors) {
 			p = byte(White)
 		}
@@ -125,9 +125,9 @@ func countRuns(c *Counts, s []byte, m int32) {
 	}
 }
 
-// runEnd returns the index of the first byte at or after i that is not p,
+// RunEnd returns the index of the first byte at or after i that is not p,
 // or len(s), comparing eight bytes at a time.
-func runEnd(s []byte, i int, p byte) int {
+func RunEnd(s []byte, i int, p byte) int {
 	pat := uint64(p) * 0x0101010101010101
 	for ; i+8 <= len(s); i += 8 {
 		if d := binary.LittleEndian.Uint64(s[i:]) ^ pat; d != 0 {
@@ -155,7 +155,7 @@ func (im *Image) ContentBoundsIn(r Rect) Rect {
 	if r.Empty() {
 		return Rect{}
 	}
-	pix := pixBytes(im.Pix)
+	pix := im.Bytes()
 	line := func(y int) []byte { return pix[y*im.W+r.X : y*im.W+r.X+r.W] }
 	top := r.Y
 	for top < r.Y+r.H && allWhite(line(top)) {
@@ -201,8 +201,9 @@ func allWhite(row []byte) bool {
 	return bytes.Equal(row, whiteRow[:len(row)])
 }
 
-// pixBytes views pixels as bytes (Color is a uint8), so rows compare with
-// bytes.Equal.
-func pixBytes(p []Color) []byte {
-	return unsafe.Slice((*byte)(unsafe.SliceData(p)), len(p))
+// Bytes views the image's pixels as bytes (Color is a uint8), so rows
+// compare with bytes.Equal and scan a word at a time. Writes through the
+// view change the image.
+func (im *Image) Bytes() []byte {
+	return unsafe.Slice((*byte)(unsafe.SliceData(im.Pix)), len(im.Pix))
 }

@@ -41,7 +41,9 @@ func Encode(im *Image) []byte {
 
 // Decode parses PXI data back into an Image. A color byte outside the
 // palette is malformed: every consumer of a screenshot indexes palette
-// tables by pixel value.
+// tables by pixel value. Each run covers at most 255 pixels, so a header
+// declaring more pixels than the data could cover is refused before the
+// image is allocated.
 func Decode(data []byte) (*Image, error) {
 	if len(data) < 12 || [4]byte(data[0:4]) != pxiMagic {
 		return nil, ErrBadImage
@@ -50,6 +52,9 @@ func Decode(data []byte) (*Image, error) {
 	h := int(binary.BigEndian.Uint32(data[8:12]))
 	if w <= 0 || h <= 0 || w > 1<<14 || h > 1<<14 {
 		return nil, fmt.Errorf("%w: bad dimensions %dx%d", ErrBadImage, w, h)
+	}
+	if w*h > 255*((len(data)-12)/2) {
+		return nil, fmt.Errorf("%w: short pixel data (%d bytes for %dx%d)", ErrBadImage, len(data)-12, w, h)
 	}
 	im := New(w, h, White)
 	pos := 0
@@ -62,8 +67,11 @@ func Decode(data []byte) (*Image, error) {
 		if pos+run > len(im.Pix) {
 			return nil, fmt.Errorf("%w: overflow at offset %d", ErrBadImage, i)
 		}
-		for j := 0; j < run; j++ {
-			im.Pix[pos+j] = c
+		if c != White { // New zero-filled the image, and White is zero
+			px := im.Pix[pos : pos+run]
+			for j := range px {
+				px[j] = c
+			}
 		}
 		pos += run
 	}

@@ -3,53 +3,51 @@ package raster
 import "sync"
 
 // Integral is a summed-area table (integral image) over a rectangular
-// region of an Image, turning the per-window statistics the vision layer
-// queries repeatedly — non-background coverage, ink coverage, and light
-// coverage — into O(1) lookups per window.
+// region of an Image, with two lanes — non-background pixels and light
+// pixels — so that any window's counts are O(1) lookups.
 //
-// An Integral can cover the whole image (NewIntegral) or just one window
-// of it (NewIntegralRegion). The detector builds one Integral per proposal,
-// over the box already tightened to its content, and shares it across the
-// grid/border scores (one query per row, column, or strip) and the checkbox
-// search (one query per row band, then the interior's light count and the
-// four outline strips of the candidate squares that could still win, read
-// unclipped with NonWhiteIn and LightIn). Screenshots are mostly
-// background, so region tables touch far fewer pixels than a whole-page
-// table would.
+// The detector's checkbox search is its one caller: it scores many small
+// candidate squares in the left third of a proposal box, reading each row
+// band's non-white count, then the interior's light count and the four
+// outline strips of the squares that could still win. Every other feature
+// reads whole rows, columns or the whole box, which one streaming pass over
+// the box serves without a table.
 //
-// Only the three statistics that are queried many times per window get
-// prefix-sum lanes; one-shot whole-window statistics (the color histogram
-// and the transition counts) are served by Stats, a single streaming pass
-// over the region's pixels, which is cheaper than maintaining a lane per
-// palette color.
-//
-// Storage is a single (W+1) x (H+1) x 3 prefix-sum grid, interleaved by
+// Storage is a single (W+1) x (H+1) x 2 prefix-sum grid, interleaved by
 // lane so the build is one streaming pass. Tables are recycled through a
 // sync.Pool: call Release when done with an Integral to make its buffer
 // available for reuse and keep steady-state detection allocation-free.
 type Integral struct {
 	// Region is the pixel rectangle the table covers (clipped to the
-	// image). Queries are clipped to it.
+	// image). Windows read from it must lie inside it.
 	Region Rect
 
-	im   *Image
 	data []int32
 }
 
 // Lane positions inside the interleaved prefix-sum grid.
 const (
 	laneNonWhite = 0
-	laneInk      = 1
-	laneLight    = 2
-	intLanes     = 3
+	laneLight    = 1
+	intLanes     = 2
 )
 
 var integralPool = sync.Pool{New: func() any { return new(Integral) }}
 
-// NewIntegral builds the summed-area table for the whole image.
-func NewIntegral(im *Image) *Integral {
-	return NewIntegralRegion(im, R(0, 0, im.W, im.H))
-}
+// nonWhiteLight holds each pixel byte's increments of the two lanes. A
+// byte outside the palette reads as blank (intensity 255): light, and not
+// non-white.
+var nonWhiteLight = func() (t [256][2]uint8) {
+	for px := range t {
+		if px < int(NumColors) && px != int(White) {
+			t[px][0] = 1
+		}
+		if ColorIntensity(Color(px)) >= 200 {
+			t[px][1] = 1
+		}
+	}
+	return t
+}()
 
 // NewIntegralRegion builds a summed-area table covering only r (clipped to
 // the image), in one O(r.Area()) pass. The table comes from a pool; pass it
@@ -58,7 +56,6 @@ func NewIntegralRegion(im *Image, r Rect) *Integral {
 	r = r.Clip(im.W, im.H)
 	in := integralPool.Get().(*Integral)
 	in.Region = r
-	in.im = im
 	stride := (r.W + 1) * intLanes
 	n := stride * (r.H + 1)
 	if cap(in.data) < n {
@@ -67,14 +64,11 @@ func NewIntegralRegion(im *Image, r Rect) *Integral {
 		// The build pass writes every interior cell but relies on the top
 		// row and left column staying zero; clear just those on reuse.
 		in.data = in.data[:n]
-		for i := 0; i < stride; i++ {
-			in.data[i] = 0
-		}
+		clear(in.data[:stride])
 		for y := 1; y <= r.H; y++ {
 			base := y * stride
 			in.data[base] = 0
 			in.data[base+1] = 0
-			in.data[base+2] = 0
 		}
 	}
 	if r.Empty() {
@@ -84,29 +78,16 @@ func NewIntegralRegion(im *Image, r Rect) *Integral {
 	for iy := 1; iy <= r.H; iy++ {
 		y := r.Y + iy - 1
 		row := im.Pix[y*im.W+r.X : y*im.W+r.X+r.W]
-		var nw, ink, light int32
+		var nw, light int32
 		rowBase := iy * stride
 		prevBase := rowBase - stride
 		for x, px := range row {
-			if px < NumColors {
-				iv := intensity[px]
-				if px != White {
-					nw++
-				}
-				if iv < 128 {
-					ink++
-				}
-				if iv >= 200 {
-					light++
-				}
-			} else {
-				light++ // out-of-palette reads as blank (intensity 255)
-			}
+			nw += int32(nonWhiteLight[px][0])
+			light += int32(nonWhiteLight[px][1])
 			o := rowBase + (x+1)*intLanes
 			p := prevBase + (x+1)*intLanes
 			d[o] = d[p] + nw
-			d[o+1] = d[p+1] + ink
-			d[o+2] = d[p+2] + light
+			d[o+1] = d[p+1] + light
 		}
 	}
 	return in
@@ -116,12 +97,11 @@ func NewIntegralRegion(im *Image, r Rect) *Integral {
 // used afterwards. Calling Release is optional — an unreleased table is
 // simply collected by the GC.
 func (in *Integral) Release() {
-	in.im = nil
 	integralPool.Put(in)
 }
 
-// sumLane evaluates one lane over r, which must already be clipped to the
-// covered region.
+// sumLane evaluates one lane over r, which must lie inside the covered
+// region.
 func (in *Integral) sumLane(lane int, r Rect) int {
 	s := (in.Region.W + 1) * intLanes
 	x0, y0 := r.X-in.Region.X, r.Y-in.Region.Y
@@ -131,63 +111,13 @@ func (in *Integral) sumLane(lane int, r Rect) int {
 		d[y1*s+x0*intLanes+lane] + d[y0*s+x0*intLanes+lane])
 }
 
-// NonWhiteCount returns the number of non-background pixels inside r.
-func (in *Integral) NonWhiteCount(r Rect) int {
-	r = r.Intersect(in.Region)
-	if r.Empty() {
-		return 0
-	}
-	return in.sumLane(laneNonWhite, r)
-}
-
-// InkCount returns the number of dark pixels (Intensity < 128) inside r —
-// the OCR "ink" rule.
-func (in *Integral) InkCount(r Rect) int {
-	r = r.Intersect(in.Region)
-	if r.Empty() {
-		return 0
-	}
-	return in.sumLane(laneInk, r)
-}
-
-// NonWhiteIn is NonWhiteCount without the clipping, for inner loops whose
-// windows are known to lie inside Region. A window reaching outside Region
-// reads wrong counts or panics.
+// NonWhiteIn returns the number of non-background pixels (palette colors
+// other than White) inside r, which must lie inside Region: the read does
+// not clip, and a window reaching outside Region reads wrong counts or
+// panics.
 func (in *Integral) NonWhiteIn(r Rect) int { return in.sumLane(laneNonWhite, r) }
 
 // LightIn returns the number of light pixels (Intensity >= 200, the white
 // background included) inside r, which must lie inside Region: like
 // NonWhiteIn it does not clip.
 func (in *Integral) LightIn(r Rect) int { return in.sumLane(laneLight, r) }
-
-// Stats scans r directly (one O(r.Area()) pass over the source image) and
-// returns its per-color histogram and the counts of horizontally and
-// vertically adjacent pixel pairs inside r whose colors differ. These are
-// whole-window statistics computed once per feature vector, so a streaming
-// scan beats carrying a prefix-sum lane per palette color.
-func (in *Integral) Stats(r Rect) (hist [NumColors]int, hTrans, vTrans int) {
-	r = r.Intersect(in.Region)
-	if r.Empty() {
-		return
-	}
-	im := in.im
-	for y := r.Y; y < r.Y+r.H; y++ {
-		row := im.Pix[y*im.W+r.X : y*im.W+r.X+r.W]
-		var prevRow []Color
-		if y > r.Y {
-			prevRow = im.Pix[(y-1)*im.W+r.X : (y-1)*im.W+r.X+r.W]
-		}
-		for x, px := range row {
-			if px < NumColors {
-				hist[px]++
-			}
-			if x > 0 && px != row[x-1] {
-				hTrans++
-			}
-			if prevRow != nil && px != prevRow[x] {
-				vTrans++
-			}
-		}
-	}
-	return
-}

@@ -17,61 +17,38 @@ func randomImage(rng *rand.Rand, w, h int) *Image {
 	return img
 }
 
-// brute-force reference statistics for one window.
-func bruteStats(img *Image, r Rect) (hist [NumColors]int, ink, light, nonWhite, hTrans, vTrans int) {
-	r = r.Clip(img.W, img.H)
+// bruteCounts counts one window's non-white and light pixels directly.
+func bruteCounts(img *Image, r Rect) (nonWhite, light int) {
 	for y := r.Y; y < r.Y+r.H; y++ {
 		for x := r.X; x < r.X+r.W; x++ {
-			c := img.At(x, y)
-			hist[c]++
-			if c != White {
+			if c := img.At(x, y); c < NumColors && c != White {
 				nonWhite++
-			}
-			if img.Intensity(x, y) < 128 {
-				ink++
 			}
 			if img.Intensity(x, y) >= 200 {
 				light++
-			}
-			if x > r.X && c != img.At(x-1, y) {
-				hTrans++
-			}
-			if y > r.Y && c != img.At(x, y-1) {
-				vTrans++
 			}
 		}
 	}
 	return
 }
 
+// checkWindows compares the table's counts with the brute-force ones on
+// random windows inside its region.
 func checkWindows(t *testing.T, img *Image, in *Integral, rng *rand.Rand, queries int) {
 	t.Helper()
-	w, h := img.W, img.H
+	reg := in.Region
+	if reg.Empty() {
+		return
+	}
 	for q := 0; q < queries; q++ {
-		// Random windows, including ones hanging off the image edges.
-		r := R(rng.Intn(w+10)-5, rng.Intn(h+10)-5, 1+rng.Intn(w), 1+rng.Intn(h))
-		hist, ink, light, nonWhite, hT, vT := bruteStats(img, r)
-		if got := in.InkCount(r); got != ink {
-			t.Fatalf("InkCount(%v) = %d, want %d", r, got, ink)
+		x, y := reg.X+rng.Intn(reg.W), reg.Y+rng.Intn(reg.H)
+		r := R(x, y, 1+rng.Intn(reg.X+reg.W-x), 1+rng.Intn(reg.Y+reg.H-y))
+		nonWhite, light := bruteCounts(img, r)
+		if got := in.NonWhiteIn(r); got != nonWhite {
+			t.Fatalf("region %v: NonWhiteIn(%v) = %d, want %d", reg, r, got, nonWhite)
 		}
-		if got := in.NonWhiteCount(r); got != nonWhite {
-			t.Fatalf("NonWhiteCount(%v) = %d, want %d", r, got, nonWhite)
-		}
-		// The unclipped readers take the window clipped to the table.
-		if c := r.Intersect(in.Region); !c.Empty() {
-			if got := in.LightIn(c); got != light {
-				t.Fatalf("LightIn(%v) = %d, want %d", c, got, light)
-			}
-			if got := in.NonWhiteIn(c); got != nonWhite {
-				t.Fatalf("NonWhiteIn(%v) = %d, want %d", c, got, nonWhite)
-			}
-		}
-		gotHist, gotH, gotV := in.Stats(r)
-		if gotHist != hist {
-			t.Fatalf("Stats(%v) hist = %v, want %v", r, gotHist, hist)
-		}
-		if gotH != hT || gotV != vT {
-			t.Fatalf("Stats(%v) trans = (%d, %d), want (%d, %d)", r, gotH, gotV, hT, vT)
+		if got := in.LightIn(r); got != light {
+			t.Fatalf("region %v: LightIn(%v) = %d, want %d", reg, r, got, light)
 		}
 	}
 }
@@ -81,36 +58,27 @@ func TestIntegralMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		w, h := 8+rng.Intn(120), 8+rng.Intn(90)
 		img := randomImage(rng, w, h)
-		in := NewIntegral(img)
+		in := NewIntegralRegion(img, R(0, 0, w, h))
 		checkWindows(t, img, in, rng, 40)
 		in.Release()
 	}
 }
 
-// TestIntegralRegionMatchesBruteForce builds region-scoped tables and checks
-// queries both inside and partially outside the covered region (the latter
-// must clip to the region).
+// TestIntegralRegionMatchesBruteForce builds tables over regions reaching
+// past the image's edges (clipped to it), with an out-of-palette pixel,
+// which reads as light and not as non-white.
 func TestIntegralRegionMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
 		w, h := 16+rng.Intn(100), 16+rng.Intn(80)
 		img := randomImage(rng, w, h)
-		region := R(rng.Intn(w-8), rng.Intn(h-8), 8+rng.Intn(w), 8+rng.Intn(h)).Clip(w, h)
+		img.Pix[rng.Intn(len(img.Pix))] = NumColors + 3
+		region := R(rng.Intn(w-8), rng.Intn(h-8), 8+rng.Intn(w), 8+rng.Intn(h))
 		in := NewIntegralRegion(img, region)
-		for q := 0; q < 30; q++ {
-			sub := R(region.X+rng.Intn(region.W)-2, region.Y+rng.Intn(region.H)-2,
-				1+rng.Intn(region.W+4), 1+rng.Intn(region.H+4))
-			want := sub.Intersect(region)
-			_, _, _, nonWhite, _, _ := bruteStats(img, want)
-			if got := in.NonWhiteCount(sub); got != nonWhite {
-				t.Fatalf("region %v: NonWhiteCount(%v) = %d, want %d", region, sub, got, nonWhite)
-			}
-			hist, _, _ := in.Stats(sub)
-			wantHist, _, _, _, _, _ := bruteStats(img, want)
-			if hist != wantHist {
-				t.Fatalf("region %v: Stats(%v) hist = %v, want %v", region, sub, hist, wantHist)
-			}
+		if want := region.Clip(w, h); in.Region != want {
+			t.Fatalf("Region = %v, want %v", in.Region, want)
 		}
+		checkWindows(t, img, in, rng, 30)
 		in.Release()
 	}
 }
@@ -121,36 +89,31 @@ func TestIntegralRegionMatchesBruteForce(t *testing.T) {
 func TestIntegralPoolReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	big := randomImage(rng, 120, 90)
-	in := NewIntegral(big)
+	in := NewIntegralRegion(big, R(0, 0, 120, 90))
 	checkWindows(t, big, in, rng, 10)
 	in.Release()
 	for trial := 0; trial < 30; trial++ {
 		w, h := 4+rng.Intn(100), 4+rng.Intn(70)
 		img := randomImage(rng, w, h)
-		in := NewIntegral(img)
+		in := NewIntegralRegion(img, R(0, 0, w, h))
 		checkWindows(t, img, in, rng, 10)
 		in.Release()
 	}
 }
 
 func TestIntegralEmptyAndAbsentColor(t *testing.T) {
-	img := New(10, 10, White) // only White present
-	in := NewIntegral(img)
-	hist, _, _ := in.Stats(R(0, 0, 10, 10))
-	if hist[Red] != 0 {
-		t.Errorf("absent color count = %d", hist[Red])
+	img := New(10, 10, White)
+	if in := NewIntegralRegion(img, R(-5, -5, 3, 3)); !in.Region.Empty() {
+		t.Errorf("region off the image = %v, want empty", in.Region)
 	}
-	if hist[White] != 100 {
-		t.Errorf("white count = %d", hist[White])
+	if in := NewIntegralRegion(New(0, 0, White), R(0, 0, 5, 5)); !in.Region.Empty() {
+		t.Errorf("region of an empty image = %v, want empty", in.Region)
 	}
-	if got := in.NonWhiteCount(R(0, 0, 10, 10)); got != 0 {
-		t.Errorf("nonwhite = %d", got)
+	in := NewIntegralRegion(img, R(0, 0, 10, 10))
+	if got := in.NonWhiteIn(R(0, 0, 10, 10)); got != 0 {
+		t.Errorf("nonwhite on a blank image = %d", got)
 	}
-	if got := in.InkCount(R(-5, -5, 3, 3)); got != 0 {
-		t.Errorf("fully out-of-bounds ink = %d", got)
-	}
-	empty := NewIntegral(New(0, 0, White))
-	if got := empty.InkCount(R(0, 0, 5, 5)); got != 0 {
-		t.Errorf("empty image ink = %d", got)
+	if got := in.LightIn(R(2, 3, 4, 5)); got != 20 {
+		t.Errorf("light on a blank image = %d, want 20", got)
 	}
 }

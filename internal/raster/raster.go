@@ -166,12 +166,17 @@ func (im *Image) Outline(r Rect, c Color) {
 }
 
 // Blit copies src onto im with its top-left corner at (x, y), skipping
-// pixels that fall outside im.
+// pixels that fall outside im. The destination is clipped once and each
+// row is copied whole.
 func (im *Image) Blit(src *Image, x, y int) {
-	for sy := 0; sy < src.H; sy++ {
-		for sx := 0; sx < src.W; sx++ {
-			im.Set(x+sx, y+sy, src.Pix[sy*src.W+sx])
-		}
+	dst := R(x, y, src.W, src.H).Clip(im.W, im.H)
+	if dst.Empty() {
+		return
+	}
+	sx, sy := dst.X-x, dst.Y-y
+	for row := 0; row < dst.H; row++ {
+		s := (sy+row)*src.W + sx
+		copy(im.Pix[(dst.Y+row)*im.W+dst.X:][:dst.W], src.Pix[s:s+dst.W])
 	}
 }
 

@@ -1,7 +1,11 @@
 package raster
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -306,6 +310,18 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(data); err == nil {
 		t.Error("out-of-palette color should fail")
 	}
+	// A header declaring 16384x16384 over no pixel data is refused before
+	// the 256 MiB image is allocated.
+	huge := append([]byte("PXI1"), 0, 0, 0x40, 0, 0, 0, 0x40, 0, 1, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Decode(huge); !errors.Is(err, ErrBadImage) {
+		t.Errorf("huge header: err = %v, want ErrBadImage", err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("refusing a huge header allocated %d bytes", n)
+	}
 }
 
 func TestDataURIRoundTrip(t *testing.T) {
@@ -353,4 +369,97 @@ func BenchmarkDrawString(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		im.DrawString("Please enter your email address and password", 10, 10, Black)
 	}
+}
+
+// blitRef is Blit one pixel at a time through Set's bounds check.
+func blitRef(im, src *Image, x, y int) {
+	for sy := 0; sy < src.H; sy++ {
+		for sx := 0; sx < src.W; sx++ {
+			im.Set(x+sx, y+sy, src.Pix[sy*src.W+sx])
+		}
+	}
+}
+
+// TestBlitMatchesPerPixel places sources across every edge and corner of
+// the destination, inside it, covering it, and wholly outside it.
+func TestBlitMatchesPerPixel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dst := New(20, 15, White)
+	for i := range dst.Pix {
+		dst.Pix[i] = Color(rng.Intn(int(NumColors)))
+	}
+	for _, size := range [][2]int{{1, 1}, {6, 4}, {30, 25}, {0, 3}} {
+		src := New(size[0], size[1], White)
+		for i := range src.Pix {
+			src.Pix[i] = Color(rng.Intn(int(NumColors)))
+		}
+		for _, x := range []int{-40, -7, -3, 0, 5, 14, 17, 19, 20, 33} {
+			for _, y := range []int{-40, -5, -2, 0, 4, 10, 13, 14, 15, 30} {
+				got, want := dst.Clone(), dst.Clone()
+				got.Blit(src, x, y)
+				blitRef(want, src, x, y)
+				for i := range want.Pix {
+					if got.Pix[i] != want.Pix[i] {
+						t.Fatalf("%dx%d source at (%d,%d): pixel (%d,%d) = %v, want %v",
+							src.W, src.H, x, y, i%dst.W, i/dst.W, got.Pix[i], want.Pix[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// decodeRef is Decode without the size bound and with every run written
+// one pixel at a time.
+func decodeRef(data []byte) (*Image, bool) {
+	if len(data) < 12 || [4]byte(data[0:4]) != pxiMagic {
+		return nil, false
+	}
+	w := int(binary.BigEndian.Uint32(data[4:8]))
+	h := int(binary.BigEndian.Uint32(data[8:12]))
+	if w <= 0 || h <= 0 || w > 1<<14 || h > 1<<14 {
+		return nil, false
+	}
+	var pix []Color
+	for i := 12; i+1 < len(data); i += 2 {
+		if Color(data[i+1]) >= NumColors || len(pix)+int(data[i]) > w*h {
+			return nil, false
+		}
+		for j := 0; j < int(data[i]); j++ {
+			pix = append(pix, Color(data[i+1]))
+		}
+	}
+	if len(pix) != w*h {
+		return nil, false
+	}
+	return &Image{W: w, H: h, Pix: pix}, true
+}
+
+// FuzzDecode checks that Decode never panics, agrees with the per-pixel
+// reference on which inputs it accepts and on the pixels it returns, and
+// round-trips what Encode writes. The seed corpus in testdata/fuzz holds a
+// header declaring a huge image over a few bytes, an out-of-palette color,
+// runs overflowing the image and runs falling short of it.
+func FuzzDecode(f *testing.F) {
+	f.Add(Encode(New(3, 2, Red)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Decode(data)
+		want, ok := decodeRef(data)
+		if (err == nil) != ok {
+			t.Fatalf("Decode error = %v, reference accepts = %v", err, ok)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadImage) {
+				t.Fatalf("Decode error %v is not ErrBadImage", err)
+			}
+			return
+		}
+		if got.W != want.W || got.H != want.H || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("Decode = %dx%d %v, want %dx%d %v", got.W, got.H, got.Pix, want.W, want.H, want.Pix)
+		}
+		back, err := Decode(Encode(got))
+		if err != nil || back.W != got.W || back.H != got.H || !bytes.Equal(back.Bytes(), got.Bytes()) {
+			t.Fatalf("Decode(Encode(img)) = %v, %v; want the image back", back, err)
+		}
+	})
 }

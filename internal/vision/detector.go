@@ -178,9 +178,9 @@ func (d *Detector) scoreFeatures(f []float64) (string, float64) {
 }
 
 // Detect runs proposal generation, region classification, and per-class
-// non-max suppression over a page screenshot. Each proposal's integral
-// image is built once over its tight box and shared by every feature
-// statistic.
+// non-max suppression over a page screenshot. Each proposal's features read
+// its tight box's pixels in one pass, plus one summed-area table over the
+// left third of a box large enough for the checkbox search.
 func (d *Detector) Detect(img *raster.Image) []Detection {
 	threshold := d.Threshold
 	if threshold <= 0 {
@@ -189,9 +189,7 @@ func (d *Detector) Detect(img *raster.Image) []Detection {
 	var dets []Detection
 	f := make([]float64, FeatureDim)
 	for _, box := range Proposals(img) {
-		in := raster.NewIntegralRegion(img, box)
-		featuresInto(f, in, box)
-		in.Release()
+		featuresInto(f, img, box)
 		class, conf := d.scoreFeatures(f)
 		if class == ClassBackground || conf < threshold {
 			continue

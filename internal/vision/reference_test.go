@@ -2,6 +2,7 @@ package vision
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -9,14 +10,172 @@ import (
 	"repro/internal/raster"
 )
 
-// The reference: how the detector searched for checkboxes and tightened
-// proposals before both skipped work. Every candidate square was scored
-// through clipped integral queries, and every component's cell-aligned box
-// was tightened by binary search on an integral built over that whole box.
-// The exported names serve the corpus test in the external package, which
-// can import pagegen (pagegen imports vision).
+// The reference: how the detector computed features and proposals before
+// each skipped or shared work. Every feature was a query on a 3-lane
+// summed-area table (non-white, ink, light) plus streaming scans for the
+// histogram and transitions; every candidate checkbox square was scored
+// through clipped table queries; proposals marked a cell grid pixel by
+// pixel, labeled it by breadth-first search over 8 neighbors, and tightened
+// each component's cell-aligned box by binary search on a table built over
+// that whole box. The exported names serve the corpus test in the external
+// package, which can import pagegen (pagegen imports vision).
 
-func refCheckboxScore(in *raster.Integral, r raster.Rect) float64 {
+// refIntegral is the 3-lane summed-area table over a region of an image,
+// with a fourth lane for the proposals' occupancy (any byte but White).
+type refIntegral struct {
+	Region raster.Rect
+	im     *raster.Image
+	data   [][4]int32 // (W+1) x (H+1) prefix sums: non-white, ink, light, occupied
+}
+
+func newRefIntegral(im *raster.Image, r raster.Rect) *refIntegral {
+	r = r.Clip(im.W, im.H)
+	in := &refIntegral{Region: r, im: im, data: make([][4]int32, (r.W+1)*(r.H+1))}
+	s := r.W + 1
+	for y := 1; y <= r.H; y++ {
+		for x := 1; x <= r.W; x++ {
+			px := im.Pix[(r.Y+y-1)*im.W+r.X+x-1]
+			iv := raster.ColorIntensity(px) // 255 outside the palette
+			var v [4]int32
+			if px < raster.NumColors && px != raster.White {
+				v[0] = 1
+			}
+			if iv < 128 {
+				v[1] = 1
+			}
+			if iv >= 200 {
+				v[2] = 1
+			}
+			if px != raster.White {
+				v[3] = 1
+			}
+			for l := range v {
+				in.data[y*s+x][l] = v[l] + in.data[(y-1)*s+x][l] + in.data[y*s+x-1][l] - in.data[(y-1)*s+x-1][l]
+			}
+		}
+	}
+	return in
+}
+
+func (in *refIntegral) sum(lane int, r raster.Rect) int {
+	r = r.Intersect(in.Region)
+	if r.Empty() {
+		return 0
+	}
+	s := in.Region.W + 1
+	x0, y0 := r.X-in.Region.X, r.Y-in.Region.Y
+	x1, y1 := x0+r.W, y0+r.H
+	d := in.data
+	return int(d[y1*s+x1][lane] - d[y0*s+x1][lane] - d[y1*s+x0][lane] + d[y0*s+x0][lane])
+}
+
+func (in *refIntegral) NonWhiteCount(r raster.Rect) int { return in.sum(0, r) }
+func (in *refIntegral) InkCount(r raster.Rect) int      { return in.sum(1, r) }
+func (in *refIntegral) LightCount(r raster.Rect) int    { return in.sum(2, r) }
+func (in *refIntegral) Occupied(r raster.Rect) int      { return in.sum(3, r) }
+
+// Stats scans r (clipped) for its palette histogram and the horizontally
+// and vertically adjacent pixel pairs whose colors differ.
+func (in *refIntegral) Stats(r raster.Rect) (hist [raster.NumColors]int, hTrans, vTrans int) {
+	r = r.Intersect(in.Region)
+	im := in.im
+	for y := r.Y; y < r.Y+r.H; y++ {
+		for x := r.X; x < r.X+r.W; x++ {
+			px := im.Pix[y*im.W+x]
+			if px < raster.NumColors {
+				hist[px]++
+			}
+			if x > r.X && px != im.Pix[y*im.W+x-1] {
+				hTrans++
+			}
+			if y > r.Y && px != im.Pix[(y-1)*im.W+x] {
+				vTrans++
+			}
+		}
+	}
+	return
+}
+
+func refFeaturesFrom(in *refIntegral, r raster.Rect) []float64 {
+	f := make([]float64, FeatureDim)
+	r = r.Intersect(in.Region)
+	if r.Empty() {
+		return f
+	}
+	w, h := float64(r.W), float64(r.H)
+	f[0] = math.Log(w)
+	f[1] = math.Log(h)
+	f[2] = w / h
+	area := float64(r.Area())
+	hist, hTrans, vTrans := in.Stats(r)
+	for c, n := range hist {
+		f[3+c] = float64(n) / area
+	}
+	f[19] = float64(in.InkCount(r)) / area
+	f[20] = float64(hTrans) / area
+	f[21] = float64(vTrans) / area
+	f[22] = refGridScoreH(in, r)
+	f[23] = refGridScoreV(in, r)
+	f[24] = refGlyphBandRatio(in, r)
+	f[25] = refBorderScore(in, r)
+	f[26] = refCheckboxScore(in, r)
+	f[27] = refHeaderScore(in, r)
+	return f
+}
+
+func refGridScoreH(in *refIntegral, r raster.Rect) float64 {
+	if r.H < 4 {
+		return 0
+	}
+	lines := 0
+	for y := r.Y + 1; y < r.Y+r.H-1; y++ {
+		nonBG := in.NonWhiteCount(raster.R(r.X+1, y, r.W-2, 1))
+		if float64(nonBG) >= 0.85*float64(r.W-2) {
+			lines++
+		}
+	}
+	return float64(lines) / float64(r.H-2)
+}
+
+func refGridScoreV(in *refIntegral, r raster.Rect) float64 {
+	if r.W < 4 {
+		return 0
+	}
+	lines := 0
+	for x := r.X + 1; x < r.X+r.W-1; x++ {
+		nonBG := in.NonWhiteCount(raster.R(x, r.Y+1, 1, r.H-2))
+		if float64(nonBG) >= 0.85*float64(r.H-2) {
+			lines++
+		}
+	}
+	return float64(lines) / float64(r.W-2)
+}
+
+func refGlyphBandRatio(in *refIntegral, r raster.Rect) float64 {
+	totalInk := in.InkCount(r)
+	if totalInk == 0 {
+		return 0
+	}
+	bandY0 := r.CenterY() - raster.GlyphH
+	bandY1 := r.CenterY() + raster.GlyphH
+	band := r.Intersect(raster.R(r.X, bandY0, r.W, bandY1-bandY0+1))
+	return float64(in.InkCount(band)) / float64(totalInk)
+}
+
+func refBorderScore(in *refIntegral, r raster.Rect) float64 {
+	per := 2*r.W + 2*r.H
+	if per == 0 {
+		return 0
+	}
+	hit := in.NonWhiteCount(raster.R(r.X, r.Y, r.W, 1)) +
+		in.NonWhiteCount(raster.R(r.X, r.Y+r.H-1, r.W, 1)) +
+		in.NonWhiteCount(raster.R(r.X, r.Y, 1, r.H)) +
+		in.NonWhiteCount(raster.R(r.X+r.W-1, r.Y, 1, r.H))
+	return float64(hit) / float64(per)
+}
+
+// refCheckboxScore scores every candidate square, with no skipping.
+func refCheckboxScore(in *refIntegral, r raster.Rect) float64 {
 	if r.W < 30 || r.H < 14 {
 		return 0
 	}
@@ -27,8 +186,8 @@ func refCheckboxScore(in *raster.Integral, r raster.Rect) float64 {
 		for y := r.Y + 2; y+size < r.Y+r.H-2; y++ {
 			for x := r.X + 2; x+size < r.X+r.W/3; x++ {
 				sq := raster.R(x, y, size, size)
-				edge := borderScore(in, sq)
-				interiorLight := refLightCount(in, raster.R(sq.X+2, sq.Y+2, inner, inner))
+				edge := refBorderScore(in, sq)
+				interiorLight := in.LightCount(raster.R(sq.X+2, sq.Y+2, inner, inner))
 				s := edge * float64(interiorLight) / float64(n)
 				if s > best {
 					best = s
@@ -39,57 +198,119 @@ func refCheckboxScore(in *raster.Integral, r raster.Rect) float64 {
 	return best
 }
 
-// refLightCount is the clipped light count the reference loop read.
-func refLightCount(in *raster.Integral, r raster.Rect) int {
-	r = r.Intersect(in.Region)
-	if r.Empty() {
+func refHeaderScore(in *refIntegral, r raster.Rect) float64 {
+	if r.H < 20 {
 		return 0
 	}
-	return in.LightIn(r)
+	stripH := r.H / 5
+	if stripH < 4 {
+		stripH = 4
+	}
+	strip := raster.R(r.X+1, r.Y+1, r.W-2, stripH-1)
+	n := strip.Intersect(in.Region).Area()
+	if strip.W <= 0 || n == 0 {
+		return 0
+	}
+	hist, _, _ := in.Stats(strip)
+	best, bestC := 0, raster.White
+	for c := raster.Color(0); c < raster.NumColors; c++ {
+		if v := hist[c]; v > best {
+			best, bestC = v, c
+		}
+	}
+	if bestC == raster.White || bestC == raster.LightGray {
+		return 0
+	}
+	return float64(best) / float64(n)
 }
 
-// refTighten shrinks box to the bounding rectangle of its non-white pixels
-// by binary-searching prefix counts on an integral over the clipped box.
+// refTighten shrinks box to the bounding rectangle of its occupied pixels
+// by binary-searching prefix counts on a table over the clipped box.
 func refTighten(img *raster.Image, box raster.Rect) raster.Rect {
 	box = box.Clip(img.W, img.H)
-	in := raster.NewIntegralRegion(img, box)
-	defer in.Release()
-	if in.NonWhiteCount(box) == 0 {
+	in := newRefIntegral(img, box)
+	if in.Occupied(box) == 0 {
 		return box
 	}
 	minX := box.X + sort.Search(box.W, func(i int) bool {
-		return in.NonWhiteCount(raster.R(box.X, box.Y, i+1, box.H)) > 0
+		return in.Occupied(raster.R(box.X, box.Y, i+1, box.H)) > 0
 	})
 	maxX := box.X + box.W - 1 - sort.Search(box.W, func(i int) bool {
-		return in.NonWhiteCount(raster.R(box.X+box.W-1-i, box.Y, i+1, box.H)) > 0
+		return in.Occupied(raster.R(box.X+box.W-1-i, box.Y, i+1, box.H)) > 0
 	})
 	minY := box.Y + sort.Search(box.H, func(i int) bool {
-		return in.NonWhiteCount(raster.R(box.X, box.Y, box.W, i+1)) > 0
+		return in.Occupied(raster.R(box.X, box.Y, box.W, i+1)) > 0
 	})
 	maxY := box.Y + box.H - 1 - sort.Search(box.H, func(i int) bool {
-		return in.NonWhiteCount(raster.R(box.X, box.Y+box.H-1-i, box.W, i+1)) > 0
+		return in.Occupied(raster.R(box.X, box.Y+box.H-1-i, box.W, i+1)) > 0
 	})
 	return raster.R(minX, minY, maxX-minX+1, maxY-minY+1)
 }
 
-// refFeaturesFrom is featuresInto with the reference checkbox search.
-func refFeaturesFrom(in *raster.Integral, r raster.Rect) []float64 {
-	f := featuresInto(make([]float64, FeatureDim), in, r)
-	if r = r.Intersect(in.Region); !r.Empty() {
-		f[26] = refCheckboxScore(in, r)
-	}
-	return f
-}
-
 // RefFeatures is the reference for Features.
 func RefFeatures(img *raster.Image, r raster.Rect) []float64 {
-	in := raster.NewIntegralRegion(img, r)
-	defer in.Release()
-	return refFeaturesFrom(in, r)
+	return refFeaturesFrom(newRefIntegral(img, r), r)
 }
 
-// RefProposals is the reference for Proposals.
-func RefProposals(img *raster.Image) []raster.Rect { return proposals(img, refTighten) }
+// RefProposals is the reference for Proposals: a dilate-sized cell grid
+// marked pixel by pixel, connected components by breadth-first search over
+// each cell's 8 neighbors in scan order, each component's box tightened,
+// then filtered and ranked as Proposals does.
+func RefProposals(img *raster.Image) []raster.Rect {
+	w, h := img.W, img.H
+	if w == 0 || h == 0 {
+		return nil
+	}
+	cw := (w + dilate - 1) / dilate
+	ch := (h + dilate - 1) / dilate
+	occupied := make([]bool, cw*ch)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if img.Pix[y*w+x] != raster.White {
+				occupied[(y/dilate)*cw+x/dilate] = true
+			}
+		}
+	}
+	label := make([]bool, cw*ch)
+	var out []raster.Rect
+	for start := range occupied {
+		if !occupied[start] || label[start] {
+			continue
+		}
+		minX, minY, maxX, maxY := cw, ch, -1, -1
+		queue := []int{start}
+		label[start] = true
+		for len(queue) > 0 {
+			cur := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			cx, cy := cur%cw, cur/cw
+			minX, minY = min(minX, cx), min(minY, cy)
+			maxX, maxY = max(maxX, cx), max(maxY, cy)
+			for dy := -1; dy <= 1; dy++ {
+				for dx := -1; dx <= 1; dx++ {
+					nx, ny := cx+dx, cy+dy
+					if nx < 0 || ny < 0 || nx >= cw || ny >= ch {
+						continue
+					}
+					if ni := ny*cw + nx; occupied[ni] && !label[ni] {
+						label[ni] = true
+						queue = append(queue, ni)
+					}
+				}
+			}
+		}
+		b := refTighten(img, raster.R(minX*dilate, minY*dilate, (maxX-minX+1)*dilate, (maxY-minY+1)*dilate))
+		if b.W < minPropW || b.H < minPropH || b.Area() > w*h*9/10 {
+			continue
+		}
+		out = append(out, b)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Area() > out[j].Area() })
+	if len(out) > maxProposals {
+		out = out[:maxProposals]
+	}
+	return out
+}
 
 // RefTrain is the reference for Train.
 func RefTrain(examples []Example, seed int64) (*Detector, error) {
@@ -104,8 +325,7 @@ func RefDetect(d *Detector, img *raster.Image) []Detection {
 	if threshold <= 0 {
 		threshold = 0.5
 	}
-	in := raster.NewIntegral(img)
-	defer in.Release()
+	in := newRefIntegral(img, raster.R(0, 0, img.W, img.H))
 	var dets []Detection
 	for _, box := range RefProposals(img) {
 		class, conf := d.scoreFeatures(refFeaturesFrom(in, box))
@@ -176,4 +396,37 @@ func FuzzFeatures(f *testing.F) {
 			t.Fatalf("%dx%d image: Detect = %+v, want %+v", im.W, im.H, got, want)
 		}
 	})
+}
+
+// TestOutOfPaletteMatchesReference puts bytes outside the palette among
+// the pixels, which decoding refuses but a drawn image could hold: they
+// occupy proposal cells, read as light, and count as neither non-white nor
+// ink, nor in the histogram.
+func TestOutOfPaletteMatchesReference(t *testing.T) {
+	det := trainedDetector(t)
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		im := raster.New(40+rng.Intn(80), 30+rng.Intn(60), raster.White)
+		for i := 0; i < 12; i++ {
+			b := raster.R(rng.Intn(im.W), rng.Intn(im.H), 4+rng.Intn(30), 3+rng.Intn(20))
+			im.Fill(b, raster.Color(rng.Intn(int(raster.NumColors))))
+		}
+		for i := range im.Pix {
+			if rng.Intn(6) == 0 {
+				im.Pix[i] = raster.Color(int(raster.NumColors) + rng.Intn(240))
+			}
+		}
+		regions := append(Proposals(im), raster.R(0, 0, im.W, im.H), raster.R(-4, 5, im.W/2, im.H))
+		for _, r := range regions {
+			if got, want := Features(im, r), RefFeatures(im, r); !SameFeatures(got, want) {
+				t.Fatalf("trial %d: Features(%v) = %v, want %v", trial, r, got, want)
+			}
+		}
+		if got, want := Proposals(im), RefProposals(im); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Proposals = %v, want %v", trial, got, want)
+		}
+		if got, want := det.Detect(im), RefDetect(det, im); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Detect = %+v, want %+v", trial, got, want)
+		}
+	}
 }
