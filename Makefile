@@ -104,19 +104,24 @@ cloak-smoke:
 # raster cell-count kernel under the perceptual hash and visual embedding
 # (equal to the per-pixel reference loops on random images and regions),
 # the PXI image decoder (no panic on hostile data, equal to a per-pixel
-# reference decoder, Decode(Encode(img)) round-trips), and the detector's
-# features, proposals and detections (equal to the cell-by-cell labeling,
-# the 3-lane summed-area features and the unpruned checkbox search they
-# replaced).
+# reference decoder, Decode(Encode(img)) round-trips, Encode equal to the
+# per-pixel encoder), the detector's features, proposals and detections
+# (equal to the cell-by-cell labeling, the 3-lane summed-area features and
+# the unpruned checkbox search they replaced, DetectClass equal to the
+# reference filtered by class), and the HTML parser (no panic, and a
+# rendered tree parses back to the same StructureHash).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=15s ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzCellCounts -fuzztime=15s ./internal/raster
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=15s ./internal/raster
 	$(GO) test -run='^$$' -fuzz=FuzzFeatures -fuzztime=15s ./internal/vision
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=15s ./internal/dom
 
 # Hot-path microbenchmarks: the detector pass (BenchmarkDetect on one
 # synthetic page; the pattern also matches BenchmarkDetectPages, Detect per
-# page over every rendered page of a 60-site corpus), the per-page OCR label
+# page over every rendered page of a 60-site corpus, and
+# BenchmarkDetectClassPages, the visual submit strategy's
+# DetectClass(page, button) over the same pages), the per-page OCR label
 # search, one crawl session (fresh and pooled), the model build, and the
 # triage probe's pHash and cropped embedding of a rendered landing page.
 # End-to-end throughput is measured by `python3 _phishbench/run.py`, not here.

@@ -18,7 +18,8 @@ var pxiMagic = [4]byte{'P', 'X', 'I', '1'}
 // ErrBadImage is returned when decoding malformed PXI data.
 var ErrBadImage = errors.New("raster: malformed PXI image data")
 
-// Encode serializes im to the PXI format.
+// Encode serializes im to the PXI format. Each run of equal pixels, cut
+// every 255, is found a word at a time by RunEnd.
 func Encode(im *Image) []byte {
 	out := make([]byte, 0, 12+len(im.Pix)/4)
 	out = append(out, pxiMagic[:]...)
@@ -26,15 +27,12 @@ func Encode(im *Image) []byte {
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(im.W))
 	binary.BigEndian.PutUint32(hdr[4:8], uint32(im.H))
 	out = append(out, hdr[:]...)
-	i := 0
-	for i < len(im.Pix) {
-		c := im.Pix[i]
-		run := 1
-		for i+run < len(im.Pix) && im.Pix[i+run] == c && run < 255 {
-			run++
-		}
-		out = append(out, byte(run), byte(c))
-		i += run
+	pix := im.Bytes()
+	for i := 0; i < len(pix); {
+		c := pix[i]
+		j := RunEnd(pix[:min(len(pix), i+255)], i+1, c)
+		out = append(out, byte(j-i), c)
+		i = j
 	}
 	return out
 }

@@ -409,6 +409,70 @@ func TestBlitMatchesPerPixel(t *testing.T) {
 	}
 }
 
+// encodeRef is Encode with every run scanned one pixel at a time.
+func encodeRef(im *Image) []byte {
+	out := make([]byte, 0, 12+len(im.Pix)/4)
+	out = append(out, pxiMagic[:]...)
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(im.W))
+	binary.BigEndian.PutUint32(hdr[4:8], uint32(im.H))
+	out = append(out, hdr[:]...)
+	i := 0
+	for i < len(im.Pix) {
+		c := im.Pix[i]
+		run := 1
+		for i+run < len(im.Pix) && im.Pix[i+run] == c && run < 255 {
+			run++
+		}
+		out = append(out, byte(run), byte(c))
+		i += run
+	}
+	return out
+}
+
+// TestEncodeMatchesPerPixel checks Encode against the per-pixel loop on
+// runs around the 255-pixel cut and the 8-byte word, runs that cross rows,
+// a 1x1 image, an empty one and random pixels.
+func TestEncodeMatchesPerPixel(t *testing.T) {
+	// runs builds a w-wide image from runs of alternating Red and Blue
+	// pixels of the given lengths, padded with White.
+	runs := func(w int, lengths ...int) *Image {
+		var pix []Color
+		for k, n := range lengths {
+			for range n {
+				pix = append(pix, []Color{Red, Blue}[k%2])
+			}
+		}
+		h := (len(pix) + w - 1) / w
+		im := New(w, h, White)
+		copy(im.Pix, pix)
+		return im
+	}
+	rng := rand.New(rand.NewSource(9))
+	noisy := New(37, 23, White)
+	for i := range noisy.Pix {
+		if rng.Intn(3) == 0 {
+			noisy.Pix[i] = Color(rng.Intn(int(NumColors)))
+		}
+	}
+	cases := map[string]*Image{
+		"1x1":                New(1, 1, Green),
+		"empty":              New(0, 0, White),
+		"run of 255":         runs(255, 255),
+		"run of 256":         runs(256, 256),
+		"run of 510":         runs(510, 510),
+		"runs around 255":    runs(40, 254, 1, 255, 256, 509, 510, 511, 7, 8, 9),
+		"runs crossing rows": runs(13, 5, 20, 13, 26, 40, 3),
+		"one color":          New(300, 200, Gray),
+		"noise":              noisy,
+	}
+	for name, im := range cases {
+		if got, want := Encode(im), encodeRef(im); !bytes.Equal(got, want) {
+			t.Errorf("%s: Encode = %v, want %v", name, got, want)
+		}
+	}
+}
+
 // decodeRef is Decode without the size bound and with every run written
 // one pixel at a time.
 func decodeRef(data []byte) (*Image, bool) {
@@ -437,11 +501,13 @@ func decodeRef(data []byte) (*Image, bool) {
 
 // FuzzDecode checks that Decode never panics, agrees with the per-pixel
 // reference on which inputs it accepts and on the pixels it returns, and
-// round-trips what Encode writes. The seed corpus in testdata/fuzz holds a
+// round-trips what Encode writes, which equals the per-pixel encoder's
+// bytes. The seed corpus in testdata/fuzz holds a
 // header declaring a huge image over a few bytes, an out-of-palette color,
 // runs overflowing the image and runs falling short of it.
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(New(3, 2, Red)))
+	f.Add(Encode(New(30, 20, Blue))) // runs of 255, 255 and 90 pixels
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decode(data)
 		want, ok := decodeRef(data)
@@ -457,7 +523,11 @@ func FuzzDecode(f *testing.F) {
 		if got.W != want.W || got.H != want.H || !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("Decode = %dx%d %v, want %dx%d %v", got.W, got.H, got.Pix, want.W, want.H, want.Pix)
 		}
-		back, err := Decode(Encode(got))
+		enc := Encode(got)
+		if want := encodeRef(got); !bytes.Equal(enc, want) {
+			t.Fatalf("Encode = %v, want %v", enc, want)
+		}
+		back, err := Decode(enc)
 		if err != nil || back.W != got.W || back.H != got.H || !bytes.Equal(back.Bytes(), got.Bytes()) {
 			t.Fatalf("Decode(Encode(img)) = %v, %v; want the image back", back, err)
 		}

@@ -177,11 +177,116 @@ func (d *Detector) scoreFeatures(f []float64) (string, float64) {
 	return bestClass, conf
 }
 
+// scoreRange returns the least and the greatest score cs can give a box
+// whose features other than the checkbox score are f, over every checkbox
+// score in [0, 1]; f[checkboxFeature] is not read. The checkbox term z² is
+// least at the mean clamped to [0, 1] and greatest at the end of [0, 1]
+// farther from the mean, and each step of score rounds monotonically, so
+// these two terms bound the term score computes. Both results are NaN when
+// some checkbox score gives a NaN score (a hand-built class with Std 0 or a
+// NaN mean): a NaN can only arise at the clamped mean if it arises at all.
+func (cs *classStats) scoreRange(f []float64) (lo, hi float64) {
+	known := 0.0
+	for i, v := range f {
+		if i != checkboxFeature {
+			z := (v - cs.Mean[i]) / cs.Std[i]
+			known += z * z
+		}
+	}
+	mean, std := cs.Mean[checkboxFeature], cs.Std[checkboxFeature]
+	at := func(v float64) float64 {
+		z := (v - mean) / std
+		d2 := (known + z*z) / float64(len(f))
+		return math.Exp(-0.5 * d2)
+	}
+	far := 0.0
+	if mean < 0.5 {
+		far = 1
+	}
+	if hi = at(min(max(mean, 0), 1)); math.IsNaN(hi) {
+		return hi, hi
+	}
+	return at(far), hi
+}
+
+// boundMargin is how far below the threshold, relative to it, a confidence
+// bound must lie for Detect to skip a box. The bound and scoreFeatures add
+// the same 28 terms in different orders; each sum lies within 27 units of
+// rounding (u = 2⁻⁵³) of the true one, relative to it, so the two scores
+// differ relatively by at most about 27u·d2, and the confidence b/(b+g)
+// doubles that and adds a few units. A box can only be emitted when its
+// foreground score b is at least threshold·1e-12 (b ≥ threshold·g and
+// g ≥ 1e-12), so d2 ≤ 2·ln(1e12/threshold): 57 at the default 0.5, and
+// 1345 at minBoundThreshold, where b ≥ 1e-292 is still a normal float and
+// subnormal rounding cannot occur. The confidences then differ relatively
+// by at most about 1e-11, far inside the margin. Below minBoundThreshold
+// no box is skipped.
+const (
+	boundMargin       = 1e-9
+	minBoundThreshold = 1e-280
+)
+
+// skippable reports whether a box whose confidence is at most ub can be
+// left unscored because it cannot reach threshold.
+func skippable(ub, threshold float64) bool {
+	return threshold >= minBoundThreshold && ub < threshold*(1-boundMargin)
+}
+
+// mayEmit reports whether a box whose features other than the checkbox
+// score are f could be emitted as a class want accepts, for some checkbox
+// score in [0, 1]. It bounds scoreFeatures: the best foreground score is at
+// most the greatest hi of the accepted classes (ignoring the others only
+// loosens the bound), and the background score at least the greatest lo of
+// the background classes and its 1e-12 floor. A NaN bound never skips.
+func (d *Detector) mayEmit(f []float64, want func(string) bool, threshold float64) bool {
+	best, bg := 0.0, 1e-12
+	for i := range d.Classes {
+		cs := &d.Classes[i]
+		if cs.Name != ClassBackground && !want(cs.Name) {
+			continue
+		}
+		lo, hi := cs.scoreRange(f)
+		if math.IsNaN(hi) {
+			return true
+		}
+		if cs.Name == ClassBackground {
+			bg = math.Max(bg, lo)
+		} else {
+			best = math.Max(best, hi)
+		}
+	}
+	return !skippable(best/(best+bg), threshold)
+}
+
 // Detect runs proposal generation, region classification, and per-class
 // non-max suppression over a page screenshot. Each proposal's features read
-// its tight box's pixels in one pass, plus one summed-area table over the
-// left third of a box large enough for the checkbox search.
+// its tight box's pixels in one pass. The checkbox search, which needs a
+// summed-area table over the box's left third, runs only on a box that some
+// checkbox score in [0, 1] could make a detection; the rest are dropped
+// unsearched, and every box kept is scored exactly.
 func (d *Detector) Detect(img *raster.Image) []Detection {
+	return d.detect(img, func(string) bool { return true })
+}
+
+// DetectClass returns only detections of the given class: the detections
+// of Detect of that class, in the same order. Its bound counts only that
+// foreground class, so it searches fewer boxes than Detect.
+func (d *Detector) DetectClass(img *raster.Image, class string) []Detection {
+	var out []Detection
+	for _, det := range d.detect(img, func(name string) bool { return name == class }) {
+		if det.Class == class {
+			out = append(out, det)
+		}
+	}
+	return out
+}
+
+// detect is Detect keeping only the boxes scored as a class want accepts.
+// NonMaxSuppression is per class and sorts stably, so dropping another
+// class's boxes neither reorders nor suppresses the wanted ones, except
+// past a NaN confidence, which its sort moves nothing across: those are
+// kept whatever their class, and the caller filters after suppression.
+func (d *Detector) detect(img *raster.Image, want func(string) bool) []Detection {
 	threshold := d.Threshold
 	if threshold <= 0 {
 		threshold = 0.5
@@ -189,25 +294,18 @@ func (d *Detector) Detect(img *raster.Image) []Detection {
 	var dets []Detection
 	f := make([]float64, FeatureDim)
 	for _, box := range Proposals(img) {
-		featuresInto(f, img, box)
+		r := countFeaturesInto(f, img, box)
+		if !d.mayEmit(f, want, threshold) {
+			continue
+		}
+		f[checkboxFeature] = checkboxScore(img, r)
 		class, conf := d.scoreFeatures(f)
-		if class == ClassBackground || conf < threshold {
+		if class == ClassBackground || conf < threshold || !(want(class) || math.IsNaN(conf)) {
 			continue
 		}
 		dets = append(dets, Detection{Class: class, Score: conf, Box: box})
 	}
 	return NonMaxSuppression(dets, 0.3)
-}
-
-// DetectClass returns only detections of the given class.
-func (d *Detector) DetectClass(img *raster.Image, class string) []Detection {
-	var out []Detection
-	for _, det := range d.Detect(img) {
-		if det.Class == class {
-			out = append(out, det)
-		}
-	}
-	return out
 }
 
 // Marshal serializes the detector.

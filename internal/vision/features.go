@@ -144,16 +144,29 @@ func differing(a, b []byte) int {
 	return n
 }
 
+// checkboxFeature is the index of checkboxScore in the feature vector: the
+// one feature Detect computes only for a box that may still be emitted.
+const checkboxFeature = 26
+
 // featuresInto fills f (length FeatureDim) with the feature vector of r,
 // clipped to img, and returns it, letting batch callers reuse one buffer
 // across regions.
 func featuresInto(f []float64, img *raster.Image, r raster.Rect) []float64 {
+	r = countFeaturesInto(f, img, r)
+	f[checkboxFeature] = checkboxScore(img, r)
+	return f
+}
+
+// countFeaturesInto fills every feature of r, clipped to img, but the
+// checkbox score, which it leaves 0: the features one boxCounts pass gives.
+// It returns the clipped box.
+func countFeaturesInto(f []float64, img *raster.Image, r raster.Rect) raster.Rect {
 	for i := range f {
 		f[i] = 0
 	}
 	r = r.Clip(img.W, img.H)
 	if r.Empty() {
-		return f
+		return r
 	}
 	w, h := float64(r.W), float64(r.H)
 	f[0] = math.Log(w)
@@ -179,9 +192,8 @@ func featuresInto(f []float64, img *raster.Image, r raster.Rect) []float64 {
 	f[23] = gridScoreV(img, r, c)
 	f[24] = glyphBandRatio(r, c, totalInk)
 	f[25] = borderScore(r, c)
-	f[26] = checkboxScore(img, r)
 	f[27] = headerScore(img, r, c, s0, s1)
-	return f
+	return r
 }
 
 // gridScoreH returns the fraction of interior rows that are near-uniform
@@ -258,7 +270,10 @@ func borderScore(r raster.Rect, c *boxCounts) float64 {
 // is at most the best cannot exceed it, since the outline fraction is at
 // most 1 and float rounding is monotone; and nothing exceeds a perfect 1.
 // Every square lies in the left third of r, one summed-area table covers
-// it, and the reads skip clipping.
+// it, and the reads skip clipping. The score lies in [0, 1], since an
+// outline holds at most per non-white pixels and an interior at most n
+// light ones, and Detect's bound relies on that range: it skips the search
+// on a box that no score in [0, 1] could make a detection.
 func checkboxScore(img *raster.Image, r raster.Rect) float64 {
 	if r.W < 30 || r.H < 14 {
 		return 0

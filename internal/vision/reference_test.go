@@ -1,9 +1,11 @@
 package vision
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -337,6 +339,32 @@ func RefDetect(d *Detector, img *raster.Image) []Detection {
 	return NonMaxSuppression(dets, 0.3)
 }
 
+// CheckDetectClass compares DetectClass(img, c) for every class of d, and
+// for one name absent from d, with ref, the reference detections of img,
+// filtered by class. It returns the first difference, or nil.
+func CheckDetectClass(d *Detector, img *raster.Image, ref []Detection) error {
+	for _, c := range append(classNames(d), "no-such-class") {
+		var want []Detection
+		for _, det := range ref {
+			if det.Class == c {
+				want = append(want, det)
+			}
+		}
+		if got := d.DetectClass(img, c); !SameDetections(got, want) {
+			return fmt.Errorf("DetectClass(%q) = %+v, want %+v", c, got, want)
+		}
+	}
+	return nil
+}
+
+// SameDetections reports whether two detection lists are equal, with
+// scores compared bit for bit so that NaN scores match.
+func SameDetections(a, b []Detection) bool {
+	return slices.EqualFunc(a, b, func(x, y Detection) bool {
+		return x.Class == y.Class && x.Box == y.Box && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
+}
+
 // SameFeatures reports whether two feature vectors are bit-identical.
 func SameFeatures(a, b []float64) bool {
 	if len(a) != len(b) {
@@ -358,7 +386,9 @@ func SameFeatures(a, b []float64) bool {
 // search looks for, is drawn at (bx, by). Pixels are palette colors, as in
 // every decoded or drawn image. The seed corpus in testdata/fuzz reaches
 // each skip of the checkbox search: a perfect square, squares with no light
-// pixel, and bands of rows with no content.
+// pixel, and bands of rows with no content. DetectClass is checked for
+// every class, and the checkbox score of each region must lie in [0, 1],
+// the range the detector's bound relies on.
 func FuzzFeatures(f *testing.F) {
 	det := trainedDetector(f)
 	f.Fuzz(func(t *testing.T, w, h uint8, data []byte, k, rr, bx, by, bs uint8, rx, ry, rw, rh int16) {
@@ -380,20 +410,24 @@ func FuzzFeatures(f *testing.F) {
 			im.Outline(box, raster.Gray)
 		}
 		r := raster.R(int(rx), int(ry), int(rw), int(rh))
-		if got, want := Features(im, r), RefFeatures(im, r); !SameFeatures(got, want) {
-			t.Fatalf("%dx%d image: Features(%v) = %v, want %v", im.W, im.H, r, got, want)
-		}
 		props := Proposals(im)
 		if want := RefProposals(im); !reflect.DeepEqual(props, want) {
 			t.Fatalf("%dx%d image: Proposals = %v, want %v", im.W, im.H, props, want)
 		}
-		for _, b := range props {
+		for _, b := range append(props, r) {
 			if got, want := Features(im, b), RefFeatures(im, b); !SameFeatures(got, want) {
 				t.Fatalf("%dx%d image: Features(%v) = %v, want %v", im.W, im.H, b, got, want)
 			}
+			if s := checkboxScore(im, b.Clip(im.W, im.H)); !(s >= 0 && s <= 1) {
+				t.Fatalf("%dx%d image: checkboxScore(%v) = %g, outside [0, 1]", im.W, im.H, b, s)
+			}
 		}
-		if got, want := det.Detect(im), RefDetect(det, im); !reflect.DeepEqual(got, want) {
+		want := RefDetect(det, im)
+		if got := det.Detect(im); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%dx%d image: Detect = %+v, want %+v", im.W, im.H, got, want)
+		}
+		if err := CheckDetectClass(det, im, want); err != nil {
+			t.Fatalf("%dx%d image: %v", im.W, im.H, err)
 		}
 	})
 }
