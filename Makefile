@@ -103,8 +103,10 @@ cloak-smoke:
 # round-trips, CRC mismatch detection, hostile length prefixes), the
 # raster cell-count kernel under the perceptual hash and visual embedding
 # (equal to the per-pixel reference loops on random images and regions),
-# the PXI image decoder (no panic on hostile data, equal to a per-pixel
-# reference decoder, Decode(Encode(img)) round-trips, Encode equal to the
+# the PXI image decoder (no panic on hostile data, Decode and ParseRuns
+# accepting what a per-pixel reference decoder accepts, Decode equal to it,
+# runs painted at placements derived from the input equal to Blit of the
+# decoded image, Decode(Encode(img)) round-trips, Encode equal to the
 # per-pixel encoder), the detector's features, proposals and detections
 # (equal to the cell-by-cell labeling, the 3-lane summed-area features and
 # the unpruned checkbox search they replaced, DetectClass equal to the
@@ -121,12 +123,14 @@ fuzz:
 # synthetic page; the pattern also matches BenchmarkDetectPages, Detect per
 # page over every rendered page of a 60-site corpus, and
 # BenchmarkDetectClassPages, the visual submit strategy's
-# DetectClass(page, button) over the same pages), the per-page OCR label
-# search, one crawl session (fresh and pooled), the model build, and the
-# triage probe's pHash and cropped embedding of a rendered landing page.
+# DetectClass(page, button) over the same pages), the render layer
+# (BenchmarkRenderPages: every page of a 60-site corpus, its images
+# validated into runs and painted into the screenshot), the per-page OCR
+# label search, one crawl session (fresh and pooled), the model build, and
+# the triage probe's pHash and cropped embedding of a rendered landing page.
 # End-to-end throughput is measured by `python3 _phishbench/run.py`, not here.
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped' -benchmem ./...
+	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkRenderPages|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped' -benchmem ./...
 
 # Allocation gates: the per-session allocs/op budgets and the
 # pooled-vs-unpooled byte-identity pins (testing.AllocsPerRun enforces the

@@ -223,8 +223,10 @@ type Page struct {
 	ListenerLog []script.Listener
 	// EventLog is the triggered-event record for this page.
 	EventLog []Event
-	// images caches decoded image resources by URL.
-	images map[string]*raster.Image
+	// images holds each fetched image resource by URL as validated runs;
+	// render paints them into the screenshot, so no decoded pixels are
+	// kept between renders.
+	images map[string]*raster.Runs
 
 	browser *Browser
 	page    *render.Page // lazy render cache
@@ -245,8 +247,8 @@ func (b *Browser) Navigate(rawURL string) (*Page, error) {
 	return b.buildPage(body, finalURL, status)
 }
 
-func (b *Browser) buildPage(body, pageURL string, status int) (*Page, error) {
-	doc := dom.Parse(body)
+func (b *Browser) buildPage(body []byte, pageURL string, status int) (*Page, error) {
+	doc := dom.Parse(string(body))
 	behavior, err := script.Extract(doc)
 	if err != nil {
 		// Malformed behaviour scripts are treated like broken JS: ignored.
@@ -258,7 +260,7 @@ func (b *Browser) buildPage(body, pageURL string, status int) (*Page, error) {
 		Doc:      doc,
 		Behavior: behavior,
 		browser:  b,
-		images:   map[string]*raster.Image{},
+		images:   map[string]*raster.Runs{},
 	}
 	// Record addEventListener calls made at load time.
 	p.ListenerLog = append(p.ListenerLog, behavior.Listeners...)
@@ -268,7 +270,7 @@ func (b *Browser) buildPage(body, pageURL string, status int) (*Page, error) {
 }
 
 // fetch performs one logged request, handling cookies and redirect chains.
-func (b *Browser) fetch(method, rawURL string, form url.Values, kind string) (body, finalURL string, status int, err error) {
+func (b *Browser) fetch(method, rawURL string, form url.Values, kind string) (body []byte, finalURL string, status int, err error) {
 	cur := rawURL
 	// Carried values are logged in sorted field order: map iteration order
 	// would otherwise make two identical runs export different logs, and
@@ -292,15 +294,15 @@ func (b *Browser) fetch(method, rawURL string, form url.Values, kind string) (bo
 	for hop := 0; hop < 10; hop++ {
 		data, status, loc, challenge, err := b.roundTrip(method, cur, form, kind, carried)
 		if err != nil {
-			return "", cur, 0, err
+			return nil, cur, 0, err
 		}
 		if status >= 300 && status < 400 {
 			if loc == "" {
-				return "", cur, status, nil
+				return nil, cur, status, nil
 			}
 			next, jerr := joinURL(cur, loc)
 			if jerr != nil {
-				return "", cur, status, jerr
+				return nil, cur, status, jerr
 			}
 			cur = next
 			// 307/308 preserve the method and body across the hop — a kit
@@ -323,7 +325,7 @@ func (b *Browser) fetch(method, rawURL string, form url.Values, kind string) (bo
 		}
 		return data, cur, status, nil
 	}
-	return "", cur, 0, ErrTooManyRedirects
+	return nil, cur, 0, ErrTooManyRedirects
 }
 
 // roundTrip issues one HTTP request under the per-fetch deadline (derived
@@ -332,7 +334,7 @@ func (b *Browser) fetch(method, rawURL string, form url.Values, kind string) (bo
 // deleting entries the server expires (Max-Age=0 or an epoch-or-earlier
 // Expires). Redirect statuses return the Location header with an empty
 // body; challenge carries the response's JS-capability probe token.
-func (b *Browser) roundTrip(method, cur string, form url.Values, kind string, carried []string) (data string, status int, location, challenge string, err error) {
+func (b *Browser) roundTrip(method, cur string, form url.Values, kind string, carried []string) (data []byte, status int, location, challenge string, err error) {
 	ctx, cancel := context.WithTimeout(b.ctx, b.fetchTimeout)
 	defer cancel()
 	var req *http.Request
@@ -345,7 +347,7 @@ func (b *Browser) roundTrip(method, cur string, form url.Values, kind string, ca
 		req, err = http.NewRequestWithContext(ctx, method, cur, nil)
 	}
 	if err != nil {
-		return "", 0, "", "", fmt.Errorf("browser: building request: %w", err)
+		return nil, 0, "", "", fmt.Errorf("browser: building request: %w", err)
 	}
 	b.applyProfile(req.Header)
 	// The Cookie header is part of the request bytes the server (and the
@@ -373,7 +375,7 @@ func (b *Browser) roundTrip(method, cur string, form url.Values, kind string, ca
 	resp, rerr := b.send(req)
 	if rerr != nil {
 		b.NetLog = append(b.NetLog, NetRequest{Method: method, URL: cur, Status: 0, Kind: kind, Time: b.now()})
-		return "", 0, "", "", fmt.Errorf("browser: fetch %s: %w", cur, rerr)
+		return nil, 0, "", "", fmt.Errorf("browser: fetch %s: %w", cur, rerr)
 	}
 	defer resp.Body.Close()
 	for _, c := range resp.Cookies() {
@@ -394,13 +396,13 @@ func (b *Browser) roundTrip(method, cur string, form url.Values, kind string, ca
 	b.NetLog = append(b.NetLog, entry)
 	if resp.StatusCode >= 300 && resp.StatusCode < 400 {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
-		return "", resp.StatusCode, resp.Header.Get("Location"), challenge, nil
+		return nil, resp.StatusCode, resp.Header.Get("Location"), challenge, nil
 	}
 	raw, rerr := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if rerr != nil {
-		return "", resp.StatusCode, "", challenge, fmt.Errorf("browser: reading body of %s: %w", cur, rerr)
+		return nil, resp.StatusCode, "", challenge, fmt.Errorf("browser: reading body of %s: %w", cur, rerr)
 	}
-	return string(raw), resp.StatusCode, "", challenge, nil
+	return raw, resp.StatusCode, "", challenge, nil
 }
 
 // joinURL resolves ref against base.
@@ -426,8 +428,8 @@ func (p *Page) prefetchImages() {
 			return
 		}
 		if strings.HasPrefix(src, "data:") {
-			if img, err := raster.DecodeDataURI(src); err == nil {
-				p.images[src] = img
+			if r, err := raster.ParseDataURI(src); err == nil {
+				p.images[src] = r
 			}
 			return
 		}
@@ -439,8 +441,8 @@ func (p *Page) prefetchImages() {
 		if err != nil || status != http.StatusOK {
 			return
 		}
-		if img, err := raster.Decode([]byte(body)); err == nil {
-			p.images[src] = img
+		if r, err := raster.ParseRuns(body); err == nil {
+			p.images[src] = r // keeps the response bytes, which nothing else holds
 		}
 	}
 	for _, img := range p.Doc.ElementsByTag("img") {
@@ -466,7 +468,7 @@ func (p *Page) prefetchImages() {
 // use and after DOM mutations (invalidate with MarkDirty).
 func (p *Page) Render() *render.Page {
 	if p.page == nil {
-		p.page = render.Render(p.Doc, ViewportWidth, func(u string) *raster.Image {
+		p.page = render.Render(p.Doc, ViewportWidth, func(u string) *raster.Runs {
 			return p.images[u]
 		})
 	}

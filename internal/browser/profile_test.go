@@ -102,7 +102,7 @@ func TestJSChallengeAnsweredWhenCapable(t *testing.T) {
 	if want := JSChallengeCookie + "=" + token; seen[1].cookie != want {
 		t.Errorf("answer request Cookie = %q, want %q", seen[1].cookie, want)
 	}
-	if body != "<html><body>real page</body></html>" {
+	if string(body) != "<html><body>real page</body></html>" {
 		t.Errorf("fetch returned %q, want the post-answer page", body)
 	}
 	// Both hops land in the net log, the first carrying the challenge.

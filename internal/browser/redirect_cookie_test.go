@@ -65,7 +65,7 @@ func TestRedirect307PreservesMethodAndBody(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d: fetch: %v", status, err)
 		}
-		if st != 200 || !strings.Contains(body, "landed") || !strings.HasSuffix(finalURL, "/final") {
+		if st != 200 || !strings.Contains(string(body), "landed") || !strings.HasSuffix(finalURL, "/final") {
 			t.Fatalf("%d: landed at %q status %d", status, finalURL, st)
 		}
 		if len(seen) != 2 {
@@ -132,7 +132,7 @@ func TestRedirectEmptyLocation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
-	if status != http.StatusFound || body != "" {
+	if status != http.StatusFound || len(body) != 0 {
 		t.Errorf("status = %d body = %q, want bare 302", status, body)
 	}
 	if finalURL != "http://kit.test/" {
@@ -162,7 +162,7 @@ func TestRedirectHopLimit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("9-redirect chain: %v", err)
 	}
-	if status != 200 || !strings.Contains(body, "end") || !strings.HasSuffix(finalURL, "/hop/9") {
+	if status != 200 || !strings.Contains(string(body), "end") || !strings.HasSuffix(finalURL, "/hop/9") {
 		t.Errorf("9-redirect chain landed at %q status %d", finalURL, status)
 	}
 

@@ -8,9 +8,11 @@
 package raster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Color is a palette index. The palette is small on purpose: visual analysis
@@ -74,12 +76,34 @@ type Image struct {
 // New returns a W x H image filled with bg.
 func New(w, h int, bg Color) *Image {
 	img := &Image{W: w, H: h, Pix: make([]Color, w*h)}
-	if bg != 0 {
-		for i := range img.Pix {
-			img.Pix[i] = bg
-		}
+	if bg != White {
+		fill(img.Pix, bg)
 	}
 	return img
+}
+
+// fill sets every pixel of px to c: a clear for White, otherwise eight
+// pixels a word at a time up to 64, then doubling copies of what is
+// already filled. It is the one loop behind New, Get, Fill and painting
+// runs.
+func fill(px []Color, c Color) {
+	if c == White {
+		clear(px)
+		return
+	}
+	b := unsafe.Slice((*byte)(unsafe.SliceData(px)), len(px))
+	pat := uint64(c) * 0x0101010101010101
+	n := min(len(b), 64)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], pat)
+	}
+	for ; i < n; i++ {
+		b[i] = byte(c)
+	}
+	for ; i < len(b); i *= 2 {
+		copy(b[i:], b[:i])
+	}
 }
 
 // imagePool recycles pixel buffers between Get and Release. Screenshots are
@@ -100,13 +124,7 @@ func Get(w, h int, bg Color) *Image {
 	}
 	im.W, im.H = w, h
 	im.Pix = im.Pix[:w*h]
-	if bg == 0 {
-		clear(im.Pix)
-	} else {
-		for i := range im.Pix {
-			im.Pix[i] = bg
-		}
-	}
+	fill(im.Pix, bg)
 	return im
 }
 
@@ -145,11 +163,11 @@ func (im *Image) Set(x, y int, c Color) {
 // the image.
 func (im *Image) Fill(r Rect, c Color) {
 	r = r.Clip(im.W, im.H)
+	if r.Empty() {
+		return // a rectangle off the right edge keeps an X past the image
+	}
 	for y := r.Y; y < r.Y+r.H; y++ {
-		row := im.Pix[y*im.W : y*im.W+im.W]
-		for x := r.X; x < r.X+r.W; x++ {
-			row[x] = c
-		}
+		fill(im.Pix[y*im.W+r.X:][:r.W], c)
 	}
 }
 
@@ -178,6 +196,18 @@ func (im *Image) Blit(src *Image, x, y int) {
 		s := (sy+row)*src.W + sx
 		copy(im.Pix[(dst.Y+row)*im.W+dst.X:][:dst.W], src.Pix[s:s+dst.W])
 	}
+}
+
+// PaintAt is Blit with the receiver as the source, so a decoded Image
+// paints wherever Runs do.
+func (im *Image) PaintAt(dst *Image, x, y int) { dst.Blit(im, x, y) }
+
+// Painter is an image the renderer can paint: a decoded Image or the
+// validated Runs of one. The union keeps a nil check on a value of the
+// type parameter legal.
+type Painter interface {
+	*Image | *Runs
+	PaintAt(dst *Image, x, y int)
 }
 
 // Sub returns a copy of the pixels inside r (clipped). The result is a new

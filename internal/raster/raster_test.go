@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -28,6 +31,14 @@ func TestNewAndFill(t *testing.T) {
 	}
 	if im.At(1, 1) != Gray || im.At(5, 1) != Gray {
 		t.Error("Fill exceeded rect")
+	}
+	// Clipped away: a rectangle off the right edge keeps an X past the
+	// image, and one above it a negative Y.
+	before := im.Clone()
+	im.Fill(R(15, 0, 3, 5), Red)
+	im.Fill(R(0, -9, 10, 4), Red)
+	if !slices.Equal(im.Pix, before.Pix) {
+		t.Error("Fill of a rectangle outside the image changed pixels")
 	}
 }
 
@@ -499,29 +510,53 @@ func decodeRef(data []byte) (*Image, bool) {
 	return &Image{W: w, H: h, Pix: pix}, true
 }
 
-// FuzzDecode checks that Decode never panics, agrees with the per-pixel
-// reference on which inputs it accepts and on the pixels it returns, and
-// round-trips what Encode writes, which equals the per-pixel encoder's
-// bytes. The seed corpus in testdata/fuzz holds a
-// header declaring a huge image over a few bytes, an out-of-palette color,
-// runs overflowing the image and runs falling short of it.
+// FuzzDecode checks that Decode and ParseRuns never panic and agree with
+// the per-pixel reference on which inputs they accept, that Decode returns
+// the reference's pixels, that the runs painted at four placements derived
+// from the input onto a destination with no White pixel equal Blit of the
+// decoded image there, and that Decode round-trips what Encode writes,
+// which equals the per-pixel encoder's bytes. The seed corpus in
+// testdata/fuzz holds a header declaring a huge image over a few bytes, an
+// out-of-palette color, runs overflowing the image and runs falling short
+// of it.
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(New(3, 2, Red)))
 	f.Add(Encode(New(30, 20, Blue))) // runs of 255, 255 and 90 pixels
+	crossing := New(100, 6, White)   // 255-pixel runs crossing rows 0-2 and 2-5
+	fill(crossing.Pix[:300], Green)
+	fill(crossing.Pix[510:], Navy)
+	f.Add(Encode(crossing))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decode(data)
 		want, ok := decodeRef(data)
 		if (err == nil) != ok {
 			t.Fatalf("Decode error = %v, reference accepts = %v", err, ok)
 		}
+		runs, rerr := ParseRuns(data)
+		if (rerr == nil) != ok {
+			t.Fatalf("ParseRuns error = %v, reference accepts = %v", rerr, ok)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrBadImage) {
-				t.Fatalf("Decode error %v is not ErrBadImage", err)
+			if !errors.Is(err, ErrBadImage) || !errors.Is(rerr, ErrBadImage) {
+				t.Fatalf("Decode error %v, ParseRuns error %v: not ErrBadImage", err, rerr)
 			}
 			return
 		}
 		if got.W != want.W || got.H != want.H || !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("Decode = %dx%d %v, want %dx%d %v", got.W, got.H, got.Pix, want.W, want.H, want.Pix)
+		}
+		if runs.W != got.W || runs.H != got.H {
+			t.Fatalf("ParseRuns = %dx%d, Decode = %dx%d", runs.W, runs.H, got.W, got.H)
+		}
+		dst := patterned(23, 17)
+		h := crc32.ChecksumIEEE(data)
+		for k := 0; k < 4; k++ {
+			x := int(h%uint32(dst.W+got.W+4)) - got.W - 2
+			y := int(h/7%uint32(dst.H+got.H+4)) - got.H - 2
+			h = h*2654435761 + 1
+			if msg := paintMismatch(runs, got, dst, x, y); msg != "" {
+				t.Fatal(msg)
+			}
 		}
 		enc := Encode(got)
 		if want := encodeRef(got); !bytes.Equal(enc, want) {
@@ -532,4 +567,110 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("Decode(Encode(img)) = %v, %v; want the image back", back, err)
 		}
 	})
+}
+
+// TestFillMatchesByteLoop checks fill against a byte-at-a-time loop for
+// every palette color at lengths 0-70 (across the 8-byte word and the
+// 64-pixel switch to doubling copies) and 255-257, inside a buffer whose
+// bytes around the filled span must stay untouched.
+func TestFillMatchesByteLoop(t *testing.T) {
+	var lengths []int
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 255, 256, 257)
+	for c := Color(0); c < NumColors; c++ {
+		for _, n := range lengths {
+			for _, off := range []int{0, 3} {
+				got, want := make([]Color, n+off+9), make([]Color, n+off+9)
+				for i := range got {
+					got[i] = Color(i%int(NumColors)) ^ 5
+					want[i] = got[i]
+				}
+				fill(got[off:off+n], c)
+				for i := off; i < off+n; i++ {
+					want[i] = c
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("fill(%d pixels at %d, %v) = %v, want %v", n, off, c, got, want)
+				}
+			}
+		}
+	}
+}
+
+// patterned returns a w x h image with no White pixel, so a White run
+// that is not painted shows.
+func patterned(w, h int) *Image {
+	im := New(w, h, White)
+	for i := range im.Pix {
+		im.Pix[i] = 1 + Color(i*7%int(NumColors-1))
+	}
+	return im
+}
+
+// paintMismatch paints runs onto a copy of dst at (x, y) and blits img, its
+// decoded image, onto another, and describes the first differing pixel,
+// or returns "" when the two agree.
+func paintMismatch(runs *Runs, img, dst *Image, x, y int) string {
+	got, want := dst.Clone(), dst.Clone()
+	runs.PaintAt(got, x, y)
+	want.Blit(img, x, y)
+	for i := range want.Pix {
+		if got.Pix[i] != want.Pix[i] {
+			return fmt.Sprintf("%dx%d runs at (%d,%d) on %dx%d: pixel (%d,%d) = %v, want %v",
+				runs.W, runs.H, x, y, dst.W, dst.H, i%dst.W, i/dst.W, got.Pix[i], want.Pix[i])
+		}
+	}
+	return ""
+}
+
+// TestPaintRunsMatchesBlit places runs across every edge and corner of a
+// destination with no White pixel, inside it, covering it and wholly
+// outside it, and checks each placement against Blit of the decoded image.
+// The images include 1x1 ones, White runs and 255-pixel runs that cross
+// rows.
+func TestPaintRunsMatchesBlit(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	noisy := New(9, 7, White)
+	for i := range noisy.Pix {
+		if rng.Intn(2) == 0 {
+			noisy.Pix[i] = Color(rng.Intn(int(NumColors)))
+		}
+	}
+	crossing := New(13, 40, White) // runs of 255 crossing many 13-pixel rows
+	fill(crossing.Pix[100:400], Red)
+	fill(crossing.Pix[455:], Blue)
+	images := map[string]*Image{
+		"1x1 white":       New(1, 1, White),
+		"1x1 red":         New(1, 1, Red),
+		"white":           New(6, 4, White),
+		"noise":           noisy,
+		"crossing rows":   crossing,
+		"wider than dst":  New(30, 3, Teal),
+		"taller than dst": New(2, 25, Olive),
+	}
+	for _, dst := range []*Image{patterned(20, 15), patterned(1, 1)} {
+		for name, im := range images {
+			data := Encode(im)
+			runs, err := ParseRuns(data)
+			if err != nil {
+				t.Fatalf("%s: ParseRuns: %v", name, err)
+			}
+			dec, err := Decode(data)
+			if err != nil {
+				t.Fatalf("%s: Decode: %v", name, err)
+			}
+			if ref, _ := decodeRef(data); !bytes.Equal(dec.Bytes(), ref.Bytes()) {
+				t.Fatalf("%s: Decode differs from the per-pixel decoder", name)
+			}
+			for _, x := range []int{-40, -im.W, -im.W + 1, -3, -1, 0, 5, dst.W - im.W, dst.W - 1, dst.W, 33} {
+				for _, y := range []int{-40, -im.H, -im.H + 1, -2, 0, 4, dst.H - im.H, dst.H - 1, dst.H, 30} {
+					if msg := paintMismatch(runs, dec, dst, x, y); msg != "" {
+						t.Fatalf("%s: %s", name, msg)
+					}
+				}
+			}
+		}
+	}
 }

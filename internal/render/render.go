@@ -15,22 +15,22 @@ import (
 	"repro/internal/raster"
 )
 
-// ImageResolver fetches an image resource by URL (or data URI). Returning
-// nil means the image is unavailable; a gray placeholder is drawn.
-type ImageResolver func(url string) *raster.Image
-
 // Page couples a screenshot with the layout it was produced from.
 type Page struct {
 	Screenshot *raster.Image
 	Layout     *layout.Result
 }
 
-// Render lays out and paints doc at the given viewport width. resolve may be
-// nil when the document references no images. The screenshot and layout draw
+// Render lays out and paints doc at the given viewport width. resolve
+// fetches an image resource by URL (or data URI) as anything raster can
+// paint: the browser hands over validated Runs, painted straight into the
+// screenshot. A nil image means the image is unavailable; a gray
+// placeholder is drawn. resolve may be nil when the document references no
+// images (the type argument must then be given). The screenshot and layout draw
 // their storage from pools; callers that fully own the Page may hand the
 // storage back with Release, and callers that don't simply let the GC have
 // it — contents are identical either way.
-func Render(doc *dom.Node, viewportW int, resolve ImageResolver) *Page {
+func Render[P raster.Painter](doc *dom.Node, viewportW int, resolve func(url string) P) *Page {
 	lay := layout.Compute(doc, viewportW)
 	h := lay.Height
 	if h < 200 {
@@ -59,7 +59,7 @@ func (p *Page) Release() {
 	p.Screenshot, p.Layout = nil, nil
 }
 
-func paint(img *raster.Image, lay *layout.Result, n *dom.Node, resolve ImageResolver) {
+func paint[P raster.Painter](img *raster.Image, lay *layout.Result, n *dom.Node, resolve func(string) P) {
 	style := lay.Style(n)
 	if style.Display == "none" {
 		return
@@ -81,7 +81,7 @@ func paint(img *raster.Image, lay *layout.Result, n *dom.Node, resolve ImageReso
 	}
 }
 
-func paintElement(img *raster.Image, lay *layout.Result, n *dom.Node, box raster.Rect, style layout.Style, resolve ImageResolver) {
+func paintElement[P raster.Painter](img *raster.Image, lay *layout.Result, n *dom.Node, box raster.Rect, style layout.Style, resolve func(string) P) {
 	// Background color.
 	if style.HasBackground {
 		img.Fill(box, style.Background)
@@ -89,7 +89,7 @@ func paintElement(img *raster.Image, lay *layout.Result, n *dom.Node, box raster
 	// Background image.
 	if style.BackgroundImage != "" && resolve != nil {
 		if bg := resolve(style.BackgroundImage); bg != nil {
-			img.Blit(bg, box.X, box.Y)
+			bg.PaintAt(img, box.X, box.Y)
 		}
 	}
 	switch n.Tag {
@@ -139,12 +139,12 @@ func paintElement(img *raster.Image, lay *layout.Result, n *dom.Node, box raster
 		drawCentered(img, n.InnerText(), box, fg)
 	case "img":
 		src := n.AttrOr("src", "")
-		var im *raster.Image
+		var im P
 		if resolve != nil && src != "" {
 			im = resolve(src)
 		}
 		if im != nil {
-			img.Blit(im, box.X, box.Y)
+			im.PaintAt(img, box.X, box.Y)
 		} else {
 			img.Fill(box, raster.LightGray)
 			img.Outline(box, raster.Gray)

@@ -11,7 +11,7 @@ import (
 
 func TestRenderTextVisible(t *testing.T) {
 	doc := dom.Parse(`<body><div>WELCOME BACK</div></body>`)
-	p := Render(doc, 400, nil)
+	p := Render[*raster.Image](doc, 400, nil)
 	got := ocr.New().Text(p.Screenshot)
 	if !strings.Contains(got, "WELCOME BACK") {
 		t.Errorf("screenshot text = %q, want WELCOME BACK", got)
@@ -20,7 +20,7 @@ func TestRenderTextVisible(t *testing.T) {
 
 func TestRenderInputBoxChrome(t *testing.T) {
 	doc := dom.Parse(`<body><input id="i" placeholder="Email"></body>`)
-	p := Render(doc, 400, nil)
+	p := Render[*raster.Image](doc, 400, nil)
 	box, _ := p.Layout.Box(doc.ElementByID("i"))
 	// Outline pixels present at box corners.
 	if p.Screenshot.At(box.X, box.Y) != raster.Gray {
@@ -42,7 +42,7 @@ func TestRenderInputBoxChrome(t *testing.T) {
 
 func TestRenderInputValueAndPasswordMask(t *testing.T) {
 	doc := dom.Parse(`<body><input id="u" value="alice"><input id="p" type="password" value="secret"></body>`)
-	p := Render(doc, 500, nil)
+	p := Render[*raster.Image](doc, 500, nil)
 	ub, _ := p.Layout.Box(doc.ElementByID("u"))
 	texts := ocr.New().RecognizeRegion(p.Screenshot, ub)
 	if len(texts) == 0 || !strings.Contains(texts[0].Text, "ALICE") {
@@ -59,7 +59,7 @@ func TestRenderInputValueAndPasswordMask(t *testing.T) {
 
 func TestRenderButtonLabel(t *testing.T) {
 	doc := dom.Parse(`<body><button>NEXT</button></body>`)
-	p := Render(doc, 400, nil)
+	p := Render[*raster.Image](doc, 400, nil)
 	got := ocr.New().Text(p.Screenshot)
 	if !strings.Contains(got, "NEXT") {
 		t.Errorf("button label missing from screenshot: %q", got)
@@ -68,7 +68,7 @@ func TestRenderButtonLabel(t *testing.T) {
 
 func TestRenderHiddenExcluded(t *testing.T) {
 	doc := dom.Parse(`<body><div style="display:none">SECRETTEXT</div><div>SHOWN</div></body>`)
-	p := Render(doc, 400, nil)
+	p := Render[*raster.Image](doc, 400, nil)
 	got := ocr.New().Text(p.Screenshot)
 	if strings.Contains(got, "SECRETTEXT") {
 		t.Error("display:none content painted")
@@ -102,7 +102,7 @@ func TestRenderBackgroundImageCarriesText(t *testing.T) {
 
 func TestRenderImgPlaceholderWhenUnresolvable(t *testing.T) {
 	doc := dom.Parse(`<body><img id="m" src="/missing.pxi" width="40" height="20"></body>`)
-	p := Render(doc, 400, nil)
+	p := Render[*raster.Image](doc, 400, nil)
 	box, _ := p.Layout.Box(doc.ElementByID("m"))
 	if p.Screenshot.At(box.CenterX(), box.CenterY()) != raster.LightGray {
 		t.Error("missing image should paint a placeholder")
@@ -129,7 +129,7 @@ func TestRenderCanvasTrickVisibleOnlyInRaster(t *testing.T) {
 	// A canvas styled as a submit button: visually a button, but DOM
 	// analysis finds no button/input element.
 	doc := dom.Parse(`<body><canvas id="c" data-label="SUBMIT" width="80" height="18"></canvas></body>`)
-	p := Render(doc, 400, nil)
+	p := Render[*raster.Image](doc, 400, nil)
 	got := ocr.New().Text(p.Screenshot)
 	if !strings.Contains(got, "SUBMIT") {
 		t.Errorf("canvas label not painted: %q", got)
@@ -141,7 +141,7 @@ func TestRenderCanvasTrickVisibleOnlyInRaster(t *testing.T) {
 
 func TestRenderBackgroundColor(t *testing.T) {
 	doc := dom.Parse(`<body><div id="hero" style="background-color: navy; height: 40px">X</div></body>`)
-	p := Render(doc, 400, nil)
+	p := Render[*raster.Image](doc, 400, nil)
 	box, _ := p.Layout.Box(doc.ElementByID("hero"))
 	if p.Screenshot.At(box.X+box.W-2, box.Y+2) != raster.Navy {
 		t.Error("background color not painted")
@@ -150,7 +150,7 @@ func TestRenderBackgroundColor(t *testing.T) {
 
 func TestRenderSelect(t *testing.T) {
 	doc := dom.Parse(`<body><select id="s"><option>ALABAMA</option><option>ALASKA</option></select></body>`)
-	p := Render(doc, 400, nil)
+	p := Render[*raster.Image](doc, 400, nil)
 	got := ocr.New().Text(p.Screenshot)
 	if !strings.Contains(got, "ALABAMA") {
 		t.Errorf("select first option not shown: %q", got)
@@ -168,7 +168,7 @@ func TestRenderHeightClamped(t *testing.T) {
 	}
 	b.WriteString("</body>")
 	doc := dom.Parse(b.String())
-	p := Render(doc, 300, nil)
+	p := Render[*raster.Image](doc, 300, nil)
 	if p.Screenshot.H > 4000 {
 		t.Errorf("screenshot height %d exceeds clamp", p.Screenshot.H)
 	}
@@ -183,7 +183,7 @@ func TestFullLoginPageEndToEnd(t *testing.T) {
 	    <button>LOG IN</button>
 	  </form>
 	</body>`)
-	p := Render(doc, 500, nil)
+	p := Render[*raster.Image](doc, 500, nil)
 	got := ocr.New().Text(p.Screenshot)
 	for _, want := range []string{"EMAIL ADDRESS", "PASSWORD", "LOG IN"} {
 		if !strings.Contains(got, want) {
@@ -199,13 +199,13 @@ func BenchmarkRenderLoginPage(b *testing.B) {
 	  <button>Sign in</button></form></body>`)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Render(doc, 800, nil)
+		Render[*raster.Image](doc, 800, nil)
 	}
 }
 
 func TestRenderAnchorStyledAsButton(t *testing.T) {
 	doc := dom.Parse(`<body><a id="a" href="/x" style="background-color: navy; width: 80px; height: 18px">GO</a></body></html>`)
-	p := Render(doc, 400, nil)
+	p := Render[*raster.Image](doc, 400, nil)
 	box, ok := p.Layout.Box(doc.ElementByID("a"))
 	if !ok {
 		t.Fatal("anchor not laid out")
@@ -217,7 +217,7 @@ func TestRenderAnchorStyledAsButton(t *testing.T) {
 
 func TestRenderHR(t *testing.T) {
 	doc := dom.Parse(`<body><div>above</div><hr><div>below</div></body>`)
-	p := Render(doc, 300, nil)
+	p := Render[*raster.Image](doc, 300, nil)
 	// Some gray horizontal pixels exist between the two text rows.
 	found := false
 	for y := 0; y < p.Screenshot.H; y++ {
@@ -232,7 +232,7 @@ func TestRenderHR(t *testing.T) {
 
 func TestRenderCheckbox(t *testing.T) {
 	doc := dom.Parse(`<body><input id="cb" type="checkbox" name="agree"><span>I agree</span></body>`)
-	p := Render(doc, 300, nil)
+	p := Render[*raster.Image](doc, 300, nil)
 	box, _ := p.Layout.Box(doc.ElementByID("cb"))
 	if box.W > 20 {
 		t.Errorf("checkbox box too wide: %v", box)
@@ -244,7 +244,7 @@ func TestRenderCheckbox(t *testing.T) {
 
 func TestRenderSubmitInput(t *testing.T) {
 	doc := dom.Parse(`<body><input type="submit" value="PAY NOW"></body>`)
-	p := Render(doc, 400, nil)
+	p := Render[*raster.Image](doc, 400, nil)
 	got := ocr.New().Text(p.Screenshot)
 	if !strings.Contains(got, "PAY NOW") {
 		t.Errorf("submit input label missing: %q", got)
@@ -253,7 +253,7 @@ func TestRenderSubmitInput(t *testing.T) {
 
 func TestRenderDarkButtonUsesLightText(t *testing.T) {
 	doc := dom.Parse(`<body><button id="b" style="background-color: navy">Sign in</button></body>`)
-	p := Render(doc, 400, nil)
+	p := Render[*raster.Image](doc, 400, nil)
 	box, _ := p.Layout.Box(doc.ElementByID("b"))
 	foundWhite := false
 	for y := box.Y; y < box.Y+box.H; y++ {

@@ -12,10 +12,10 @@ import (
 // and the Table 3 analysis when screenshots are needed without a crawl.
 func RenderPage(s *site.Site, html string, viewportW int) *raster.Image {
 	doc := dom.Parse(html)
-	page := render.Render(doc, viewportW, func(u string) *raster.Image {
+	page := render.Render(doc, viewportW, func(u string) *raster.Runs {
 		if data, ok := s.Images[u]; ok {
-			if img, err := raster.Decode(data); err == nil {
-				return img
+			if r, err := raster.ParseRuns(data); err == nil {
+				return r
 			}
 		}
 		return nil
