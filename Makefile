@@ -110,14 +110,19 @@ cloak-smoke:
 # per-pixel encoder), the detector's features, proposals and detections
 # (equal to the cell-by-cell labeling, the 3-lane summed-area features and
 # the unpruned checkbox search they replaced, DetectClass equal to the
-# reference filtered by class), and the HTML parser (no panic, and a
-# rendered tree parses back to the same StructureHash).
+# reference filtered by class), the HTML parser (no panic, and a rendered
+# tree parses back to the same StructureHash), the page content key (equal
+# keys render bit-identical screenshots; changing one attribute, text byte
+# or image byte, or removing an image, changes the key) and the behaviour
+# script parser (no panic, and an accepted behaviour survives Marshal).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=15s ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzCellCounts -fuzztime=15s ./internal/raster
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=15s ./internal/raster
 	$(GO) test -run='^$$' -fuzz=FuzzFeatures -fuzztime=15s ./internal/vision
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=15s ./internal/dom
+	$(GO) test -run='^$$' -fuzz=FuzzContentKey -fuzztime=15s ./internal/browser
+	$(GO) test -run='^$$' -fuzz=FuzzExtract -fuzztime=15s ./internal/script
 
 # Hot-path microbenchmarks: the detector pass (BenchmarkDetect on one
 # synthetic page; the pattern also matches BenchmarkDetectPages, Detect per
@@ -140,11 +145,12 @@ alloc-gate:
 
 # Byte-identity pins under varied scheduling: the farm's 1-vs-30-worker
 # pins (plain, pooled, fault-injected, stage table), the triage probe
-# pool's 1-vs-8-worker pin and the pooled == unpooled session pins, three
-# times each at GOMAXPROCS=1 and GOMAXPROCS=2. Sessions give their compute
+# pool's 1-vs-8-worker pin, the pooled == unpooled session pins and the
+# memo == no-memo session pin, three times each at GOMAXPROCS=1 and
+# GOMAXPROCS=2. Sessions give their compute
 # slot back while they wait on the network, so the order sessions run in
 # changes with every schedule; these pins prove the bytes do not.
-PINS = ^(TestRunDeterministicAcrossWorkerCounts.*|TestChaosDeterministicAcrossWorkerCounts|TestStagesIdenticalAcrossWorkerCounts|TestBuildPlanDeterministicAcrossWorkers|TestCrawlPooledMatchesUnpooled.*)$$
+PINS = ^(TestRunDeterministicAcrossWorkerCounts.*|TestChaosDeterministicAcrossWorkerCounts|TestStagesIdenticalAcrossWorkerCounts|TestBuildPlanDeterministicAcrossWorkers|TestCrawlPooledMatchesUnpooled.*|TestCrawlMemoMatchesNoMemo)$$
 pins:
 	for procs in 1 2; do \
 		GOMAXPROCS=$$procs $(GO) test -count=3 -run '$(PINS)' ./internal/farm/ ./internal/crawler/ ./internal/triage/ || exit 1; \

@@ -10,12 +10,16 @@
 package browser
 
 import (
+	"bufio"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -232,6 +236,9 @@ type Page struct {
 	page    *render.Page // lazy render cache
 	ocrMask *ocr.Mask    // lazy binarization of the current screenshot
 	domHash string       // lazy structural hash of Doc
+	// key is the lazy ContentKey; hasKey marks it computed.
+	key    [sha256.Size]byte
+	hasKey bool
 }
 
 // ErrTooManyRedirects limits redirect chains.
@@ -479,6 +486,7 @@ func (p *Page) Render() *render.Page {
 // from it) after DOM mutation.
 func (p *Page) MarkDirty() {
 	p.domHash = ""
+	p.hasKey = false
 	if p.browser != nil && p.browser.recycle {
 		// Pooled session graph: the crawler owns every rendering, so the
 		// invalidated buffers go straight back to their pools.
@@ -528,6 +536,93 @@ func (p *Page) DOMHash() string {
 		p.domHash = dom.StructureHash(p.Doc)
 	}
 	return p.domHash
+}
+
+// ContentKey returns a SHA-256 over everything a rendering of the page
+// reads: the document tree (node types, tags, attributes in order, text)
+// and the image table (each src with the exact PXI bytes its runs were
+// parsed from; an image that failed to load is absent). Pages with equal
+// keys render bit-identical screenshots, so results derived from the
+// pixels can be shared between them. Every string is length-prefixed and
+// each node's children are closed by a marker, so two different contents
+// never encode to the same bytes; dom.Render's HTML is not such an
+// encoding (adjacent text nodes merge, children of void tags vanish). Like
+// DOMHash it is computed once per rendering generation and MarkDirty
+// invalidates it.
+func (p *Page) ContentKey() [sha256.Size]byte {
+	if !p.hasKey {
+		p.key = contentKey(p.Doc, p.images)
+		p.hasKey = true
+	}
+	return p.key
+}
+
+// Markers of the content-key encoding: a node opens with keyNode and its
+// child list closes with keyClose.
+const (
+	keyNode  = 1
+	keyClose = 0
+)
+
+// contentKey hashes the canonical encoding of doc and images: a preorder
+// walk writing each node as keyNode, its type, tag, data and attributes,
+// and keyClose after its children; then the image count and each image's
+// src and bytes in src order.
+func contentKey(doc *dom.Node, images map[string]*raster.Runs) [sha256.Size]byte {
+	h := sha256.New()
+	// A hash's Write never fails, so neither do the buffered writes.
+	w := bufio.NewWriterSize(h, 1024)
+	var scratch [binary.MaxVarintLen64]byte
+	num := func(v int) { w.Write(binary.AppendUvarint(scratch[:0], uint64(v))) }
+	str := func(s string) {
+		num(len(s))
+		w.WriteString(s)
+	}
+	for n := doc; n != nil; {
+		w.WriteByte(keyNode)
+		num(int(n.Type))
+		str(n.Tag)
+		str(n.Data)
+		num(len(n.Attrs))
+		for _, a := range n.Attrs {
+			str(a.Name)
+			str(a.Value)
+		}
+		if n.FirstChild != nil {
+			n = n.FirstChild
+			continue
+		}
+		// Close n and every ancestor whose last child it ends, up to the
+		// next sibling on the way, or past doc.
+		for {
+			w.WriteByte(keyClose)
+			if n == doc {
+				n = nil
+				break
+			}
+			if n.NextSibling != nil {
+				n = n.NextSibling
+				break
+			}
+			n = n.Parent
+		}
+	}
+	srcs := make([]string, 0, len(images))
+	for src := range images {
+		srcs = append(srcs, src)
+	}
+	slices.Sort(srcs)
+	num(len(srcs))
+	for _, src := range srcs {
+		str(src)
+		data := images[src].Bytes()
+		num(len(data))
+		w.Write(data)
+	}
+	w.Flush()
+	var key [sha256.Size]byte
+	h.Sum(key[:0])
+	return key
 }
 
 // Host returns the page URL's host.

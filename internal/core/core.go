@@ -283,6 +283,7 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 		FakerSeed:     opts.Seed + 6,
 		CloakRetries:  opts.CloakRetries,
 		Pool:          crawler.NewSessionPool(),
+		Memo:          crawler.NewMemo(),
 	}
 
 	// Triage plan: built before any crawl, over the same browser factory

@@ -289,6 +289,12 @@ type Crawler struct {
 	// allocating it fresh. Session exports are byte-identical either way;
 	// see SessionPool for the recycling contract.
 	Pool *SessionPool
+	// Memo, when non-nil, shares the pixel-derived results of observing a
+	// page (hashes, detections, the first-page embedding, identified fields,
+	// button detections) across sessions that meet the same content; one
+	// memo is shared by a farm's workers. Session exports are
+	// byte-identical either way; see Memo.
+	Memo *Memo
 	// WaitHook, when non-nil, is installed on each session's browser (see
 	// browser.SetWaitHook): it runs around every transport round trip, so
 	// the crawl farm can give the session's compute slot back while it
@@ -399,7 +405,7 @@ func (c *Crawler) crawlAttempt(seedURL string, prof browser.Profile, jar map[str
 		log.NetLog = exportNetLog()
 		return log, nil
 	}
-	log.FirstPageEmbedding = visualphish.EmbedCropped(page.Screenshot())
+	log.FirstPageEmbedding = c.firstPageEmbedding(page)
 
 	for step := 0; ; step++ {
 		if ctx.Err() != nil {
@@ -412,7 +418,7 @@ func (c *Crawler) crawlAttempt(seedURL string, prof browser.Profile, jar map[str
 			break
 		}
 		pg := tr.Begin(trace.KindPage, page.URL)
-		pl := c.observePage(page, step, eng, tr)
+		pl := c.observePage(page, step, tr)
 		if isTakedownPage(&pl) {
 			log.Pages = append(log.Pages, pl)
 			log.Outcome = OutcomeTakedown
@@ -475,12 +481,14 @@ func (c *Crawler) crawlAttempt(seedURL string, prof browser.Profile, jar map[str
 // observePage collects the per-page metadata of Section 4.5, recording
 // render and detect stage spans with work-proportional logical costs (DOM
 // nodes rendered; detections scored) so trace durations reflect relative
-// stage cost deterministically.
-func (c *Crawler) observePage(p *browser.Page, index int, eng *ocr.Engine, tr *trace.Session) PageLog {
+// stage cost deterministically. The pixel-derived fields come from observe,
+// which renders the page only when the memo has not seen its content; the
+// spans are the same either way.
+func (c *Crawler) observePage(p *browser.Page, index int, tr *trace.Session) PageLog {
 	render := tr.Begin(trace.KindStage, metrics.StageRender.String())
-	shot := p.Screenshot()
 	tr.Advance(countNodes(p.Doc))
 	tr.End(render)
+	obs := c.observe(p)
 	pl := PageLog{
 		Index:      index,
 		URL:        p.URL,
@@ -489,18 +497,15 @@ func (c *Crawler) observePage(p *browser.Page, index int, eng *ocr.Engine, tr *t
 		Title:      dom.Title(p.Doc),
 		Text:       p.Doc.InnerText(),
 		DOMHash:    p.DOMHash(),
-		PHash:      phash.Compute(shot),
+		PHash:      obs.PHash,
 		Listeners:  append([]script.Listener(nil), p.ListenerLog...),
 		ScriptSrcs: script.ExternalScripts(p.Doc),
 	}
 	if c.Detector != nil {
 		detect := tr.Begin(trace.KindStage, metrics.StageDetect.String())
-		pl.Detections = c.Detector.Detect(shot)
-		tr.Advance(1 + 8*len(pl.Detections))
+		tr.Advance(1 + 8*len(obs.Detections))
 		tr.End(detect)
-		for _, det := range pl.Detections {
-			pl.DetectionHashes = append(pl.DetectionHashes, phash.ComputeRegion(shot, det.Box))
-		}
+		pl.Detections, pl.DetectionHashes = obs.Detections, obs.DetectionHashes
 	}
 	return pl
 }
@@ -624,8 +629,7 @@ func (c *Crawler) visualSubmit(p *browser.Page, transitioned func(*browser.Page)
 		return nil, false
 	}
 	performed := false
-	dets := c.Detector.DetectClass(p.Screenshot(), vision.ClassButton)
-	for _, det := range dets {
+	for _, det := range c.buttonDetections(p) {
 		np, err := p.ClickAt(det.Box.CenterX(), det.Box.CenterY())
 		if err != nil || np == nil {
 			continue

@@ -218,9 +218,9 @@ func TestCrawlOCRObfuscatedPage(t *testing.T) {
 	}
 }
 
-func TestCrawlVisualSubmitOnly(t *testing.T) {
-	// No form, no DOM button: bare inputs plus a canvas click zone. Only
-	// the visual strategy can advance.
+// visualSubmitSite has no form and no DOM button: bare inputs plus a
+// canvas click zone, so only the visual strategy can advance.
+func visualSubmitSite() *site.Site {
 	base := `<div><label>Email</label><input name="email"></div>
 <canvas data-label="SUBMIT" width="76" height="18"></canvas>`
 	// Compute where layout puts the canvas so the click zone matches, as
@@ -231,13 +231,16 @@ func TestCrawlVisualSubmitOnly(t *testing.T) {
 	html := fmt.Sprintf(`<html><head>
 <script type="application/x-behavior">{"clickzones":[{"x":%d,"y":%d,"w":%d,"h":%d,"action":"submit"}]}</script>
 </head><body>%s</body></html>`, cbox.X, cbox.Y, cbox.W, cbox.H, base)
-	s := &site.Site{ID: "vs", Host: "vs.test",
+	return &site.Site{ID: "vs", Host: "vs.test",
 		Pages: []*site.Page{
 			{Path: "/", HTML: html, Next: "/end", Mode: site.NextRedirect},
 			{Path: "/end", HTML: "<html><body><div>in</div></body></html>"},
 		},
 		Images: map[string][]byte{}}
-	c := newCrawler(t, s)
+}
+
+func TestCrawlVisualSubmitOnly(t *testing.T) {
+	c := newCrawler(t, visualSubmitSite())
 	log := c.Crawl("http://vs.test/")
 	if len(log.Pages) < 2 {
 		t.Fatalf("visual-only site not crawled: %s", log.Outcome)

@@ -31,13 +31,22 @@ type FieldInfo struct {
 	// UsedOCR marks fields whose description required visual analysis
 	// because DOM analysis yielded nothing useful (the 27% measurement).
 	UsedOCR bool
+	// ocrLen is the length of the untrimmed OCR text, the OCR span's work
+	// cost, which a memo hit replays.
+	ocrLen int
 }
 
 // identifyFields runs Section 4.1 over a page: find the visible inputs,
 // assemble each one's description from DOM context, and fall back to OCR on
 // the rendered page when the DOM is uninformative. A nil engine disables
-// the OCR fallback (the DOM-only ablation).
+// the OCR fallback (the DOM-only ablation). A page whose content the memo
+// has identified before gets the same fields, rebound to its own nodes,
+// and the same OCR spans, without being rendered.
 func (c *Crawler) identifyFields(p *browser.Page, eng *ocr.Engine, tr *trace.Session) []FieldInfo {
+	k, e := c.memoLookup(p)
+	if e.hasFields {
+		return replayFields(p, e.fields, tr)
+	}
 	lay := p.Render().Layout
 	var out []FieldInfo
 	for _, n := range p.VisibleInputs() {
@@ -57,12 +66,52 @@ func (c *Crawler) identifyFields(p *browser.Page, eng *ocr.Engine, tr *trace.Ses
 			desc = eng.TextNearMask(p.OCRMask(), box, ocrSearchDist)
 			// The OCR work cost scales with how much label text the visual
 			// search had to read.
-			tr.Advance(1 + len(desc))
+			info.ocrLen = len(desc)
+			tr.Advance(1 + info.ocrLen)
 			tr.End(span)
 			info.UsedOCR = true
 		}
 		info.Description = strings.TrimSpace(desc)
 		out = append(out, info)
+	}
+	c.memoStore(k, func(e *memoEntry) {
+		e.fields, e.hasFields = memoFields(p, out), true
+	})
+	return out
+}
+
+// memoFields records fields by their index among p's input and select
+// elements, in which VisibleInputs returns them.
+func memoFields(p *browser.Page, fields []FieldInfo) []memoField {
+	all := p.Doc.ElementsByTag("input", "select")
+	out := make([]memoField, len(fields))
+	j := 0
+	for i, f := range fields {
+		for all[j] != f.Node {
+			j++
+		}
+		f.Node = nil
+		out[i] = memoField{index: j, info: f}
+	}
+	return out
+}
+
+// replayFields rebinds memoized fields to p's nodes and replays their OCR
+// spans with the work costs they were recorded with.
+func replayFields(p *browser.Page, fields []memoField, tr *trace.Session) []FieldInfo {
+	if len(fields) == 0 {
+		return nil
+	}
+	all := p.Doc.ElementsByTag("input", "select")
+	out := make([]FieldInfo, len(fields))
+	for i, f := range fields {
+		if f.info.UsedOCR {
+			span := tr.Begin(trace.KindStage, metrics.StageOCR.String())
+			tr.Advance(1 + f.info.ocrLen)
+			tr.End(span)
+		}
+		out[i] = f.info
+		out[i].Node = all[f.index]
 	}
 	return out
 }

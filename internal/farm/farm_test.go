@@ -156,6 +156,40 @@ func TestRunDeterministicAcrossWorkerCountsPooled(t *testing.T) {
 	}
 }
 
+// TestRunDeterministicAcrossWorkerCountsMemo shares one memo among 30
+// workers crawling 30 clones at once, so sessions race to fill and read
+// the same entries: each must still export what a memo-less serial crawl
+// exports.
+func TestRunDeterministicAcrossWorkerCountsMemo(t *testing.T) {
+	reg := phishserver.NewRegistry()
+	var urls []string
+	for i := 0; i < 30; i++ {
+		s := quickSite(fmtHost(260 + i))
+		reg.AddSite(s)
+		urls = append(urls, s.SeedURL())
+	}
+	want, _ := Run(Config{Workers: 1, Crawler: testCrawler(reg, nil)}, urls)
+	c := testCrawler(reg, nil)
+	c.Pool, c.Memo = crawler.NewSessionPool(), crawler.NewMemo()
+	got, _ := Run(Config{Workers: 30, Crawler: c}, urls)
+	if len(got) != len(urls) || len(want) != len(urls) {
+		t.Fatalf("log counts: memo %d, no memo %d, want %d", len(got), len(want), len(urls))
+	}
+	for i := range got {
+		a, err := json.Marshal(got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Errorf("site %d: 30-worker memo export diverges from the serial memo-less one", i)
+		}
+	}
+}
+
 // TestRunDeterministicAcrossWorkerCounts pins the farm's reproducibility
 // property: because faker seeds derive from the job index, not the worker,
 // the same URL list crawled with 1 worker and with 30 produces identical

@@ -47,8 +47,14 @@ func Encode(im *Image) []byte {
 // pixels exist only as the runs it paints. Its data is never written.
 type Runs struct {
 	W, H int
+	src  []byte // the whole PXI stream the runs were parsed from
 	data []byte // the (count, color) pairs after the header
 }
+
+// Bytes returns the PXI stream the runs were parsed from, header and any
+// trailing odd byte included. It aliases the parsed data and must not be
+// modified.
+func (r *Runs) Bytes() []byte { return r.src }
 
 // ParseRuns validates PXI data and returns its runs without decoding a
 // pixel. A color byte outside the palette is malformed: every consumer of
@@ -82,7 +88,7 @@ func ParseRuns(data []byte) (*Runs, error) {
 	if pos != w*h {
 		return nil, fmt.Errorf("%w: short pixel data (%d of %d)", ErrBadImage, pos, w*h)
 	}
-	return &Runs{W: w, H: h, data: pairs}, nil
+	return &Runs{W: w, H: h, src: data, data: pairs}, nil
 }
 
 // PaintAt paints the runs into dst with the image's top-left corner at
