@@ -113,8 +113,16 @@ cloak-smoke:
 # reference filtered by class), the HTML parser (no panic, and a rendered
 # tree parses back to the same StructureHash), the page content key (equal
 # keys render bit-identical screenshots; changing one attribute, text byte
-# or image byte, or removing an image, changes the key) and the behaviour
-# script parser (no panic, and an accepted behaviour survives Marshal).
+# or image byte, or removing an image, changes the key), the page scan key
+# (typing into the value holes keeps the key and changes no pixel outside
+# them; equal keys render equal pixels outside the holes; changing one kept
+# attribute, text byte or image byte changes the key), the detector's
+# rescan (rescanning an image that differs from a scanned one inside
+# outlined boxes equals Detect and DetectClass; a broken outline or
+# overlapping boxes fall back to Detect), the behaviour script parser (no
+# panic, and an accepted behaviour survives Marshal) and the fleet
+# coordinator's wire handlers (no panic, 200 or 4xx, and no range done
+# that was not leased to the worker and attempt completing it).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=15s ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzCellCounts -fuzztime=15s ./internal/raster
@@ -123,19 +131,24 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=15s ./internal/dom
 	$(GO) test -run='^$$' -fuzz=FuzzContentKey -fuzztime=15s ./internal/browser
 	$(GO) test -run='^$$' -fuzz=FuzzExtract -fuzztime=15s ./internal/script
+	$(GO) test -run='^$$' -fuzz=FuzzScanKey -fuzztime=15s ./internal/browser
+	$(GO) test -run='^$$' -fuzz=FuzzRescan -fuzztime=15s ./internal/vision
+	$(GO) test -run='^$$' -fuzz=FuzzCoordinatorRequests -fuzztime=15s ./internal/fleet
 
 # Hot-path microbenchmarks: the detector pass (BenchmarkDetect on one
 # synthetic page; the pattern also matches BenchmarkDetectPages, Detect per
 # page over every rendered page of a 60-site corpus, and
 # BenchmarkDetectClassPages, the visual submit strategy's
-# DetectClass(page, button) over the same pages), the render layer
+# DetectClass(page, button) over the same pages; BenchmarkTypedPageDetect
+# times DetectClass against a Rescan from the untyped page's scan on each
+# data page of that corpus with forged values typed), the render layer
 # (BenchmarkRenderPages: every page of a 60-site corpus, its images
 # validated into runs and painted into the screenshot), the per-page OCR
 # label search, one crawl session (fresh and pooled), the model build, and
 # the triage probe's pHash and cropped embedding of a rendered landing page.
 # End-to-end throughput is measured by `python3 _phishbench/run.py`, not here.
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkRenderPages|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped' -benchmem ./...
+	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkTypedPageDetect|BenchmarkRenderPages|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped' -benchmem ./...
 
 # Allocation gates: the per-session allocs/op budgets and the
 # pooled-vs-unpooled byte-identity pins (testing.AllocsPerRun enforces the

@@ -239,6 +239,11 @@ type Page struct {
 	// key is the lazy ContentKey; hasKey marks it computed.
 	key    [sha256.Size]byte
 	hasKey bool
+	// scanKey and holes are the lazy ScanKey; hasScanKey marks them
+	// computed.
+	scanKey    [sha256.Size]byte
+	holes      []raster.Rect
+	hasScanKey bool
 }
 
 // ErrTooManyRedirects limits redirect chains.
@@ -486,7 +491,7 @@ func (p *Page) Render() *render.Page {
 // from it) after DOM mutation.
 func (p *Page) MarkDirty() {
 	p.domHash = ""
-	p.hasKey = false
+	p.hasKey, p.hasScanKey = false, false
 	if p.browser != nil && p.browser.recycle {
 		// Pooled session graph: the crawler owns every rendering, so the
 		// invalidated buffers go straight back to their pools.
@@ -551,7 +556,7 @@ func (p *Page) DOMHash() string {
 // invalidates it.
 func (p *Page) ContentKey() [sha256.Size]byte {
 	if !p.hasKey {
-		p.key = contentKey(p.Doc, p.images)
+		p.key = contentKey(p.Doc, p.images, nil)
 		p.hasKey = true
 	}
 	return p.key
@@ -567,8 +572,10 @@ const (
 // contentKey hashes the canonical encoding of doc and images: a preorder
 // walk writing each node as keyNode, its type, tag, data and attributes,
 // and keyClose after its children; then the image count and each image's
-// src and bytes in src order.
-func contentKey(doc *dom.Node, images map[string]*raster.Runs) [sha256.Size]byte {
+// src and bytes in src order. With role (ScanKey's) it writes each
+// element's role, which role is called for in preorder, before its
+// attributes and leaves out the attributes the role names.
+func contentKey(doc *dom.Node, images map[string]*raster.Runs, role func(*dom.Node) scanRole) [sha256.Size]byte {
 	h := sha256.New()
 	// A hash's Write never fails, so neither do the buffered writes.
 	w := bufio.NewWriterSize(h, 1024)
@@ -583,10 +590,26 @@ func contentKey(doc *dom.Node, images map[string]*raster.Runs) [sha256.Size]byte
 		num(int(n.Type))
 		str(n.Tag)
 		str(n.Data)
-		num(len(n.Attrs))
+		r := roleAll
+		if role != nil && n.Type == dom.ElementNode {
+			r = role(n)
+			w.WriteByte(byte(r))
+		}
+		kept := len(n.Attrs)
+		if r != roleAll {
+			kept = 0
+			for _, a := range n.Attrs {
+				if !r.drops(a.Name) {
+					kept++
+				}
+			}
+		}
+		num(kept)
 		for _, a := range n.Attrs {
-			str(a.Name)
-			str(a.Value)
+			if !r.drops(a.Name) {
+				str(a.Name)
+				str(a.Value)
+			}
 		}
 		if n.FirstChild != nil {
 			n = n.FirstChild

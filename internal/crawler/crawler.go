@@ -290,10 +290,10 @@ type Crawler struct {
 	// see SessionPool for the recycling contract.
 	Pool *SessionPool
 	// Memo, when non-nil, shares the pixel-derived results of observing a
-	// page (hashes, detections, the first-page embedding, identified fields,
-	// button detections) across sessions that meet the same content; one
-	// memo is shared by a farm's workers. Session exports are
-	// byte-identical either way; see Memo.
+	// page (hashes, detections, the first-page embedding, identified fields)
+	// across sessions that meet the same content, and the detection scans
+	// typed pages are rescanned from; one memo is shared by a farm's
+	// workers. Session exports are byte-identical either way; see Memo.
 	Memo *Memo
 	// WaitHook, when non-nil, is installed on each session's browser (see
 	// browser.SetWaitHook): it runs around every transport round trip, so

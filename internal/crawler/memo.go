@@ -8,14 +8,18 @@ import (
 	"repro/internal/browser"
 	"repro/internal/ocr"
 	"repro/internal/phash"
+	"repro/internal/raster"
 	"repro/internal/vision"
 	"repro/internal/visualphish"
 )
 
-// maxMemoEntries bounds the memo: a store that would add an entry past it
-// empties the map first. An entry holds a few detections, hashes and field
-// records and at most one 16x16 embedding thumbnail: the 9,432 entries of
-// a 4,000-site chaos+cloak crawl held 4.6 MB, so the bound is about 16 MB.
+// maxMemoEntries bounds the memo's entries and, separately, its scans: a
+// store that would add one past it empties that map first. An entry holds
+// a few detections, hashes and field records and at most one 16x16
+// embedding thumbnail: the 9,432 entries of a 4,000-site chaos+cloak crawl
+// held 4.6 MB, so the bound is about 16 MB. A scan holds 80 bytes per
+// component of occupied cells, and the pages of a 60-site corpus have 12
+// on average and 26 at most: about 1 KB a scan, 32 MB at the bound.
 const maxMemoEntries = 1 << 15
 
 // Memo shares the pixel-derived results of observing a page across
@@ -23,22 +27,26 @@ const maxMemoEntries = 1 << 15
 // re-attempts land on the same decoy, so most observed pages have been
 // seen before with the same content: the memo keys results by
 // browser.Page.ContentKey, and a session that finds them skips rendering
-// the page, detecting on it, hashing it and reading its labels. Every
-// result is a pure function of the page content and the models that
-// derived it, so a session exports the same bytes whether its lookups hit
-// or miss; a nil *Memo misses every lookup. One Memo is shared by every
-// worker of a crawl and is safe for concurrent use.
+// the page, detecting on it, hashing it and reading its labels. It also
+// keeps each detection scan by browser.Page.ScanKey, which leaves out the
+// values typed into the page's input boxes, so the button detection that
+// ends each data attempt re-reads only those boxes. Every result is a pure
+// function of the page content and the models that derived it, so a
+// session exports the same bytes whether its lookups hit or miss; a nil
+// *Memo misses every lookup. One Memo is shared by every worker of a crawl
+// and is safe for concurrent use.
 type Memo struct {
 	mu    sync.Mutex
 	limit int
 	m     map[memoKey]memoEntry
+	scans map[scanKey]*vision.Scan
 }
 
 // NewMemo returns an empty memo.
 func NewMemo() *Memo { return newMemo(maxMemoEntries) }
 
 func newMemo(limit int) *Memo {
-	return &Memo{limit: limit, m: map[memoKey]memoEntry{}}
+	return &Memo{limit: limit, m: map[memoKey]memoEntry{}, scans: map[scanKey]*vision.Scan{}}
 }
 
 // memoKey names one page content as seen by one crawler configuration:
@@ -51,15 +59,20 @@ type memoKey struct {
 	ocrOff  bool
 }
 
+// scanKey names one detection scan: a page's browser.Page.ScanKey, which
+// leaves out the values typed into its input boxes, and the detector.
+type scanKey struct {
+	content [sha256.Size]byte
+	det     *vision.Detector
+}
+
 // memoEntry holds what has been computed for one key; each part is filled
 // the first time a session needs it. Stored slices are never written.
 type memoEntry struct {
-	obs        *observation
-	embed      *visualphish.Embedding
-	fields     []memoField
-	hasFields  bool
-	buttons    []vision.Detection
-	hasButtons bool
+	obs       *observation
+	embed     *visualphish.Embedding
+	fields    []memoField
+	hasFields bool
 }
 
 // observation is observePage's pixel-derived part of a PageLog.
@@ -114,10 +127,32 @@ func (c *Crawler) memoStore(k memoKey, set func(*memoEntry)) {
 	if parts.hasFields {
 		e.fields, e.hasFields = parts.fields, true
 	}
-	if parts.hasButtons {
-		e.buttons, e.hasButtons = parts.buttons, true
-	}
 	m.m[k] = e
+}
+
+// scanKeyOf returns the key of p's detection scan under c's detector, and
+// p's value holes.
+func (c *Crawler) scanKeyOf(p *browser.Page) (scanKey, []raster.Rect) {
+	content, holes := p.ScanKey()
+	return scanKey{content: content, det: c.Detector}, holes
+}
+
+// scan returns the detection scan stored under k, or nil.
+func (m *Memo) scan(k scanKey) *vision.Scan {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.scans[k]
+}
+
+// storeScan records scan under k, emptying the scans first when they are
+// at the memo's bound.
+func (m *Memo) storeScan(k scanKey, scan *vision.Scan) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.scans[k]; !ok && len(m.scans) >= m.limit {
+		clear(m.scans)
+	}
+	m.scans[k] = scan
 }
 
 // firstPageEmbedding returns the cropped visual embedding of p.
@@ -138,14 +173,22 @@ func (c *Crawler) firstPageEmbedding(p *browser.Page) visualphish.Embedding {
 }
 
 // observe returns p's perceptual hash and, with a detector, its detections
-// and the hash of each detection's crop.
+// and the hash of each detection's crop. With a memo, detecting on a page
+// not seen before also records its detection scan under its ScanKey.
 func (c *Crawler) observe(p *browser.Page) observation {
 	k, e := c.memoLookup(p)
 	if e.obs == nil {
 		shot := p.Screenshot()
 		obs := observation{PHash: phash.Compute(shot)}
 		if c.Detector != nil {
-			obs.Detections = c.Detector.Detect(shot)
+			if c.Memo == nil {
+				obs.Detections = c.Detector.Detect(shot)
+			} else {
+				var scan *vision.Scan
+				obs.Detections, scan = c.Detector.DetectScan(shot)
+				k, _ := c.scanKeyOf(p)
+				c.Memo.storeScan(k, scan)
+			}
 			for _, det := range obs.Detections {
 				obs.DetectionHashes = append(obs.DetectionHashes, phash.ComputeRegion(shot, det.Box))
 			}
@@ -165,16 +208,20 @@ func (o observation) clone() observation {
 	return o
 }
 
-// buttonDetections returns the detector's button detections on p.
-// Callers only read the result.
+// buttonDetections returns the detector's button detections on p. With a
+// memo, a page whose ScanKey has a stored scan (the same page, a clone, or
+// either with other values typed into its input boxes) is rescanned only
+// inside its value holes; one without records its scan. Callers only read
+// the result.
 func (c *Crawler) buttonDetections(p *browser.Page) []vision.Detection {
-	k, e := c.memoLookup(p)
-	if e.hasButtons {
-		return e.buttons
+	if c.Memo == nil {
+		return c.Detector.DetectClass(p.Screenshot(), vision.ClassButton)
 	}
-	dets := c.Detector.DetectClass(p.Screenshot(), vision.ClassButton)
-	c.memoStore(k, func(e *memoEntry) {
-		e.buttons, e.hasButtons = slices.Clone(dets), true
-	})
-	return dets
+	k, holes := c.scanKeyOf(p)
+	if scan := c.Memo.scan(k); scan != nil {
+		return vision.OfClass(c.Detector.Rescan(scan, p.Screenshot(), holes), vision.ClassButton)
+	}
+	dets, scan := c.Detector.DetectScan(p.Screenshot())
+	c.Memo.storeScan(k, scan)
+	return vision.OfClass(dets, vision.ClassButton)
 }

@@ -18,12 +18,23 @@ import (
 // Faker generates forged data. It is deterministic for a given seed, and safe
 // to use from a single goroutine (use New per crawler session).
 type Faker struct {
-	rng *rand.Rand
+	seed int64
+	rng  *rand.Rand // seeded at the first draw
 }
 
-// New returns a Faker seeded with seed.
+// New returns a Faker seeded with seed. Seeding math/rand's source costs
+// more than most draws, and a crawl session that types nothing draws
+// nothing, so the source is built at the first draw.
 func New(seed int64) *Faker {
-	return &Faker{rng: rand.New(rand.NewSource(seed))}
+	return &Faker{seed: seed}
+}
+
+// rand returns the Faker's source, seeding it on first use.
+func (f *Faker) rand() *rand.Rand {
+	if f.rng == nil {
+		f.rng = rand.New(rand.NewSource(f.seed))
+	}
+	return f.rng
 }
 
 var (
@@ -85,13 +96,13 @@ var (
 )
 
 func (f *Faker) pick(list []string) string {
-	return list[f.rng.Intn(len(list))]
+	return list[f.rand().Intn(len(list))]
 }
 
 func (f *Faker) digits(n int) string {
 	var b strings.Builder
 	for i := 0; i < n; i++ {
-		b.WriteByte(byte('0' + f.rng.Intn(10)))
+		b.WriteByte(byte('0' + f.rand().Intn(10)))
 	}
 	return b.String()
 }
@@ -110,7 +121,7 @@ func (f *Faker) Email() string {
 	return fmt.Sprintf("%s.%s%d@%s",
 		strings.ToLower(f.FirstName()),
 		strings.ToLower(f.LastName()),
-		f.rng.Intn(90)+10,
+		f.rand().Intn(90)+10,
 		f.pick(emailDomains))
 }
 
@@ -128,14 +139,14 @@ func (f *Faker) Password() string {
 // Phone returns a NANP-shaped phone number.
 func (f *Faker) Phone() string {
 	// Area codes don't start with 0 or 1.
-	area := fmt.Sprintf("%d%s", f.rng.Intn(8)+2, f.digits(2))
-	exch := fmt.Sprintf("%d%s", f.rng.Intn(8)+2, f.digits(2))
+	area := fmt.Sprintf("%d%s", f.rand().Intn(8)+2, f.digits(2))
+	exch := fmt.Sprintf("%d%s", f.rand().Intn(8)+2, f.digits(2))
 	return fmt.Sprintf("%s-%s-%s", area, exch, f.digits(4))
 }
 
 // Address returns a street address.
 func (f *Faker) Address() string {
-	return fmt.Sprintf("%d %s", f.rng.Intn(9899)+100, f.pick(streets))
+	return fmt.Sprintf("%d %s", f.rand().Intn(9899)+100, f.pick(streets))
 }
 
 // City returns a city name.
@@ -155,7 +166,7 @@ func (f *Faker) Answer() string { return f.pick(answers) }
 
 // DateOfBirth returns an MM/DD/YYYY date for a plausible adult.
 func (f *Faker) DateOfBirth() string {
-	return fmt.Sprintf("%02d/%02d/%d", f.rng.Intn(12)+1, f.rng.Intn(28)+1, 1950+f.rng.Intn(50))
+	return fmt.Sprintf("%02d/%02d/%d", f.rand().Intn(12)+1, f.rand().Intn(28)+1, 1950+f.rand().Intn(50))
 }
 
 // Code returns a 6-digit verification code.
@@ -163,13 +174,13 @@ func (f *Faker) Code() string { return f.digits(6) }
 
 // License returns a driver's-license-shaped identifier.
 func (f *Faker) License() string {
-	return string(rune('A'+f.rng.Intn(26))) + f.digits(7)
+	return string(rune('A'+f.rand().Intn(26))) + f.digits(7)
 }
 
 // SSN returns an SSN-shaped number avoiding invalid areas 000, 666, 9xx.
 func (f *Faker) SSN() string {
-	area := f.rng.Intn(665-1) + 1 // 001..664
-	return fmt.Sprintf("%03d-%02d-%04d", area, f.rng.Intn(99)+1, f.rng.Intn(9999)+1)
+	area := f.rand().Intn(665-1) + 1 // 001..664
+	return fmt.Sprintf("%03d-%02d-%04d", area, f.rand().Intn(99)+1, f.rand().Intn(9999)+1)
 }
 
 // CardNumber returns a Luhn-valid 16-digit payment card number.
@@ -182,7 +193,7 @@ func (f *Faker) CardNumber() string {
 // ExpDate returns an MM/YY card expiration in the future relative to a fixed
 // reference year, keeping the generator deterministic.
 func (f *Faker) ExpDate() string {
-	return fmt.Sprintf("%02d/%02d", f.rng.Intn(12)+1, 27+f.rng.Intn(5))
+	return fmt.Sprintf("%02d/%02d", f.rand().Intn(12)+1, 27+f.rand().Intn(5))
 }
 
 // CVV returns a 3-digit card verification value.

@@ -1,6 +1,7 @@
 package faker
 
 import (
+	"math/rand"
 	"regexp"
 	"strings"
 	"testing"
@@ -188,5 +189,34 @@ func BenchmarkForTypeCard(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f.ForType(fieldspec.Card)
+	}
+}
+
+// TestLazySeedMatchesEager checks, for every field type, that a Faker whose
+// source is seeded at its first draw forges the values one seeded in New
+// did, on a fresh Faker and after draws of every other type.
+func TestLazySeedMatchesEager(t *testing.T) {
+	eager := func(seed int64) *Faker {
+		return &Faker{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	}
+	for _, typ := range fieldspec.AllWithUnknown() {
+		t.Run(string(typ), func(t *testing.T) {
+			for seed := int64(0); seed < 5; seed++ {
+				lazy, ref := New(seed), eager(seed)
+				if lazy.rng != nil {
+					t.Fatal("New seeded the source before any draw")
+				}
+				for i := 0; i < 10; i++ {
+					if got, want := lazy.ForType(typ), ref.ForType(typ); got != want {
+						t.Fatalf("seed %d, draw %d: lazy %q, eager %q", seed, i, got, want)
+					}
+				}
+				for _, other := range fieldspec.AllWithUnknown() {
+					if got, want := lazy.ForType(other)+lazy.ForType(typ), ref.ForType(other)+ref.ForType(typ); got != want {
+						t.Fatalf("seed %d, after %s: lazy %q, eager %q", seed, other, got, want)
+					}
+				}
+			}
+		})
 	}
 }

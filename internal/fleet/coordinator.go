@@ -302,6 +302,11 @@ func (c *Coordinator) result(req ResultRequest) ResultResponse {
 		}
 		return ResultResponse{Reason: fmt.Sprintf("range already completed by %s", ls.doneBy)}
 	}
+	if ls.attempt == 0 {
+		// Never granted: a pending range's zero worker and attempt must
+		// not match a request that names none.
+		return ResultResponse{Reason: fmt.Sprintf("lease %d was never granted", req.LeaseID)}
+	}
 	if ls.worker != req.Worker || ls.attempt != req.Attempt {
 		c.logf("fleet: rejecting stale result for lease %d from %s (attempt %d; lease now at attempt %d held by %s)",
 			ls.id, req.Worker, req.Attempt, ls.attempt, ls.worker)

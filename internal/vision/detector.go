@@ -265,15 +265,24 @@ func (d *Detector) mayEmit(f []float64, want func(string) bool, threshold float6
 // checkbox score in [0, 1] could make a detection; the rest are dropped
 // unsearched, and every box kept is scored exactly.
 func (d *Detector) Detect(img *raster.Image) []Detection {
-	return d.detect(img, func(string) bool { return true })
+	return d.detect(img, anyClass)
 }
+
+// anyClass accepts every class.
+func anyClass(string) bool { return true }
 
 // DetectClass returns only detections of the given class: the detections
 // of Detect of that class, in the same order. Its bound counts only that
 // foreground class, so it searches fewer boxes than Detect.
 func (d *Detector) DetectClass(img *raster.Image, class string) []Detection {
+	return OfClass(d.detect(img, func(name string) bool { return name == class }), class)
+}
+
+// OfClass returns the detections of dets of the given class, in order:
+// OfClass(Detect(img), class) is DetectClass(img, class).
+func OfClass(dets []Detection, class string) []Detection {
 	var out []Detection
-	for _, det := range d.detect(img, func(name string) bool { return name == class }) {
+	for _, det := range dets {
 		if det.Class == class {
 			out = append(out, det)
 		}
@@ -287,25 +296,55 @@ func (d *Detector) DetectClass(img *raster.Image, class string) []Detection {
 // past a NaN confidence, which its sort moves nothing across: those are
 // kept whatever their class, and the caller filters after suppression.
 func (d *Detector) detect(img *raster.Image, want func(string) bool) []Detection {
+	s := scratchPool.Get().(*propScratch)
+	defer scratchPool.Put(s)
+	comps := s.components(img)
+	s.order = proposalOrder(s.order[:0], comps, img.W*img.H)
+	return d.emit(img, comps, s.order, want)
+}
+
+// emit scores the unscored components order names, in order, and returns
+// the non-max-suppressed detections of those emitted as a class want
+// accepts (or with a NaN confidence).
+func (d *Detector) emit(img *raster.Image, comps []scanComp, order []int32, want func(string) bool) []Detection {
 	threshold := d.Threshold
 	if threshold <= 0 {
 		threshold = 0.5
 	}
 	var dets []Detection
-	f := make([]float64, FeatureDim)
-	for _, box := range Proposals(img) {
-		r := countFeaturesInto(f, img, box)
-		if !d.mayEmit(f, want, threshold) {
-			continue
+	var f []float64
+	for _, i := range order {
+		c := &comps[i]
+		if c.state == unscored {
+			if f == nil {
+				f = make([]float64, FeatureDim)
+			}
+			d.score(c, img, f, want, threshold)
 		}
-		f[checkboxFeature] = checkboxScore(img, r)
-		class, conf := d.scoreFeatures(f)
-		if class == ClassBackground || conf < threshold || !(want(class) || math.IsNaN(conf)) {
-			continue
+		if c.state == emitted && (want(c.class) || math.IsNaN(c.conf)) {
+			dets = append(dets, Detection{Class: c.class, Score: c.conf, Box: c.box})
 		}
-		dets = append(dets, Detection{Class: class, Score: conf, Box: box})
 	}
 	return NonMaxSuppression(dets, 0.3)
+}
+
+// score classifies c's content box: emitted with its class and confidence
+// when the box is a detection, dropped when it is background, below the
+// threshold, or skipped because no checkbox score could make it a class
+// want accepts.
+func (d *Detector) score(c *scanComp, img *raster.Image, f []float64, want func(string) bool, threshold float64) {
+	r := countFeaturesInto(f, img, c.box)
+	if !d.mayEmit(f, want, threshold) {
+		c.state = dropped
+		return
+	}
+	f[checkboxFeature] = checkboxScore(img, r)
+	class, conf := d.scoreFeatures(f)
+	if class == ClassBackground || conf < threshold {
+		c.state = dropped
+		return
+	}
+	c.state, c.class, c.conf = emitted, class, conf
 }
 
 // Marshal serializes the detector.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/raster"
@@ -24,10 +25,15 @@ const (
 // propScratch holds the transient buffers of one Proposals call, recycled
 // through a pool so steady-state detection does not allocate per page.
 type propScratch struct {
-	acc    []byte    // the OR of one cell row's pixel rows
-	runs   []cellRun // every run of occupied cells, in scan order
-	parent []int32   // union-find over runs; a root is its set's earliest run
-	boxes  []cellBox // per root run: its component's cell bounds
+	acc    []byte     // the OR of one cell row's pixel rows
+	runs   []cellRun  // every run of occupied cells, in scan order
+	parent []int32    // union-find over runs; a root is its set's earliest run
+	comps  []scanComp // every component, in scan order
+	order  []int32    // indices into comps of the proposals, largest first
+
+	// Rescan's: the inner cells of each hole and the islands in them.
+	inner []cellBox
+	isl   []scanComp
 }
 
 // cellRun is a maximal horizontal run of occupied cells [c0, c1] in cell
@@ -37,12 +43,33 @@ type cellRun struct{ cy, c0, c1 int32 }
 // cellBox is a component's bounds in cells, inclusive.
 type cellBox struct{ x0, y0, x1, y1 int32 }
 
+// pixels returns the cell box in pixels; the last cell row or column may
+// reach past the image.
+func (c cellBox) pixels() raster.Rect {
+	return raster.R(int(c.x0)*dilate, int(c.y0)*dilate,
+		int(c.x1-c.x0+1)*dilate, int(c.y1-c.y0+1)*dilate)
+}
+
 var scratchPool = sync.Pool{New: func() any { return new(propScratch) }}
 
 // Proposals returns candidate object regions in img, each tightened to its
 // content, largest first. Tightening removes the cell-granularity margins
 // the coarse grid introduces, so detection features align with the
 // exact-box features the detector trained on.
+func Proposals(img *raster.Image) []raster.Rect {
+	s := scratchPool.Get().(*propScratch)
+	defer scratchPool.Put(s)
+	comps := s.components(img)
+	s.order = proposalOrder(s.order[:0], comps, img.W*img.H)
+	var out []raster.Rect
+	for _, i := range s.order {
+		out = append(out, comps[i].box)
+	}
+	return out
+}
+
+// components returns every component of img's occupied cells in the scan
+// order of its first cell, each with its content box, in s.comps.
 //
 // The page is cut into dilate-sized cells, a cell being occupied when any
 // of its pixels is not White, and the components are the 8-connected sets
@@ -52,27 +79,36 @@ var scratchPool = sync.Pool{New: func() any { return new(propScratch) }}
 // it skipping blank words, and each run joins the runs of the cell row
 // above that touch it within one cell. Components come out in the scan
 // order of their first cell.
-func Proposals(img *raster.Image) []raster.Rect {
-	w, h := img.W, img.H
-	if w == 0 || h == 0 {
-		return nil
+func (s *propScratch) components(img *raster.Image) []scanComp {
+	comps := s.label(s.comps[:0], img, 0, 0, (img.W+dilate-1)/dilate, (img.H+dilate-1)/dilate)
+	for i := range comps {
+		// Never empty: the cell box holds an occupied cell.
+		comps[i].box = img.ContentBoundsIn(comps[i].cells.pixels())
 	}
-	ch := (h + dilate - 1) / dilate
-	s := scratchPool.Get().(*propScratch)
-	defer scratchPool.Put(s)
-	if cap(s.acc) < w {
-		s.acc = make([]byte, w)
+	s.comps = comps
+	return comps
+}
+
+// label appends to dst the components of the occupied cells among the nx×ny
+// cells whose first is (cx0, cy0), in scan order, with their cell bounds
+// (in the image's cells) and first cells, unscored and without content
+// boxes. Cells on the image's last row or column may be cut short by it.
+func (s *propScratch) label(dst []scanComp, img *raster.Image, cx0, cy0, nx, ny int) []scanComp {
+	x0 := cx0 * dilate
+	w, h := min(nx*dilate, img.W-x0), img.H
+	if w <= 0 || ny <= 0 {
+		return dst
 	}
-	acc := s.acc[:w]
+	acc := slices.Grow(s.acc[:0], w)[:w]
 	pix := img.Bytes()
+	line := func(y int) []byte { return pix[y*img.W+x0 : y*img.W+x0+w] }
 	runs, parent := s.runs[:0], s.parent[:0]
 	prev := 0 // index of the cell row above's first run
-	for cy := 0; cy < ch; cy++ {
-		y0 := cy * dilate
-		copy(acc, pix[y0*w:y0*w+w])
+	for cy := 0; cy < ny; cy++ {
+		y0 := (cy0 + cy) * dilate
+		copy(acc, line(y0))
 		for y := y0 + 1; y < min(y0+dilate, h); y++ {
-			row := pix[y*w : y*w+w]
-			if !bytes.Equal(row, pix[(y-1)*w:y*w]) {
+			if row := line(y); !bytes.Equal(row, line(y-1)) {
 				orInto(acc, row)
 			}
 		}
@@ -101,49 +137,54 @@ func Proposals(img *raster.Image) []raster.Rect {
 	}
 	// Parents only ever point to earlier runs and a root is its set's
 	// earliest, so visiting runs in order meets each component at its
-	// first cell, and relabels every run with its component's box after
-	// the run it points to.
-	boxes := s.boxes[:0]
+	// first cell, and relabels every run with its component after the run
+	// it points to.
+	base := len(dst)
 	for i, r := range runs {
+		r.cy, r.c0, r.c1 = r.cy+int32(cy0), r.c0+int32(cx0), r.c1+int32(cx0)
 		p := parent[i]
 		if int(p) == i {
-			parent[i] = int32(len(boxes))
-			boxes = append(boxes, cellBox{r.c0, r.cy, r.c1, r.cy})
+			parent[i] = int32(len(dst) - base)
+			dst = append(dst, scanComp{cells: cellBox{r.c0, r.cy, r.c1, r.cy}, c0: r.c0})
 			continue
 		}
 		parent[i] = parent[p]
-		b := &boxes[parent[i]]
+		b := &dst[base+int(parent[i])].cells
 		b.x0, b.x1, b.y1 = min(b.x0, r.c0), max(b.x1, r.c1), r.cy
 	}
-	s.runs, s.parent, s.boxes = runs[:0], parent[:0], boxes[:0]
-	var out []raster.Rect
-	for _, c := range boxes {
-		b := raster.R(int(c.x0)*dilate, int(c.y0)*dilate,
-			int(c.x1-c.x0+1)*dilate, int(c.y1-c.y0+1)*dilate)
-		b = img.ContentBoundsIn(b) // never empty: b holds an occupied cell
-		if b.W < minPropW || b.H < minPropH || b.Area() > w*h*9/10 {
-			// Too small to classify, or a whole-page blob with no
-			// localization signal.
+	s.acc, s.runs, s.parent = acc, runs[:0], parent[:0]
+	return dst
+}
+
+// proposalOrder appends to order the indices of the components whose
+// content boxes are proposals, largest first, at most maxProposals of them.
+// Boxes too small to classify, or whole-page blobs with no localization
+// signal (over nine tenths of the page's area), are not proposals.
+func proposalOrder(order []int32, comps []scanComp, pageArea int) []int32 {
+	for i := range comps {
+		b := comps[i].box
+		if b.W < minPropW || b.H < minPropH || b.Area() > pageArea*9/10 {
 			continue
 		}
-		out = append(out, b)
+		order = append(order, int32(i))
 	}
 	// Stable insertion sort by descending area: proposal counts are small
 	// and this avoids the per-call closure and swapper allocations of the
 	// reflection-based sort.
-	for i := 1; i < len(out); i++ {
-		b := out[i]
+	for i := 1; i < len(order); i++ {
+		c := order[i]
+		a := comps[c].box.Area()
 		j := i - 1
-		for j >= 0 && out[j].Area() < b.Area() {
-			out[j+1] = out[j]
+		for j >= 0 && comps[order[j]].box.Area() < a {
+			order[j+1] = order[j]
 			j--
 		}
-		out[j+1] = b
+		order[j+1] = c
 	}
-	if len(out) > maxProposals {
-		out = out[:maxProposals]
+	if len(order) > maxProposals {
+		order = order[:maxProposals]
 	}
-	return out
+	return order
 }
 
 // find returns the root of i's set, halving the path as it goes.
