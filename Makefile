@@ -120,9 +120,12 @@ cloak-smoke:
 # rescan (rescanning an image that differs from a scanned one inside
 # outlined boxes equals Detect and DetectClass; a broken outline or
 # overlapping boxes fall back to Detect), the behaviour script parser (no
-# panic, and an accepted behaviour survives Marshal) and the fleet
+# panic, and an accepted behaviour survives Marshal), the fleet
 # coordinator's wire handlers (no panic, 200 or 4xx, and no range done
-# that was not leased to the worker and attempt completing it).
+# that was not leased to the worker and attempt completing it) and the
+# journal's run binding over hostile segment bytes (no panic in Open or
+# BindRun, and a journal bound to a manifest still accepts it and refuses
+# another after a reopen, with or without its checkpoint).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=15s ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzCellCounts -fuzztime=15s ./internal/raster
@@ -134,6 +137,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzScanKey -fuzztime=15s ./internal/browser
 	$(GO) test -run='^$$' -fuzz=FuzzRescan -fuzztime=15s ./internal/vision
 	$(GO) test -run='^$$' -fuzz=FuzzCoordinatorRequests -fuzztime=15s ./internal/fleet
+	$(GO) test -run='^$$' -fuzz=FuzzBindRun -fuzztime=15s ./internal/journal
 
 # Hot-path microbenchmarks: the detector pass (BenchmarkDetect on one
 # synthetic page; the pattern also matches BenchmarkDetectPages, Detect per
@@ -144,11 +148,13 @@ fuzz:
 # data page of that corpus with forged values typed), the render layer
 # (BenchmarkRenderPages: every page of a 60-site corpus, its images
 # validated into runs and painted into the screenshot), the per-page OCR
-# label search, one crawl session (fresh and pooled), the model build, and
-# the triage probe's pHash and cropped embedding of a rendered landing page.
+# label search, one crawl session (fresh and pooled), the model build, the
+# triage probe's pHash and cropped embedding of a rendered landing page, and
+# a whole triage plan of a 120-site clone-heavy feed (BenchmarkBuildPlan,
+# without a memo and with a fresh page memo per plan).
 # End-to-end throughput is measured by `python3 _phishbench/run.py`, not here.
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkTypedPageDetect|BenchmarkRenderPages|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped' -benchmem ./...
+	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkTypedPageDetect|BenchmarkRenderPages|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped|BenchmarkBuildPlan' -benchmem ./...
 
 # Allocation gates: the per-session allocs/op budgets and the
 # pooled-vs-unpooled byte-identity pins (testing.AllocsPerRun enforces the
@@ -158,12 +164,12 @@ alloc-gate:
 
 # Byte-identity pins under varied scheduling: the farm's 1-vs-30-worker
 # pins (plain, pooled, fault-injected, stage table), the triage probe
-# pool's 1-vs-8-worker pin, the pooled == unpooled session pins and the
-# memo == no-memo session pin, three times each at GOMAXPROCS=1 and
-# GOMAXPROCS=2. Sessions give their compute
-# slot back while they wait on the network, so the order sessions run in
-# changes with every schedule; these pins prove the bytes do not.
-PINS = ^(TestRunDeterministicAcrossWorkerCounts.*|TestChaosDeterministicAcrossWorkerCounts|TestStagesIdenticalAcrossWorkerCounts|TestBuildPlanDeterministicAcrossWorkers|TestCrawlPooledMatchesUnpooled.*|TestCrawlMemoMatchesNoMemo)$$
+# pool's 1-vs-8-worker pin, the pooled == unpooled session pins, the
+# memo == no-memo session pin and the triage plan's memo == no-memo pin,
+# three times each at GOMAXPROCS=1 and GOMAXPROCS=2. Sessions give their
+# compute slot back while they wait on the network, so the order sessions
+# run in changes with every schedule; these pins prove the bytes do not.
+PINS = ^(TestRunDeterministicAcrossWorkerCounts.*|TestChaosDeterministicAcrossWorkerCounts|TestStagesIdenticalAcrossWorkerCounts|TestBuildPlanDeterministicAcrossWorkers|TestBuildPlanMemoMatchesNoMemo|TestCrawlPooledMatchesUnpooled.*|TestCrawlMemoMatchesNoMemo)$$
 pins:
 	for procs in 1 2; do \
 		GOMAXPROCS=$$procs $(GO) test -count=3 -run '$(PINS)' ./internal/farm/ ./internal/crawler/ ./internal/triage/ || exit 1; \

@@ -290,13 +290,17 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 	// (and therefore the same chaos-wrapped transport) the crawler uses.
 	// Probing consumes each URL's first connection exactly once per
 	// process, which keeps even the injector's stateful flaky-connection
-	// budget identical across runs, resumes, and fleet members.
+	// budget identical across runs, resumes, and fleet members. The probes
+	// share the crawler's memo, so a repeated landing page is rendered
+	// once, and the session crawling a campaign's founder finds its
+	// landing page's hash and embedding already stored.
 	if opts.Triage != nil {
 		p.Triage = triage.BuildPlan(p.Feed.URLs(), triage.Config{
 			Options:     *opts.Triage,
 			Workers:     opts.Workers,
 			NewBrowser:  p.Crawler.NewBrowser,
 			BrandTokens: brandTokens(),
+			Memo:        p.Crawler.Memo,
 		})
 	}
 	return p, nil

@@ -7,15 +7,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/crawler"
 	"repro/internal/farm"
+	"repro/internal/triage"
 )
 
 // TestAblationCopiesShareMemo runs the benchmark ablations' pattern: copies
 // of the pipeline's crawler that drop the detector or the OCR fallback
-// share its memo, already warmed by a full crawl, with each other. Each
-// copy must export what the same copy exports without a memo, so results
-// derived under one configuration are never served to another.
+// share its memo, already warmed by the triage probes and a full crawl,
+// with each other. Each copy must export what the same copy exports
+// without a memo: the looks (page hashes and embeddings), stored by the
+// probes and every configuration, are served to all of them, and results
+// derived under one configuration's models are never served to another.
 func TestAblationCopiesShareMemo(t *testing.T) {
-	p, err := core.NewPipeline(core.Options{NumSites: 60, Seed: 9, Workers: 4})
+	p, err := core.NewPipeline(core.Options{NumSites: 60, Seed: 9, Workers: 4, Triage: &triage.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}

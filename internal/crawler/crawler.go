@@ -405,7 +405,7 @@ func (c *Crawler) crawlAttempt(seedURL string, prof browser.Profile, jar map[str
 		log.NetLog = exportNetLog()
 		return log, nil
 	}
-	log.FirstPageEmbedding = c.firstPageEmbedding(page)
+	log.FirstPageEmbedding = c.Memo.embedding(page)
 
 	for step := 0; ; step++ {
 		if ctx.Err() != nil {

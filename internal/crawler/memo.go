@@ -13,25 +13,30 @@ import (
 	"repro/internal/visualphish"
 )
 
-// maxMemoEntries bounds the memo's entries and, separately, its scans: a
-// store that would add one past it empties that map first. An entry holds
-// a few detections, hashes and field records and at most one 16x16
-// embedding thumbnail: the 9,432 entries of a 4,000-site chaos+cloak crawl
-// held 4.6 MB, so the bound is about 16 MB. A scan holds 80 bytes per
-// component of occupied cells, and the pages of a 60-site corpus have 12
-// on average and 26 at most: about 1 KB a scan, 32 MB at the bound.
+// maxMemoEntries bounds each of the memo's maps, its entries, scans and
+// looks: a store that would add one past it empties that map first. An
+// entry holds a few detections, hashes and field records: the 9,432
+// entries of a 4,000-site chaos+cloak crawl held 4.6 MB when they also
+// held the landing pages' embeddings, so the bound is under 16 MB. A scan
+// holds 80 bytes per component of occupied cells, and the pages of a
+// 60-site corpus have 12 on average and 26 at most: about 1 KB a scan,
+// 32 MB at the bound. A look is about 550 bytes (a 256-byte thumbnail, a
+// 128-byte histogram and two hashes): 18 MB at the bound.
 const maxMemoEntries = 1 << 15
 
 // Memo shares the pixel-derived results of observing a page across
-// sessions. Phishing kits are deployed many times over, and uncloaking
-// re-attempts land on the same decoy, so most observed pages have been
-// seen before with the same content: the memo keys results by
-// browser.Page.ContentKey, and a session that finds them skips rendering
-// the page, detecting on it, hashing it and reading its labels. It also
-// keeps each detection scan by browser.Page.ScanKey, which leaves out the
-// values typed into the page's input boxes, so the button detection that
-// ends each data attempt re-reads only those boxes. Every result is a pure
-// function of the page content and the models that derived it, so a
+// sessions and the triage probe. Phishing kits are deployed many times
+// over, and uncloaking re-attempts land on the same decoy, so most
+// observed pages have been seen before with the same content: the memo
+// keys results by browser.Page.ContentKey, and a session or probe that
+// finds them skips rendering the page, detecting on it, hashing it and
+// reading its labels. A page's look (its perceptual hash and cropped
+// embedding, see Look) depends on its content alone; its detections and
+// fields also depend on the crawler's models, which key them too. The memo
+// also keeps each detection scan by browser.Page.ScanKey, which leaves out
+// the values typed into the page's input boxes, so the button detection
+// that ends each data attempt re-reads only those boxes. Every result is a
+// pure function of the page content and the models that derived it, so a
 // session exports the same bytes whether its lookups hit or miss; a nil
 // *Memo misses every lookup. One Memo is shared by every worker of a crawl
 // and is safe for concurrent use.
@@ -40,13 +45,18 @@ type Memo struct {
 	limit int
 	m     map[memoKey]memoEntry
 	scans map[scanKey]*vision.Scan
+	looks map[[sha256.Size]byte]look
 }
 
 // NewMemo returns an empty memo.
-func NewMemo() *Memo { return newMemo(maxMemoEntries) }
+func NewMemo() *Memo { return NewBoundedMemo(maxMemoEntries) }
 
-func newMemo(limit int) *Memo {
-	return &Memo{limit: limit, m: map[memoKey]memoEntry{}, scans: map[scanKey]*vision.Scan{}}
+// NewBoundedMemo returns an empty memo whose maps each hold at most limit
+// entries. A bound changes which lookups hit, never a result; NewMemo's
+// suits any crawl, and tests overflow a small one.
+func NewBoundedMemo(limit int) *Memo {
+	return &Memo{limit: limit, m: map[memoKey]memoEntry{}, scans: map[scanKey]*vision.Scan{},
+		looks: map[[sha256.Size]byte]look{}}
 }
 
 // memoKey names one page content as seen by one crawler configuration:
@@ -70,9 +80,16 @@ type scanKey struct {
 // the first time a session needs it. Stored slices are never written.
 type memoEntry struct {
 	obs       *observation
-	embed     *visualphish.Embedding
 	fields    []memoField
 	hasFields bool
+}
+
+// look is what a page's screenshot alone determines; each part is filled
+// the first time a caller needs it. The stored Thumb is never written.
+type look struct {
+	hash    phash.Hash
+	hasHash bool
+	embed   *visualphish.Embedding
 }
 
 // observation is observePage's pixel-derived part of a PageLog.
@@ -121,9 +138,6 @@ func (c *Crawler) memoStore(k memoKey, set func(*memoEntry)) {
 	if parts.obs != nil {
 		e.obs = parts.obs
 	}
-	if parts.embed != nil {
-		e.embed = parts.embed
-	}
 	if parts.hasFields {
 		e.fields, e.hasFields = parts.fields, true
 	}
@@ -155,32 +169,83 @@ func (m *Memo) storeScan(k scanKey, scan *vision.Scan) {
 	m.scans[k] = scan
 }
 
-// firstPageEmbedding returns the cropped visual embedding of p.
-func (c *Crawler) firstPageEmbedding(p *browser.Page) visualphish.Embedding {
-	k, e := c.memoLookup(p)
-	if e.embed == nil {
-		emb := visualphish.EmbedCropped(p.Screenshot())
-		c.memoStore(k, func(e *memoEntry) {
-			stored := emb
-			stored.Thumb = slices.Clone(emb.Thumb)
-			e.embed = &stored
-		})
-		return emb
+// Look returns p's perceptual hash (phash.Compute of its screenshot) and
+// cropped visual embedding (visualphish.EmbedCropped). Both depend on the
+// screenshot alone, so they are kept by content key whatever models the
+// caller runs: a triage probe's look serves the crawl sessions landing on
+// the same content, and theirs serve each other. On a hit nothing is
+// rendered. The embedding's Thumb is the caller's own copy. A nil *Memo
+// computes both.
+func (m *Memo) Look(p *browser.Page) (phash.Hash, visualphish.Embedding) {
+	return m.pageHash(p), m.embedding(p)
+}
+
+// pageHash is Look's perceptual hash, computed and stored alone on a miss.
+func (m *Memo) pageHash(p *browser.Page) phash.Hash {
+	if m == nil {
+		return phash.Compute(p.Screenshot())
 	}
-	emb := *e.embed
+	k := p.ContentKey()
+	if l := m.storedLook(k); l.hasHash {
+		return l.hash
+	}
+	h := phash.Compute(p.Screenshot())
+	m.storeLook(k, look{hash: h, hasHash: true})
+	return h
+}
+
+// embedding is Look's embedding, computed and stored alone on a miss.
+func (m *Memo) embedding(p *browser.Page) visualphish.Embedding {
+	if m == nil {
+		return visualphish.EmbedCropped(p.Screenshot())
+	}
+	k := p.ContentKey()
+	stored := m.storedLook(k).embed
+	if stored == nil {
+		emb := visualphish.EmbedCropped(p.Screenshot())
+		stored = &emb
+		m.storeLook(k, look{embed: stored})
+	}
+	emb := *stored
 	emb.Thumb = slices.Clone(emb.Thumb)
 	return emb
 }
 
-// observe returns p's perceptual hash and, with a detector, its detections
-// and the hash of each detection's crop. With a memo, detecting on a page
-// not seen before also records its detection scan under its ScanKey.
+// storedLook returns what the memo holds for content k's look.
+func (m *Memo) storedLook(k [sha256.Size]byte) look {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.looks[k]
+}
+
+// storeLook records the parts parts holds into k's look, keeping the parts
+// already there, and empties the looks first when they are at the bound.
+func (m *Memo) storeLook(k [sha256.Size]byte, parts look) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	l, ok := m.looks[k]
+	if !ok && len(m.looks) >= m.limit {
+		clear(m.looks)
+	}
+	if parts.hasHash {
+		l.hash, l.hasHash = parts.hash, true
+	}
+	if parts.embed != nil {
+		l.embed = parts.embed
+	}
+	m.looks[k] = l
+}
+
+// observe returns p's perceptual hash, from its look, and, with a
+// detector, its detections and the hash of each detection's crop. With a
+// memo, detecting on a page not seen before also records its detection
+// scan under its ScanKey.
 func (c *Crawler) observe(p *browser.Page) observation {
 	k, e := c.memoLookup(p)
 	if e.obs == nil {
-		shot := p.Screenshot()
-		obs := observation{PHash: phash.Compute(shot)}
+		obs := observation{PHash: c.Memo.pageHash(p)}
 		if c.Detector != nil {
+			shot := p.Screenshot()
 			if c.Memo == nil {
 				obs.Detections = c.Detector.Detect(shot)
 			} else {

@@ -137,54 +137,47 @@ func TestCrawlMemoMatchesNoMemo(t *testing.T) {
 	}
 }
 
-// TestMemoBoundChangesNoOutput overflows a memo bounded at two entries and
-// two scans on every crawl; clearing it must change no export.
+// TestMemoBoundChangesNoOutput overflows a memo bounded at two entries, two
+// scans and two looks on every crawl; clearing it must change no export.
 func TestMemoBoundChangesNoOutput(t *testing.T) {
 	plain, memo := memoCrawler(t), memoCrawler(t)
-	memo.Memo = newMemo(2)
-	scans := map[scanKey]bool{}
+	memo.Memo = NewBoundedMemo(2)
+	scans, looks := map[scanKey]bool{}, map[[32]byte]bool{}
 	crawlMatches(t, memo, plain, func() {
-		if n, s := len(memo.Memo.m), len(memo.Memo.scans); n > 2 || s > 2 {
-			t.Fatalf("memo holds %d entries and %d scans, bound 2", n, s)
+		if n, s, l := len(memo.Memo.m), len(memo.Memo.scans), len(memo.Memo.looks); n > 2 || s > 2 || l > 2 {
+			t.Fatalf("memo holds %d entries, %d scans and %d looks, bound 2", n, s, l)
 		}
 		for k := range memo.Memo.scans {
 			scans[k] = true
 		}
+		for k := range memo.Memo.looks {
+			looks[k] = true
+		}
 	})
-	if len(scans) <= 2 {
-		t.Fatalf("only %d distinct scans stored: the scans never overflowed", len(scans))
+	if len(scans) <= 2 || len(looks) <= 2 {
+		t.Fatalf("only %d distinct scans and %d looks stored: the memo never overflowed", len(scans), len(looks))
 	}
 }
 
 // TestMemoServesStoredResults proves the hit path is taken: after a crawl
 // warms the memo, the stored results are overwritten, and the next crawl
 // of the same content must report the overwritten values. The OCR page's
-// clone on another host checks the page hash, embedding and fields; a
-// repeat crawl of the visual-submit page checks the button detections,
-// rescanned from the stored scan of the page, replaced by a blank page's:
-// no data attempt, whatever values it types, finds a button to click.
+// clone on another host checks the page hash, embedding and fields, and
+// that a copy of the crawler without a detector or OCR, which shares only
+// the memo's looks, takes its page hash and embedding from them; a repeat
+// crawl of the visual-submit page checks the button detections, rescanned
+// from the stored scan of the page, replaced by a blank page's: no data
+// attempt, whatever values it types, finds a button to click.
 func TestMemoServesStoredResults(t *testing.T) {
 	plain := memoCrawler(t)
-	poisoned := func(warm string, poison func(*memoEntry)) *Crawler {
-		c := memoCrawler(t)
-		c.Memo = NewMemo()
-		c.Crawl(warm)
-		for k, e := range c.Memo.m {
-			poison(&e)
-			c.Memo.m[k] = e
-		}
-		return c
-	}
-	c := poisoned("http://ocr.test/", func(e *memoEntry) {
+	c := memoCrawler(t)
+	c.Memo = NewMemo()
+	c.Crawl("http://ocr.test/")
+	for k, e := range c.Memo.m {
 		if e.obs != nil {
 			obs := e.obs.clone()
 			obs.PHash[0] ^= 1
 			e.obs = &obs
-		}
-		if e.embed != nil {
-			emb := *e.embed
-			emb.PHash[0] ^= 1
-			e.embed = &emb
 		}
 		if e.hasFields {
 			fields := append([]memoField(nil), e.fields...)
@@ -193,7 +186,17 @@ func TestMemoServesStoredResults(t *testing.T) {
 			}
 			e.fields = fields
 		}
-	})
+		c.Memo.m[k] = e
+	}
+	for k, l := range c.Memo.looks {
+		l.hash[1] ^= 1
+		if l.embed != nil {
+			emb := *l.embed
+			emb.PHash[0] ^= 1
+			l.embed = &emb
+		}
+		c.Memo.looks[k] = l
+	}
 	want, got := plain.Crawl("http://ocr2.test/"), c.Crawl("http://ocr2.test/")
 	if got.Pages[0].PHash == want.Pages[0].PHash {
 		t.Error("observed page hash not served from the memo")
@@ -204,6 +207,17 @@ func TestMemoServesStoredResults(t *testing.T) {
 	if len(got.Pages[0].Fields) == 0 || got.Pages[0].Fields[0].Description != "poisoned" {
 		t.Errorf("fields not served from the memo: %+v", got.Pages[0].Fields)
 	}
+	ablated := *c
+	ablated.Detector, ablated.DisableOCR = nil, true
+	plain.Detector, plain.DisableOCR = nil, true
+	want, got = plain.Crawl("http://ocr2.test/"), ablated.Crawl("http://ocr2.test/")
+	if h := got.Pages[0].PHash; h == want.Pages[0].PHash || h[1] == want.Pages[0].PHash[1] {
+		t.Error("page hash of a copy without detector or OCR not served from the shared look")
+	}
+	if got.FirstPageEmbedding.PHash == want.FirstPageEmbedding.PHash {
+		t.Error("first-page embedding of a copy without detector or OCR not served from the shared look")
+	}
+	plain = memoCrawler(t)
 
 	// The scan of a blank page the size of vs.test's: rescanning a typed
 	// page from it finds no button, so no data attempt can submit.

@@ -3,6 +3,8 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -61,6 +63,62 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			}
 			if re := encodeFrame(got3); !bytes.Equal(re, data[:n3]) {
 				t.Fatal("accepted frame does not re-encode canonically")
+			}
+		}
+	})
+}
+
+// FuzzBindRun opens a journal directory whose segment bytes the fuzzer
+// supplies (split into two segments at split, when it falls inside them)
+// and binds it to a run manifest. Neither Open nor BindRun may panic, and
+// a bind that succeeds must hold: reopened, with its checkpoint and after
+// the checkpoint is deleted (recovery rebuilds it from the segments), the
+// journal still accepts the manifest and refuses a different one.
+func FuzzBindRun(f *testing.F) {
+	// Seeds, in testdata/fuzz/FuzzBindRun, bind this manifest's run record,
+	// another manifest's, sessions without a run record, torn tails and
+	// a run record split from its sessions by a segment boundary.
+	manifest := []byte(`{"seed":42,"triage":true}`)
+	f.Fuzz(func(t *testing.T, seg []byte, split uint16) {
+		dir := t.TempDir()
+		parts := [][]byte{seg}
+		if s := int(split); s > 0 && s < len(seg) {
+			parts = [][]byte{seg[:s], seg[s:]}
+		}
+		for i, p := range parts {
+			if err := os.WriteFile(filepath.Join(dir, segmentName(i+1)), p, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j, err := Open(dir, Options{Sync: SyncNone})
+		if err != nil {
+			return
+		}
+		bound := j.BindRun(manifest)
+		if err := j.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if bound != nil {
+			return
+		}
+		for _, dropCheckpoint := range []bool{false, true} {
+			if dropCheckpoint {
+				if err := os.Remove(filepath.Join(dir, checkpointName)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j, err := Open(dir, Options{Sync: SyncNone})
+			if err != nil {
+				t.Fatalf("reopening a bound journal (checkpoint dropped: %v): %v", dropCheckpoint, err)
+			}
+			if err := j.BindRun(manifest); err != nil {
+				t.Errorf("reopened journal (checkpoint dropped: %v) refuses the manifest it was bound to: %v", dropCheckpoint, err)
+			}
+			if err := j.BindRun(append(manifest[:len(manifest):len(manifest)], ' ')); err == nil {
+				t.Errorf("reopened journal (checkpoint dropped: %v) accepts a different manifest", dropCheckpoint)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatalf("close: %v", err)
 			}
 		}
 	})

@@ -9,6 +9,7 @@ import (
 	"repro/internal/browser"
 	"repro/internal/crawler"
 	"repro/internal/dom"
+	"repro/internal/farm"
 	"repro/internal/phash"
 	"repro/internal/visualphish"
 )
@@ -41,12 +42,21 @@ type Fingerprint struct {
 }
 
 // probe fetches url once and fingerprints the landing page. One Navigate,
-// one render — no interaction budget, no retries. The browser comes from
-// the same factory (and therefore the same chaos-wrapped transport) the
-// crawler uses, so a fault-injected feed faults probes exactly as it would
-// fault a session's first fetch.
-func probe(newBrowser func() *browser.Browser, rawURL string) Fingerprint {
-	fp := Fingerprint{URL: rawURL}
+// at most one render — no interaction budget, no retries. The browser
+// comes from the same factory (and therefore the same chaos-wrapped
+// transport) the crawler uses, so a fault-injected feed faults probes
+// exactly as it would fault a session's first fetch. The page's look comes
+// from memo, so a landing page whose content was seen before is not
+// rendered. A panic while fetching or fingerprinting the page (hostile
+// content) makes the probe unhealthy: the URL then gets a full session,
+// under the farm's panic guard.
+func probe(newBrowser func() *browser.Browser, memo *crawler.Memo, rawURL string) (fp Fingerprint) {
+	defer func() {
+		if r := recover(); r != nil {
+			fp = Fingerprint{URL: rawURL, Err: farm.OutcomePanic}
+		}
+	}()
+	fp = Fingerprint{URL: rawURL}
 	b := newBrowser()
 	page, err := b.Navigate(rawURL)
 	if err != nil {
@@ -65,10 +75,8 @@ func probe(newBrowser func() *browser.Browser, rawURL string) Fingerprint {
 		fp.Err = crawler.OutcomeTakedown
 		return fp
 	}
-	shot := page.Screenshot()
 	fp.DOMHash = page.DOMHash()
-	fp.PHash = phash.Compute(shot)
-	fp.Emb = visualphish.EmbedCropped(shot)
+	fp.PHash, fp.Emb = memo.Look(page)
 	fp.ContentHash = contentHash(fp.DOMHash, fp.Title, fp.Text, fp.PHash)
 	fp.OK = true
 	return fp
@@ -90,7 +98,7 @@ func contentHash(domHash, title, text string, ph phash.Hash) string {
 // function of its URL (every process probes each URL exactly once, so even
 // the chaos injector's stateful flaky-connection budget is consumed
 // identically everywhere) — the output is independent of scheduling.
-func probeAll(urls []string, eligible []bool, workers int, newBrowser func() *browser.Browser) []*Fingerprint {
+func probeAll(urls []string, eligible []bool, workers int, newBrowser func() *browser.Browser, memo *crawler.Memo) []*Fingerprint {
 	fps := make([]*Fingerprint, len(urls))
 	if workers <= 0 {
 		workers = 1
@@ -108,7 +116,7 @@ func probeAll(urls []string, eligible []bool, workers int, newBrowser func() *br
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				fp := probe(newBrowser, urls[i])
+				fp := probe(newBrowser, memo, urls[i])
 				fps[i] = &fp
 			}
 		}()

@@ -37,6 +37,12 @@ type Config struct {
 	// BrandTokens is the lowercase brand vocabulary for the lexical
 	// brand-in-host feature.
 	BrandTokens []string
+	// Memo, when non-nil, is the crawl's page memo: probes take each
+	// landing page's pHash and embedding from it (see crawler.Memo.Look),
+	// so a content seen before is not rendered again, and the sessions
+	// crawling the same content later find what the probes stored. The
+	// plan is the same either way.
+	Memo *crawler.Memo
 }
 
 // Decision is a plan entry's fate.
@@ -99,7 +105,7 @@ func BuildPlan(urls []string, cfg Config) *Plan {
 		eligible[idx] = opts.TopK <= 0 || rank < opts.TopK
 	}
 
-	fps := probeAll(urls, eligible, cfg.Workers, cfg.NewBrowser)
+	fps := probeAll(urls, eligible, cfg.Workers, cfg.NewBrowser, cfg.Memo)
 
 	ix := NewIndex()
 	for i, u := range urls {

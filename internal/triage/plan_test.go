@@ -2,6 +2,7 @@ package triage_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -20,6 +21,12 @@ import (
 // training.
 func testUniverse(t testing.TB, numSites, minCampaign int) ([]string, map[string]*site.Site, func() *browser.Browser) {
 	t.Helper()
+	urls, bySeed, transport := testFeed(numSites, minCampaign)
+	return urls, bySeed, browserOver(transport)
+}
+
+// testFeed is testUniverse returning the serving transport itself.
+func testFeed(numSites, minCampaign int) ([]string, map[string]*site.Site, http.RoundTripper) {
 	params := sitegen.ScaledParams(numSites, 42)
 	params.MinCampaignSize = minCampaign
 	c := sitegen.Generate(params)
@@ -27,16 +34,16 @@ func testUniverse(t testing.TB, numSites, minCampaign int) ([]string, map[string
 	for _, s := range c.Sites {
 		reg.AddSite(s)
 	}
-	var transport http.RoundTripper = phishserver.Transport{Registry: reg}
-	nb := func() *browser.Browser {
-		return browser.New(browser.Options{Transport: transport})
-	}
 	f := feed.FromCorpus(c, 43)
 	bySeed := map[string]*site.Site{}
 	for _, e := range f.Filter() {
 		bySeed[e.URL] = e.Site
 	}
-	return f.URLs(), bySeed, nb
+	return f.URLs(), bySeed, phishserver.Transport{Registry: reg}
+}
+
+func browserOver(transport http.RoundTripper) func() *browser.Browser {
+	return func() *browser.Browser { return browser.New(browser.Options{Transport: transport}) }
 }
 
 func buildPlan(t testing.TB, urls []string, nb func() *browser.Browser, opts triage.Options, workers int) *triage.Plan {
@@ -247,3 +254,84 @@ func TestEncodeDistinguishesPlans(t *testing.T) {
 		t.Fatal("a plan's encoding is not stable")
 	}
 }
+
+// planBytes returns p's encoding and the JSON of every entry's fast-path
+// log, which carries the probe's page hash and embedding.
+func planBytes(t testing.TB, p *triage.Plan, urls []string) (string, string) {
+	t.Helper()
+	enc, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := make([]*crawler.SessionLog, len(urls))
+	for i, u := range urls {
+		logs[i] = p.FastPath(i, u)
+	}
+	fast, err := json.Marshal(logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(enc), string(fast)
+}
+
+// TestBuildPlanMemoMatchesNoMemo pins the probe's use of the crawl's page
+// memo: a plan whose probes take their looks from a cold memo, from one
+// warmed by crawling a separately served copy of the feed, from one
+// bounded at two looks (so it overflows on every probe), and from cold
+// memos at 1 and at 8 probe workers encodes and fast-paths the same bytes
+// as a plan built without a memo.
+func TestBuildPlanMemoMatchesNoMemo(t *testing.T) {
+	urls, _, nb := testUniverse(t, 60, 6)
+	wantEnc, wantFast := planBytes(t, buildPlan(t, urls, nb, triage.Options{}, 4), urls)
+
+	warm := crawler.NewMemo()
+	_, _, other := testUniverse(t, 60, 6)
+	c := &crawler.Crawler{NewBrowser: other, FakerSeed: 7, Memo: warm}
+	for _, u := range urls {
+		c.Crawl(u)
+	}
+	for _, tc := range []struct {
+		name    string
+		memo    *crawler.Memo
+		workers int
+	}{
+		{"cold", crawler.NewMemo(), 4},
+		{"warmed by a crawl", warm, 4},
+		{"bounded at 2", crawler.NewBoundedMemo(2), 4},
+		{"1 worker", crawler.NewMemo(), 1},
+		{"8 workers", crawler.NewMemo(), 8},
+	} {
+		p := triage.BuildPlan(urls, triage.Config{Workers: tc.workers, NewBrowser: nb, Memo: tc.memo})
+		enc, fast := planBytes(t, p, urls)
+		if enc != wantEnc {
+			t.Errorf("%s: plan diverged from the memo-less plan:\nmemo:    %s\nno memo: %s", tc.name, enc, wantEnc)
+		}
+		if fast != wantFast {
+			t.Errorf("%s: fast-path logs diverged from the memo-less plan's", tc.name)
+		}
+	}
+}
+
+// BenchmarkBuildPlan builds the plan of a 120-site clone-heavy feed at 4
+// probe workers without a memo and with a fresh memo per plan: the probe
+// layer's cost, and what sharing looks across repeated landing pages saves.
+func BenchmarkBuildPlan(b *testing.B) {
+	urls, _, nb := testUniverse(b, 120, 10)
+	for _, withMemo := range []bool{false, true} {
+		name := "no-memo"
+		if withMemo {
+			name = "memo"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var memo *crawler.Memo
+				if withMemo {
+					memo = crawler.NewMemo()
+				}
+				planSink = triage.BuildPlan(urls, triage.Config{Workers: 4, NewBrowser: nb, Memo: memo})
+			}
+		})
+	}
+}
+
+var planSink *triage.Plan
