@@ -88,7 +88,9 @@ func runCoordinator(opts core.Options, fl fleetCLI) {
 	}
 	fmt.Printf("Fleet: all leases complete; merged %d sessions from shard journals under %s\n",
 		len(logs), fl.journalDir)
-	printRunReport(logs, stats)
+	st := coord.Status()
+	run := farm.Stats{Sites: st.DoneURLs - st.Recovered, Elapsed: time.Duration(st.ElapsedMs) * time.Millisecond}
+	printRunReport(run, logs, stats)
 	exportLogs(fl.out, logs)
 }
 

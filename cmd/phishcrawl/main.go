@@ -247,7 +247,7 @@ func main() {
 		logs, stats = p.Logs, p.Stats
 	}
 
-	printRunReport(logs, stats)
+	printRunReport(p.Stats, logs, stats)
 	exportLogs(*out, logs)
 
 	if *memProfile != "" {
@@ -268,10 +268,12 @@ func main() {
 // journaled, and fleet-coordinator runs all end in exactly this report, so
 // the fleet determinism pin can compare their output blocks directly:
 // outcome counts, page/field totals, the failure taxonomy, and the
-// per-stage latency table.
-func printRunReport(logs []*crawler.SessionLog, stats farm.Stats) {
+// per-stage latency table, all over stats. Its first line is run, this
+// process's own share: the sessions it crawled over its own elapsed time,
+// so a resumed run's throughput counts no earlier run's sessions.
+func printRunReport(run farm.Stats, logs []*crawler.SessionLog, stats farm.Stats) {
 	fmt.Printf("\nCrawled %d sites in %s (%.0f sites/day extrapolated; paper: >1,000/day)\n",
-		stats.Sites, stats.Elapsed.Round(1e6), stats.SitesPerDay())
+		run.Sites, run.Elapsed.Round(1e6), run.SitesPerDay())
 	var outcomes []string
 	for o := range stats.Outcomes {
 		outcomes = append(outcomes, o)
@@ -322,12 +324,12 @@ func exportLogs(path string, logs []*crawler.SessionLog) {
 
 // crawlJournaled runs the crash-safe crawl path: sessions stream into the
 // journal as they complete, an interrupted journal resumes, and the
-// returned logs/stats are the merged view across every run the journal
-// has seen. Outcome statistics AND stage latency histograms are recomputed
-// from the journaled sessions themselves (exact even when an earlier run
-// was SIGKILLed before writing its stats record — each session log carries
-// its trace); only elapsed time and panic counts, which no session log can
-// carry, merge from the per-run stats records.
+// returned logs/stats are the view over every session the journal holds.
+// Outcome statistics and stage latency histograms are recomputed from the
+// journaled sessions themselves (exact even when an earlier run was
+// SIGKILLed — each session log carries its trace); elapsed time and panic
+// counts, which no session log carries and the journal does not record,
+// are this process's own (p.Stats).
 func crawlJournaled(p *core.Pipeline, dir string, sample int, resume, compact bool, syncPolicy string) ([]*crawler.SessionLog, farm.Stats) {
 	policy, err := parseSyncPolicy(syncPolicy)
 	if err != nil {
@@ -366,20 +368,7 @@ func crawlJournaled(p *core.Pipeline, dir string, sample int, resume, compact bo
 	if err != nil {
 		log.Fatal(err)
 	}
-	runs, err := j.StatsRuns()
-	if err != nil {
-		log.Fatal(err)
-	}
 	stats := farm.Tally(logs)
-	var runLevel farm.Stats
-	for _, r := range runs {
-		runLevel.Merge(r)
-	}
-	// Stages stay the Tally-derived view. Overwriting them with (or merging
-	// in) the journaled per-run records would drop killed runs' sessions and
-	// double-count the rest — the stats records carry the very histograms
-	// Tally just rebuilt from the same sessions.
-	stats.Elapsed = runLevel.Elapsed
-	stats.Panics = runLevel.Panics
+	stats.Elapsed, stats.Panics = p.Stats.Elapsed, p.Stats.Panics
 	return logs, stats
 }

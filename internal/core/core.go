@@ -23,14 +23,9 @@ import (
 	"repro/internal/farm"
 	"repro/internal/feed"
 	"repro/internal/journal"
-	"repro/internal/phash"
 	"repro/internal/phishserver"
 	"repro/internal/sitegen"
-	"repro/internal/termclass"
-	"repro/internal/textclass"
 	"repro/internal/triage"
-	"repro/internal/vision"
-	"repro/internal/visualphish"
 )
 
 // Options configures a Pipeline.
@@ -169,16 +164,9 @@ type Pipeline struct {
 
 	// Models is the trained bundle this pipeline crawls with — shared
 	// read-only with every other pipeline built from the same params
-	// unless Options.Models injected a private one. The individual model
-	// fields below alias it (kept for source compatibility); none may be
-	// mutated.
-	Models *Models
-
-	FieldClassifier  *textclass.Model
-	Detector         *vision.Detector
-	TermClassifier   *termclass.Classifier
-	Gallery          *visualphish.Gallery
-	CaptchaExemplars []phash.Hash
+	// unless Options.Models injected a private one. Its fields are
+	// promoted (p.Detector is p.Models.Detector); none may be mutated.
+	*Models
 
 	Crawler *crawler.Crawler
 	// Injector is the fault-injection layer (nil when Options.Chaos is
@@ -249,11 +237,6 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 		}
 	}
 	p.Models = m
-	p.FieldClassifier = m.FieldClassifier
-	p.Detector = m.Detector
-	p.TermClassifier = m.TermClassifier
-	p.Gallery = m.Gallery
-	p.CaptchaExemplars = m.CaptchaExemplars
 
 	// Crawler template. The serving transport is optionally wrapped in
 	// the fault injector, scoped to phishing hosts so benign redirect
@@ -366,8 +349,9 @@ func (p *Pipeline) Crawl(n int) {
 // are identical to the ones an uninterrupted run would have produced. The
 // journal must hold this run's manifest or none (journal.BindRun), so a
 // resume under changed flags is refused. p.Stats reports THIS run only
-// (merged totals come from the journal); p.Logs stays nil. Returns how many
-// URLs were skipped as already complete.
+// (totals over every run come from the journal's sessions, farm.Tally);
+// p.Logs stays nil. Returns how many URLs were skipped as already
+// complete.
 func (p *Pipeline) CrawlJournal(j *journal.Journal, sample int) (skipped int, err error) {
 	return p.crawl(0, p.feedPrefix(sample), nil, j)
 }
@@ -398,9 +382,10 @@ func (p *Pipeline) feedPrefix(n int) int {
 // crawl is the one crawl body behind every entry point. It crawls feed
 // indices [start, end), skipping URLs in done. With j nil the logs stay in
 // p.Logs; otherwise j is bound to this run's manifest, the URLs it already
-// holds are skipped too, each finished session streams into it, and a
-// stats record closes the run. Feed metadata and triage verdicts are
-// attached either way. Returns how many URLs in the range were skipped.
+// holds are skipped too, and each finished session streams into it; the
+// journal holds sessions only, and p.Stats stays this process's own. Feed
+// metadata and triage verdicts are attached either way. Returns how many
+// URLs in the range were skipped.
 func (p *Pipeline) crawl(start, end int, done map[string]bool, j *journal.Journal) (skipped int, err error) {
 	urls := p.Feed.URLs()[:end]
 	if j != nil {
@@ -442,13 +427,6 @@ func (p *Pipeline) crawl(start, end int, done map[string]bool, j *journal.Journa
 	p.Logs = logs
 	if err != nil {
 		return skipped, fmt.Errorf("core: journaling crawl: %w", err)
-	}
-	if j == nil {
-		return skipped, nil
-	}
-	//phishvet:ignore detertaint: Stats.Elapsed is per-run operational accounting — determinism pins compare session records, never stats timing
-	if err := j.AppendStats(p.Stats); err != nil {
-		return skipped, fmt.Errorf("core: journaling run stats: %w", err)
 	}
 	return skipped, nil
 }

@@ -129,19 +129,29 @@ func (c *Crawler) memoStore(k memoKey, set func(*memoEntry)) {
 	}
 	var parts memoEntry
 	set(&parts)
+	store(m, m.m, k, func(e *memoEntry) {
+		if parts.obs != nil {
+			e.obs = parts.obs
+		}
+		if parts.hasFields {
+			e.fields, e.hasFields = parts.fields, true
+		}
+	})
+}
+
+// store is the one rule by which the memo's maps grow: under the memo's
+// lock, merge updates what into holds for k (the zero value if nothing),
+// after into is emptied if k is new and into is at the memo's bound. merge
+// runs under the lock, so it only assigns parts computed beforehand.
+func store[K comparable, V any](m *Memo, into map[K]V, k K, merge func(*V)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.m[k]
-	if !ok && len(m.m) >= m.limit {
-		clear(m.m)
+	v, ok := into[k]
+	if !ok && len(into) >= m.limit {
+		clear(into)
 	}
-	if parts.obs != nil {
-		e.obs = parts.obs
-	}
-	if parts.hasFields {
-		e.fields, e.hasFields = parts.fields, true
-	}
-	m.m[k] = e
+	merge(&v)
+	into[k] = v
 }
 
 // scanKeyOf returns the key of p's detection scan under c's detector, and
@@ -158,15 +168,9 @@ func (m *Memo) scan(k scanKey) *vision.Scan {
 	return m.scans[k]
 }
 
-// storeScan records scan under k, emptying the scans first when they are
-// at the memo's bound.
+// storeScan records scan under k.
 func (m *Memo) storeScan(k scanKey, scan *vision.Scan) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.scans[k]; !ok && len(m.scans) >= m.limit {
-		clear(m.scans)
-	}
-	m.scans[k] = scan
+	store(m, m.scans, k, func(s **vision.Scan) { *s = scan })
 }
 
 // Look returns p's perceptual hash (phash.Compute of its screenshot) and
@@ -219,21 +223,16 @@ func (m *Memo) storedLook(k [sha256.Size]byte) look {
 }
 
 // storeLook records the parts parts holds into k's look, keeping the parts
-// already there, and empties the looks first when they are at the bound.
+// already there.
 func (m *Memo) storeLook(k [sha256.Size]byte, parts look) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	l, ok := m.looks[k]
-	if !ok && len(m.looks) >= m.limit {
-		clear(m.looks)
-	}
-	if parts.hasHash {
-		l.hash, l.hasHash = parts.hash, true
-	}
-	if parts.embed != nil {
-		l.embed = parts.embed
-	}
-	m.looks[k] = l
+	store(m, m.looks, k, func(l *look) {
+		if parts.hasHash {
+			l.hash, l.hasHash = parts.hash, true
+		}
+		if parts.embed != nil {
+			l.embed = parts.embed
+		}
+	})
 }
 
 // observe returns p's perceptual hash, from its look, and, with a

@@ -147,7 +147,7 @@ type Stats struct {
 	// cloaking gate (the honest crawl saw a benign decoy, a mutated
 	// profile reached the phishing flow). CloakAttempts counts the extra
 	// crawl attempts the loop spent across all sessions. Both omit from
-	// JSON when zero so stats records without cloaking are byte-unchanged.
+	// JSON when zero, so a crawl without cloaking encodes no cloak counts.
 	Uncloaked     int `json:",omitempty"`
 	CloakAttempts int `json:",omitempty"`
 }
@@ -158,34 +158,6 @@ func (s Stats) SitesPerDay() float64 {
 		return 0
 	}
 	return float64(s.Sites) / s.Elapsed.Seconds() * 86400
-}
-
-// Merge folds another run's statistics into s: counters add, outcome and
-// failure maps merge, elapsed times sum (total crawl time across runs),
-// and stage timings combine via metrics.MergeStageStats. It is how a
-// resumed crawl's per-run stats records accumulate into one report.
-func (s *Stats) Merge(o Stats) {
-	s.Sites += o.Sites
-	s.Elapsed += o.Elapsed
-	s.FastPathed += o.FastPathed
-	s.Retries += o.Retries
-	s.Degraded += o.Degraded
-	s.Panics += o.Panics
-	s.Uncloaked += o.Uncloaked
-	s.CloakAttempts += o.CloakAttempts
-	if len(o.Outcomes) > 0 && s.Outcomes == nil {
-		s.Outcomes = map[string]int{}
-	}
-	for k, v := range o.Outcomes {
-		s.Outcomes[k] += v
-	}
-	if len(o.Failures) > 0 && s.Failures == nil {
-		s.Failures = map[string]int{}
-	}
-	for k, v := range o.Failures {
-		s.Failures[k] += v
-	}
-	s.Stages = metrics.MergeStageStats(s.Stages, o.Stages)
 }
 
 // tally is the one rule for how a finished session counts into Stats. The
@@ -262,10 +234,8 @@ func (t *tally) stats(elapsed time.Duration, panics int) Stats {
 // Degraded, FastPathed, the cloak counts, Retries (each session's final
 // Attempts-1 re-queues) and Stages. A resumed crawl's tallied Stats
 // therefore match an uninterrupted run's byte for byte even when an
-// earlier run was killed before writing its stats record. (They must NOT
-// additionally be merged from journaled per-run stats records: that would
-// double-count every session a completed run already tallied.) Elapsed and
-// Panics stay zero. A nil entry counts as lost.
+// earlier run was killed mid-crawl. Elapsed and Panics stay zero. A nil
+// entry counts as lost.
 func Tally(logs []*crawler.SessionLog) Stats {
 	var t tally
 	for _, l := range logs {
@@ -335,9 +305,8 @@ func RunStream(cfg Config, urls []string) (Stats, error) {
 	)
 	// landed is the run's tally and first sink error. Stats come only from
 	// FINISHED sessions, never from live per-attempt worker timings: a
-	// killed run's stats record is lost but its journaled sessions are
-	// not, so counting sessions is what keeps a resumed run's Stats
-	// identical to an uninterrupted run's.
+	// killed run's journaled sessions survive it, so counting sessions is
+	// what keeps a resumed run's Stats identical to an uninterrupted run's.
 	var landed struct {
 		sync.Mutex
 		tally

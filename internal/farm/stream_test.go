@@ -3,13 +3,11 @@ package farm
 import (
 	"errors"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/crawler"
-	"repro/internal/metrics"
 	"repro/internal/phishserver"
 )
 
@@ -281,59 +279,5 @@ func TestTallyCountsNilAsLost(t *testing.T) {
 	}
 	if s.Failures["dead"] != 1 {
 		t.Errorf("Failures = %v", s.Failures)
-	}
-}
-
-func TestStatsMerge(t *testing.T) {
-	a := Stats{
-		Sites:    10,
-		Elapsed:  2 * time.Second,
-		Retries:  1,
-		Degraded: 1,
-		Panics:   0,
-		Outcomes: map[string]int{"completed": 9, "gave-up": 1},
-		Failures: map[string]int{"dead": 1},
-		Stages: []metrics.StageStat{
-			{Stage: "render", Count: 20, Total: time.Second},
-		},
-	}
-	b := Stats{
-		Sites:    5,
-		Elapsed:  time.Second,
-		Retries:  2,
-		Degraded: 0,
-		Panics:   1,
-		Outcomes: map[string]int{"completed": 5},
-		Stages: []metrics.StageStat{
-			{Stage: "render", Count: 10, Total: time.Second},
-			{Stage: "ocr", Count: 3, Total: time.Millisecond},
-		},
-	}
-	a.Merge(b)
-	if a.Sites != 15 || a.Elapsed != 3*time.Second || a.Retries != 3 || a.Panics != 1 {
-		t.Errorf("merged = %+v", a)
-	}
-	if a.Outcomes["completed"] != 14 || a.Outcomes["gave-up"] != 1 {
-		t.Errorf("Outcomes = %v", a.Outcomes)
-	}
-	var stages []string
-	for _, st := range a.Stages {
-		stages = append(stages, string(st.Stage))
-	}
-	sort.Strings(stages)
-	if len(a.Stages) != 2 {
-		t.Fatalf("Stages = %v", stages)
-	}
-	for _, st := range a.Stages {
-		if st.Stage == "render" && (st.Count != 30 || st.Total != 2*time.Second) {
-			t.Errorf("render stage = %+v", st)
-		}
-	}
-
-	// Merging into a zero value initializes the maps.
-	var z Stats
-	z.Merge(b)
-	if z.Outcomes["completed"] != 5 || z.Sites != 5 {
-		t.Errorf("zero-value merge = %+v", z)
 	}
 }

@@ -84,9 +84,11 @@ type Coordinator struct {
 	completed   map[string]bool // URLs journaled before this incarnation started
 	startupDirs []string        // shard dirs found at startup (dead writers)
 	accepted    []Lease         // leases completed this incarnation, in acceptance order
-	acceptedSt  farm.Stats      // merged stats of accepted shards
 	workers     map[string]*workerView
-	crawled     int // sessions in accepted shards this incarnation
+
+	// Totals over the results of the shards accepted this incarnation.
+	stages                      []metrics.StageStat
+	crawled, fastPathed, panics int
 
 	start    metrics.Stopwatch
 	done     chan struct{}
@@ -316,8 +318,10 @@ func (c *Coordinator) result(req ResultRequest) ResultResponse {
 	ls.doneBy = req.Worker
 	ls.doneAttempt = req.Attempt
 	c.accepted = append(c.accepted, Lease{ID: ls.id, Start: ls.start, End: ls.end, Attempt: req.Attempt})
-	c.acceptedSt.Merge(req.Stats)
+	c.stages = metrics.MergeStageStats(c.stages, req.Stats.Stages)
 	c.crawled += req.Stats.Sites
+	c.fastPathed += req.Stats.FastPathed
+	c.panics += req.Stats.Panics
 	if w := c.workers[req.Worker]; w != nil && w.leaseID == ls.id {
 		w.leaseID = -1
 		w.progress = Progress{}
@@ -341,23 +345,24 @@ func (c *Coordinator) noteWorkerLocked(name string, now time.Time) {
 // startup plus the shards accepted this incarnation — deduplicates
 // sessions by seed URL (a re-crawled URL produces a byte-identical
 // session, so either copy serves), re-assembles feed order, and recomputes
-// the run statistics exactly as the single-process journal path does:
-// outcomes and stage histograms from the sessions via farm.Tally, elapsed
-// and panic totals from the per-shard stats records. Directories of
-// abandoned lease attempts (expired mid-run) are excluded; their URLs are
-// covered by the accepted re-issue, and skipping them means a stale
-// still-running worker can never race the merge.
+// the run statistics from the sessions exactly as the single-process
+// journal path does (farm.Tally). Panics, which no session carries, is the
+// sum over this incarnation's accepted results; Elapsed is left zero, since
+// no journal records time (Status has the coordinator's own clock).
+// Directories of abandoned lease attempts (expired mid-run) are excluded;
+// their URLs are covered by the accepted re-issue, and skipping them means
+// a stale still-running worker can never race the merge.
 func (c *Coordinator) Merge() ([]*crawler.SessionLog, farm.Stats, error) {
 	c.mu.Lock()
 	dirs := append([]string(nil), c.startupDirs...)
 	for _, l := range c.accepted {
 		dirs = append(dirs, ShardDir(c.cfg.Root, l))
 	}
+	panics := c.panics
 	c.mu.Unlock()
 	seenDir := map[string]bool{}
 	seenURL := map[string]bool{}
 	var logs []*crawler.SessionLog
-	var runLevel farm.Stats
 	for _, dir := range dirs {
 		if seenDir[dir] {
 			continue
@@ -368,17 +373,10 @@ func (c *Coordinator) Merge() ([]*crawler.SessionLog, farm.Stats, error) {
 			return nil, farm.Stats{}, fmt.Errorf("fleet: merging shard %s: %w", dir, err)
 		}
 		sessions, err := j.Sessions()
-		if err == nil {
-			var runs []farm.Stats
-			runs, err = j.StatsRuns()
-			for _, r := range runs {
-				runLevel.Merge(r)
-			}
-			for _, lg := range sessions {
-				if !seenURL[lg.SeedURL] {
-					seenURL[lg.SeedURL] = true
-					logs = append(logs, lg)
-				}
+		for _, lg := range sessions {
+			if !seenURL[lg.SeedURL] {
+				seenURL[lg.SeedURL] = true
+				logs = append(logs, lg)
 			}
 		}
 		if cerr := j.Close(); err == nil && cerr != nil {
@@ -395,8 +393,7 @@ func (c *Coordinator) Merge() ([]*crawler.SessionLog, farm.Stats, error) {
 		return logs[a].SeedURL < logs[b].SeedURL
 	})
 	stats := farm.Tally(logs)
-	stats.Elapsed = runLevel.Elapsed
-	stats.Panics = runLevel.Panics
+	stats.Panics = panics
 	return logs, stats, nil
 }
 

@@ -6,7 +6,7 @@
 // expire when a worker misses its heartbeats, so a SIGKILLed worker's
 // range is re-issued to a live one, and the coordinator's merged view —
 // sessions deduplicated by seed URL, outcome and stage histograms folded
-// through the associative farm.Tally / Stats.Merge — is byte-identical to
+// from them through farm.Tally — is byte-identical to
 // what a single process crawling the whole feed would have produced
 // ("N processes × M workers ≡ 1 × 1").
 //
@@ -114,10 +114,12 @@ type HeartbeatResponse struct {
 	Valid bool `json:"valid"`
 }
 
-// ResultRequest submits a finished shard: the per-shard farm statistics.
-// The sessions themselves are already durable in the shard's journal
-// directory — the result message only has to say "range done, stats
-// attached", which is what keeps the protocol small.
+// ResultRequest submits a finished shard: the per-shard farm statistics,
+// whose session count, fast-path count, stage histograms and panics feed
+// the coordinator's live status and its merged panic count. The sessions
+// themselves are already durable in the shard's journal directory — the
+// result message only has to say "range done, stats attached", which is
+// what keeps the protocol small.
 type ResultRequest struct {
 	Worker  string     `json:"worker"`
 	LeaseID int        `json:"leaseId"`

@@ -79,7 +79,7 @@ func (c *Coordinator) Status() Status {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	stages := metrics.MergeStageStats(nil, c.acceptedSt.Stages)
+	stages := metrics.MergeStageStats(nil, c.stages)
 	for _, name := range names {
 		w := c.workers[name]
 		ws := WorkerStatus{
@@ -97,7 +97,7 @@ func (c *Coordinator) Status() Status {
 		}
 		st.Workers = append(st.Workers, ws)
 	}
-	st.FastPathed += c.acceptedSt.FastPathed
+	st.FastPathed += c.fastPathed
 	st.Stages = stages
 	st.DoneURLs = len(c.completed) + c.crawled + live
 	crawledNow := c.crawled + live

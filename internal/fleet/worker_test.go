@@ -65,7 +65,7 @@ func (h *fleetHarness) workerConfig(t *testing.T, name string, urls []string) Wo
 				}
 			}
 			journalLease(t, h.root, l, urls, idxs, "stub")
-			return farm.Stats{Sites: len(idxs), Elapsed: time.Second}, nil
+			return farm.Stats{Sites: len(idxs), Elapsed: time.Second, Panics: 1}, nil
 		},
 	}
 }
@@ -111,9 +111,9 @@ func TestRunWorkerCompletesFleet(t *testing.T) {
 	if stats.Sites != len(urls) || stats.Outcomes["stub"] != len(urls) {
 		t.Fatalf("merged stats wrong: %+v", stats)
 	}
-	// 4 leases of 1s shard elapsed each.
-	if stats.Elapsed != 4*time.Second {
-		t.Fatalf("merged elapsed = %v, want 4s", stats.Elapsed)
+	// One panic reported by each of the 4 accepted leases.
+	if stats.Panics != 4 {
+		t.Fatalf("merged panics = %d, want 4", stats.Panics)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // Compact rewrites the journal, dropping every session record that a later
 // record for the same URL supersedes (re-crawls across resumed runs) while
-// keeping all stats records and original sequence numbers. The rewritten
+// keeping every other record and original sequence numbers. The rewritten
 // segments are numbered after the current ones and committed by a single
 // atomic manifest replacement, so a crash at any point leaves either the
 // old journal or the new one — an interrupted compaction's leftovers are

@@ -17,20 +17,19 @@ import "fmt"
 
 // groupReq is one append waiting on a group commit.
 type groupReq struct {
-	kind    Kind
-	payload []byte
-	url     string // session SeedURL; "" for non-session records
+	payload []byte // a session record's payload
+	url     string // the session's SeedURL
 	seq     uint64 // assigned during commit
 	done    chan error
 }
 
-// appendGroup enqueues one record for the commit loop and blocks until the
-// batch containing it is durable (or failed as a whole).
-func (j *Journal) appendGroup(kind Kind, payload []byte, url string) error {
+// appendGroup enqueues one session record for the commit loop and blocks
+// until the batch containing it is durable (or failed as a whole).
+func (j *Journal) appendGroup(payload []byte, url string) error {
 	if len(payload) > MaxRecordBytes-bodyMinSize {
 		return fmt.Errorf("journal: record of %d bytes exceeds limit", len(payload))
 	}
-	req := &groupReq{kind: kind, payload: payload, url: url, done: make(chan error, 1)}
+	req := &groupReq{payload: payload, url: url, done: make(chan error, 1)}
 	j.mu.Lock()
 	if j.closed || j.stopping {
 		j.mu.Unlock()
@@ -107,7 +106,7 @@ func (j *Journal) commitBatchLocked(batch []*groupReq) error {
 		return nil
 	}
 	for _, r := range batch {
-		frame := encodeFrame(Record{Seq: j.nextSeq, Kind: r.kind, Payload: r.payload})
+		frame := encodeFrame(Record{Seq: j.nextSeq, Kind: KindSession, Payload: r.payload})
 		if pos := j.activeSize + int64(len(buf)); pos > 0 && pos+int64(len(frame)) > int64(j.opts.SegmentBytes) {
 			if err := flush(); err != nil {
 				return err
@@ -130,7 +129,7 @@ func (j *Journal) commitBatchLocked(batch []*groupReq) error {
 	// The batch is durable: expose completions and advance the checkpoint
 	// cadence.
 	for _, r := range batch {
-		if r.kind == KindSession && r.url != "" {
+		if r.url != "" {
 			j.completed[r.url] = r.seq
 			j.dirtyCkpt++
 		}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/crawler"
-	"repro/internal/farm"
 )
 
 // TestSyncGroupEquivalence pins group commit to the SyncAlways format
@@ -22,11 +21,10 @@ func TestSyncGroupEquivalence(t *testing.T) {
 	ja := mustOpen(t, dirAlways, Options{Sync: SyncAlways})
 	jg := mustOpen(t, dirGroup, Options{Sync: SyncGroup})
 	for _, j := range []*Journal{ja, jg} {
-		appendN(t, j, 8, 0)
-		if err := j.AppendStats(farm.Stats{Sites: 8}); err != nil {
-			t.Fatalf("AppendStats: %v", err)
+		if err := j.BindRun([]byte(`{"seed":1}`)); err != nil {
+			t.Fatalf("BindRun: %v", err)
 		}
-		appendN(t, j, 3, 8)
+		appendN(t, j, 11, 0)
 		if err := j.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -136,7 +134,7 @@ func groupBatch(t *testing.T, j *Journal, logs []*crawler.SessionLog) {
 			t.Fatal(err)
 		}
 		j.pending = append(j.pending, &groupReq{
-			kind: KindSession, payload: payload, url: lg.SeedURL, done: make(chan error, 1),
+			payload: payload, url: lg.SeedURL, done: make(chan error, 1),
 		})
 	}
 	err := j.flushPendingLocked()

@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"repro/internal/crawler"
-	"repro/internal/farm"
 )
 
 // SyncPolicy controls when appends reach stable storage.
@@ -411,7 +410,7 @@ func (j *Journal) AppendSession(lg *crawler.SessionLog) error {
 		return fmt.Errorf("journal: encoding session: %w", err)
 	}
 	if j.opts.Sync == SyncGroup {
-		if err := j.appendGroup(KindSession, payload, lg.SeedURL); err != nil {
+		if err := j.appendGroup(payload, lg.SeedURL); err != nil {
 			return err
 		}
 		j.afterSession()
@@ -449,8 +448,12 @@ func (j *Journal) afterSession() {
 // record predates run manifests; nothing vouches for the configuration
 // behind its sessions, so it is refused (it still opens and reports).
 // Resumed crawls and fleet shards call BindRun before their first session,
-// so no journal ever mixes sessions from two configurations.
+// so no journal ever mixes sessions from two configurations. An empty
+// manifest is refused before anything is appended: it would bind nothing.
 func (j *Journal) BindRun(manifest []byte) error {
+	if len(manifest) == 0 {
+		return fmt.Errorf("journal: %s: empty run manifest", j.dir)
+	}
 	//phishvet:ignore locknoblock: j.mu is the WAL's write order — the run record and its fsync must precede every session append
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -471,25 +474,6 @@ func (j *Journal) BindRun(manifest []byte) error {
 	}
 	j.run = append([]byte(nil), manifest...)
 	return nil
-}
-
-// AppendStats appends one run's aggregate statistics. A resumed crawl
-// merges the stats records of every run that reached completion; a run
-// killed mid-crawl leaves no stats record, and its outcome counts are
-// recovered from the session records instead (farm.Tally).
-func (j *Journal) AppendStats(st farm.Stats) error {
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("journal: encoding stats: %w", err)
-	}
-	if j.opts.Sync == SyncGroup {
-		return j.appendGroup(KindStats, payload, "")
-	}
-	//phishvet:ignore locknoblock: j.mu is the WAL's write order — the append and its fsync must be serialized against every other writer
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err = j.appendLocked(KindStats, payload)
-	return err
 }
 
 func (j *Journal) appendLocked(kind Kind, payload []byte) (uint64, error) {
@@ -760,23 +744,6 @@ func (j *Journal) Sessions() ([]*crawler.SessionLog, error) {
 		return out[a].SeedURL < out[b].SeedURL
 	})
 	return out, nil
-}
-
-// StatsRuns decodes the stats record of every completed run, oldest first.
-func (j *Journal) StatsRuns() ([]farm.Stats, error) {
-	var out []farm.Stats
-	err := j.Scan(func(r Record) error {
-		if r.Kind != KindStats {
-			return nil
-		}
-		var st farm.Stats
-		if err := json.Unmarshal(r.Payload, &st); err != nil {
-			return fmt.Errorf("journal: decoding stats seq %d: %w", r.Seq, err)
-		}
-		out = append(out, st)
-		return nil
-	})
-	return out, err
 }
 
 // --- small file helpers ---

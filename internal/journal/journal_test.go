@@ -7,11 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/crawler"
-	"repro/internal/farm"
-	"repro/internal/metrics"
 )
 
 // testSession fabricates a distinguishable session log.
@@ -56,15 +53,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Sync: SyncNone})
 	want := appendN(t, j, 10, 0)
-	st := farm.Stats{
-		Sites: 10, Elapsed: 3 * time.Second,
-		Outcomes: map[string]int{"completed": 10},
-		Failures: map[string]int{},
-		Stages:   []metrics.StageStat{{Stage: "render", Count: 10, Total: time.Second}},
-	}
-	if err := j.AppendStats(st); err != nil {
-		t.Fatalf("AppendStats: %v", err)
-	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -77,13 +65,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sessions round-trip mismatch:\n got %+v\nwant %+v", got[0], want[0])
-	}
-	runs, err := j2.StatsRuns()
-	if err != nil {
-		t.Fatalf("StatsRuns: %v", err)
-	}
-	if len(runs) != 1 || !reflect.DeepEqual(runs[0], st) {
-		t.Fatalf("stats round-trip mismatch: %+v", runs)
 	}
 	if j2.CompletedCount() != 10 {
 		t.Fatalf("CompletedCount = %d, want 10", j2.CompletedCount())
@@ -346,6 +327,14 @@ func TestBindRunPolicy(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Sync: SyncNone, SegmentBytes: 512, CheckpointEvery: 4}
 	j := mustOpen(t, dir, opts)
+	for _, empty := range [][]byte{nil, {}} {
+		if err := j.BindRun(empty); err == nil {
+			t.Fatalf("empty manifest %#v accepted", empty)
+		}
+	}
+	if j.nextSeq != 1 {
+		t.Fatalf("a refused empty manifest appended %d records", j.nextSeq-1)
+	}
 	check(j, "fresh")
 	appendN(t, j, 20, 0)
 	if err := j.Close(); err != nil {
@@ -377,6 +366,79 @@ func TestBindRunPolicy(t *testing.T) {
 	appendN(t, legacy, 1, 0)
 	if err := legacy.BindRun(manifest); err == nil || !strings.Contains(err.Error(), "no run manifest") {
 		t.Fatalf("sessions without a run record: err = %v, want a refusal", err)
+	}
+}
+
+// TestRetiredStatsRecordSkipped: a journal written while runs still closed
+// with a stats record (kind 2, retired) opens, reports and resumes as if
+// the record were absent. Its twin holds the same run record and sessions
+// without it.
+func TestRetiredStatsRecordSkipped(t *testing.T) {
+	manifest := []byte(`{"seed":1}`)
+	open := func(withStats bool) *Journal {
+		t.Helper()
+		var seg []byte
+		seq := uint64(1)
+		add := func(k Kind, payload []byte) {
+			seg = append(seg, encodeFrame(Record{Seq: seq, Kind: k, Payload: payload})...)
+			seq++
+		}
+		add(KindRun, manifest)
+		for i := 0; i < 4; i++ {
+			if i == 2 && withStats {
+				add(2, []byte(`{"Sites":2,"Elapsed":3000000000,"Panics":1}`))
+			}
+			payload, err := json.Marshal(testSession(i, "http://host"+itoa(i)+".example/login", "completed"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(KindSession, payload)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return mustOpen(t, dir, Options{Sync: SyncNone})
+	}
+	report := func(j *Journal) ([]*crawler.SessionLog, []Kind) {
+		t.Helper()
+		logs, err := j.Sessions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kinds []Kind
+		if err := j.Scan(func(r Record) error { kinds = append(kinds, r.Kind); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return logs, kinds
+	}
+
+	legacy, twin := open(true), open(false)
+	for _, j := range []*Journal{legacy, twin} {
+		if n := j.CompletedCount(); n != 4 {
+			t.Fatalf("CompletedCount = %d, want 4", n)
+		}
+		if err := j.BindRun(manifest); err != nil {
+			t.Fatalf("BindRun(own manifest): %v", err)
+		}
+		appendN(t, j, 1, 4)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy, twin = mustOpen(t, legacy.Dir(), Options{}), mustOpen(t, twin.Dir(), Options{})
+	defer legacy.Close()
+	defer twin.Close()
+	got, gotKinds := report(legacy)
+	want, wantKinds := report(twin)
+	if !reflect.DeepEqual(got, want) || legacy.CompletedCount() != 5 {
+		t.Fatalf("legacy journal reports %d sessions (%d completed), its twin %d", len(got), legacy.CompletedCount(), len(want))
+	}
+	if k := []Kind{KindRun, KindSession, KindSession, 2, KindSession, KindSession, KindSession}; !reflect.DeepEqual(gotKinds, k) {
+		t.Fatalf("legacy journal records = %v, want %v (the resumed append after the retired record)", gotKinds, k)
+	}
+	if len(wantKinds) != len(gotKinds)-1 {
+		t.Fatalf("twin records = %v", wantKinds)
 	}
 }
 

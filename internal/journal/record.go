@@ -26,13 +26,14 @@ const (
 	// KindSession frames a JSON-encoded crawler.SessionLog — one finished
 	// crawl session.
 	KindSession Kind = 1
-	// KindStats frames a JSON-encoded farm.Stats — one run's aggregate
-	// statistics, appended when the run completes.
-	KindStats Kind = 2
-	// Kind numbers 3 and 4 framed the per-feature triage-plan and
-	// cloak-config records that the run manifest replaced. Journals written
-	// before then still hold them; every reader skips kinds it does not
-	// ask for, so such journals open and report. Never reuse 3 or 4.
+	// Kind number 2 framed a per-run stats record (a JSON farm.Stats with
+	// the run's wall-clock time), appended when a run completed; every
+	// count in it is rebuilt from the sessions (farm.Tally). Kind numbers 3
+	// and 4 framed the per-feature triage-plan and cloak-config records
+	// that the run manifest replaced. Journals written before then still
+	// hold them; every reader skips kinds it does not ask for, so such
+	// journals open and report, and one bound to a run manifest resumes.
+	// Never reuse 2, 3 or 4.
 
 	// KindRun frames the run manifest: the canonical bytes of every option
 	// that changes session bytes, appended once before the first session

@@ -121,9 +121,9 @@ func (t *StageTimings) Snapshot() []StageStat {
 // stage name: counts, totals, and histogram buckets add; a's row order is
 // preserved, and stages present only in b are appended in b's order. The
 // bucket merge is lossless, so percentiles never depend on how many runs
-// or workers the observations arrived through, nor on merge order. It
-// supports merging farm.Stats across resumed runs, where each run
-// contributes its own snapshot.
+// or workers the observations arrived through, nor on merge order. The
+// fleet coordinator merges its accepted shards' and live leases' snapshots
+// with it.
 func MergeStageStats(a, b []StageStat) []StageStat {
 	if len(a) == 0 {
 		out := make([]StageStat, len(b))

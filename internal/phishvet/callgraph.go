@@ -111,7 +111,7 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 
 // funcDisplay renders fn compactly for diagnostics: methods keep their
 // receiver, and import-path prefixes are stripped so messages stay
-// readable ("(*os.File).Sync", "journal.AppendStats").
+// readable ("(*os.File).Sync", "journal.AppendSession").
 func funcDisplay(fn *types.Func) string {
 	name := fn.FullName() // "os.WriteFile" or "(*net/http.Server).Serve"
 	if strings.HasPrefix(name, "(") {

@@ -12,7 +12,7 @@ import (
 // value that legally enters through the metrics seam and then crosses two
 // call boundaries into a journal append. This rule follows the value: a
 // metrics.Stopwatch elapsed reading built into farm.Stats three frames
-// away from the journal.AppendStats call is a finding at the append.
+// away from a journal append call is a finding at the append.
 //
 // Sources, sinks, and the engine's precision trade-offs are documented in
 // taint.go.

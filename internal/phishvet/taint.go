@@ -20,9 +20,9 @@ import (
 // Precision choices, in order of consequence:
 //   - Field-sensitive on the base object: tainting p.Stats does not taint
 //     p.Logs, which is what keeps the journal's session stream clean while
-//     its stats record is correctly flagged. A read of p whole carries the
-//     taint of every field stored into it, so a value built by field
-//     stores and then returned or passed on stays tainted.
+//     a clock-stamped field appended beside it is flagged. A read of p
+//     whole carries the taint of every field stored into it, so a value
+//     built by field stores and then returned or passed on stays tainted.
 //   - Summaries are symbolic in the parameters: analyzing a function once
 //     yields which params flow to which results and sinks, so taint steps
 //     across call boundaries without reanalysis (the per-function summary
