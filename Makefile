@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench-check lint bench alloc-gate pins chaos fuzz status-smoke fleet-smoke triage-smoke cloak-smoke check
+.PHONY: all build test race vet bench-check lint bench alloc-gate pins chaos fuzz status-smoke fleet-smoke triage-smoke cloak-smoke paper-check check
 
 all: build
 
@@ -151,16 +151,22 @@ fuzz:
 # label search, one crawl session (fresh and pooled), the model build, the
 # triage probe's pHash and cropped embedding of a rendered landing page, and
 # a whole triage plan of a 120-site clone-heavy feed (BenchmarkBuildPlan,
-# without a memo and with a fresh page memo per plan).
+# without a memo and with a fresh page memo per plan), and the generation
+# of a 2,400-site clone-heavy corpus (BenchmarkGenerate).
 # End-to-end throughput is measured by `python3 _phishbench/run.py`, not here.
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkTypedPageDetect|BenchmarkRenderPages|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped|BenchmarkBuildPlan' -benchmem ./...
+	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkTypedPageDetect|BenchmarkRenderPages|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped|BenchmarkBuildPlan|BenchmarkGenerate' -benchmem ./...
 
 # Allocation gates: the per-session allocs/op budgets and the
 # pooled-vs-unpooled byte-identity pins (testing.AllocsPerRun enforces the
-# budget; a pooling regression fails here before it shows up in bench).
+# budget; a pooling regression fails here before it shows up in bench),
+# plus the cuts that keep the crawl's garbage down now that the corpus no
+# longer pads the heap: a pHash counted on the stack, a response body read
+# into one buffer of its declared length, encoded images without spare
+# capacity, and TrainModels streaming its detector pages through one
+# screenshot (its detector equal to vision.Train over the held set).
 alloc-gate:
-	$(GO) test -run 'Alloc|Pooled|HasTokens' ./internal/crawler/... ./internal/textclass/...
+	$(GO) test -run 'Alloc|Pooled|HasTokens|ExactLength|DetectorMatchesTrain' ./internal/crawler/... ./internal/textclass/... ./internal/phash/ ./internal/browser/ ./internal/raster/ ./internal/core/
 
 # Byte-identity pins under varied scheduling: the farm's 1-vs-30-worker
 # pins (plain, pooled, fault-injected, stage table), the triage probe
@@ -169,10 +175,28 @@ alloc-gate:
 # three times each at GOMAXPROCS=1 and GOMAXPROCS=2. Sessions give their
 # compute slot back while they wait on the network, so the order sessions
 # run in changes with every schedule; these pins prove the bytes do not.
-PINS = ^(TestRunDeterministicAcrossWorkerCounts.*|TestChaosDeterministicAcrossWorkerCounts|TestStagesIdenticalAcrossWorkerCounts|TestBuildPlanDeterministicAcrossWorkers|TestBuildPlanMemoMatchesNoMemo|TestCrawlPooledMatchesUnpooled.*|TestCrawlMemoMatchesNoMemo)$$
+# Two more pin the corpus: shared campaign kits equal a build of every
+# deployment from scratch, and a chaos+cloak crawl leaves the shared kits
+# unchanged.
+PINS = ^(TestRunDeterministicAcrossWorkerCounts.*|TestChaosDeterministicAcrossWorkerCounts|TestStagesIdenticalAcrossWorkerCounts|TestBuildPlanDeterministicAcrossWorkers|TestBuildPlanMemoMatchesNoMemo|TestCrawlPooledMatchesUnpooled.*|TestCrawlMemoMatchesNoMemo|TestKitsMatchPerDeploymentBuild|TestCrawlLeavesCorpusUnchanged)$$
 pins:
 	for procs in 1 2; do \
-		GOMAXPROCS=$$procs $(GO) test -count=3 -run '$(PINS)' ./internal/farm/ ./internal/crawler/ ./internal/triage/ || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -count=3 -run '$(PINS)' ./internal/farm/ ./internal/crawler/ ./internal/triage/ ./internal/sitegen/ ./internal/core/ || exit 1; \
 	done
 
-check: build lint bench-check test race alloc-gate pins
+# The reproduction report as a checked artifact: phishreport's stdout is a
+# pure function of its flags (the run's date and wall time go to stderr),
+# so a 2,000-site report (~3 s) regenerated here must equal the committed
+# testdata/paper-report.md byte for byte. A change that moves a paper
+# number fails until the snapshot is regenerated with the same command and
+# the moved numbers are named in CHANGES.md.
+PAPER_FLAGS = -sites 2000 -seed 42 -workers 2
+paper-check:
+	@tmp=$$(mktemp -d); \
+	if ! $(GO) run ./cmd/phishreport $(PAPER_FLAGS) -o $$tmp/report.md >/dev/null 2>$$tmp/err; then \
+		cat $$tmp/err; rm -rf $$tmp; exit 1; fi; \
+	diff -u testdata/paper-report.md $$tmp/report.md; status=$$?; rm -rf $$tmp; \
+	if [ $$status -ne 0 ]; then echo "paper report differs: regenerate with go run ./cmd/phishreport $(PAPER_FLAGS) > testdata/paper-report.md"; fi; \
+	exit $$status
+
+check: build lint bench-check test race alloc-gate pins paper-check

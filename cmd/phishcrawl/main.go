@@ -306,7 +306,7 @@ func printRunReport(run farm.Stats, logs []*crawler.SessionLog, stats farm.Stats
 	}
 
 	if len(stats.Stages) > 0 {
-		fmt.Printf("\nPer-stage timing (aggregated across workers):\n%s", metrics.StageTable(stats.Stages))
+		fmt.Printf("\nPer-stage timing (session-logical clock, not wall time):\n%s", metrics.StageTable(stats.Stages))
 	}
 }
 

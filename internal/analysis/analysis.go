@@ -39,24 +39,59 @@ var multiLevelSuffixes = map[string]bool{
 // ESLD returns the effective second-level domain of a host or URL — the
 // registrable domain, the unit Table 1 and Table 4 count in.
 func ESLD(rawURL string) string {
-	host := rawURL
-	if strings.Contains(rawURL, "://") {
-		if u, err := url.Parse(rawURL); err == nil {
-			host = u.Host
+	host, ok := plainHost(rawURL)
+	if !ok {
+		host = rawURL
+		if strings.Contains(rawURL, "://") {
+			if u, err := url.Parse(rawURL); err == nil {
+				host = u.Host
+			}
 		}
 	}
 	if i := strings.IndexByte(host, ':'); i >= 0 {
 		host = host[:i]
 	}
-	parts := strings.Split(host, ".")
-	if len(parts) <= 2 {
+	// The last two labels, or three under a two-label public suffix.
+	last := strings.LastIndexByte(host, '.')
+	if last < 0 {
 		return host
 	}
-	n := 2
-	if multiLevelSuffixes[strings.Join(parts[len(parts)-2:], ".")] {
-		n = 3
+	second := strings.LastIndexByte(host[:last], '.')
+	if second < 0 || !multiLevelSuffixes[host[second+1:]] {
+		return host[second+1:]
 	}
-	return strings.Join(parts[len(parts)-n:], ".")
+	return host[strings.LastIndexByte(host[:second], '.')+1:]
+}
+
+// plainHost returns the host of an http or https URL whose host holds only
+// lowercase letters, digits, dots and hyphens and whose remainder holds no
+// escape or control byte: a URL url.Parse accepts with exactly that host.
+// For any other URL ok is false. Reading the host off the string spares the
+// report pass one parse per logged page.
+func plainHost(rawURL string) (host string, ok bool) {
+	rest, found := strings.CutPrefix(rawURL, "http://")
+	if !found {
+		if rest, found = strings.CutPrefix(rawURL, "https://"); !found {
+			return "", false
+		}
+	}
+	end := len(rest)
+	for i := 0; i < len(rest); i++ {
+		c := rest[i]
+		if c == '/' || c == '?' || c == '#' {
+			end = i
+			break
+		}
+		if !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '.' || c == '-') {
+			return "", false
+		}
+	}
+	for i := end; i < len(rest); i++ {
+		if c := rest[i]; c == '%' || c < 0x20 || c == 0x7f {
+			return "", false
+		}
+	}
+	return rest[:end], true
 }
 
 // AttachMeta copies feed metadata (site id, brand, sector, campaign) onto
@@ -165,19 +200,25 @@ func ClusterCampaigns(logs []*crawler.SessionLog) int {
 
 // sitePages returns the session's pages on the phishing site itself,
 // excluding pages reached after leaving for another eSLD (terminal
-// redirects).
+// redirects). The result may be l.Pages itself and must not be modified.
 func sitePages(l *crawler.SessionLog) []crawler.PageLog {
 	if len(l.Pages) == 0 {
 		return nil
 	}
 	seed := ESLD(l.SeedURL)
-	var out []crawler.PageLog
-	for _, p := range l.Pages {
-		if ESLD(p.URL) == seed {
-			out = append(out, p)
+	for i, p := range l.Pages {
+		if ESLD(p.URL) != seed {
+			out := append([]crawler.PageLog(nil), l.Pages[:i]...)
+			for _, q := range l.Pages[i+1:] {
+				if ESLD(q.URL) == seed {
+					out = append(out, q)
+				}
+			}
+			return out
 		}
 	}
-	return out
+	// Most sessions never leave the site: their pages are all on it.
+	return l.Pages
 }
 
 // IsMultiPage reports whether the crawler progressed past the first page on

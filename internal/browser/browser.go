@@ -410,11 +410,38 @@ func (b *Browser) roundTrip(method, cur string, form url.Values, kind string, ca
 		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
 		return nil, resp.StatusCode, resp.Header.Get("Location"), challenge, nil
 	}
-	raw, rerr := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	raw, rerr := readBody(resp.Body, resp.ContentLength)
 	if rerr != nil {
 		return nil, resp.StatusCode, "", challenge, fmt.Errorf("browser: reading body of %s: %w", cur, rerr)
 	}
 	return raw, resp.StatusCode, "", challenge, nil
+}
+
+// readBody reads body to its end, at most maxBodyBytes of it, as io.ReadAll
+// does. A declared length (-1 when unknown) sizes the buffer once, so a body
+// as long as it says is read without growing one.
+func readBody(body io.Reader, declared int64) ([]byte, error) {
+	if declared < 0 || declared >= maxBodyBytes {
+		return io.ReadAll(io.LimitReader(body, maxBodyBytes))
+	}
+	r := io.LimitedReader{R: body, N: maxBodyBytes}
+	// One spare byte lets the read that reports the end land in the buffer.
+	buf := make([]byte, 0, declared+1)
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			// Longer than declared: read the rest the ordinary way.
+			rest, err := io.ReadAll(io.LimitReader(body, r.N))
+			return append(buf, rest...), err
+		}
+	}
 }
 
 // joinURL resolves ref against base.

@@ -62,7 +62,9 @@ func TrainModels(params ModelParams) (*Models, error) {
 	}()
 	go func() {
 		defer wg.Done()
-		m.Detector, detErr = vision.Train(pagegen.GenerateSet(params.DetectorTrainPages, params.Seed+2, pagegen.Config{}), params.Seed+3)
+		tr := vision.NewTrainer(params.Seed + 3)
+		pagegen.Each(params.DetectorTrainPages, params.Seed+2, pagegen.Config{}, tr.Observe)
+		m.Detector, detErr = tr.Detector()
 	}()
 	go func() {
 		defer wg.Done()

@@ -1,6 +1,12 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/pagegen"
+	"repro/internal/vision"
+)
 
 // TestSharedModelsMemoizes pins the tentpole behavior: two pipelines with
 // equal (seed, detector-pages) params share one trained bundle, pointer for
@@ -91,5 +97,34 @@ func TestNewPipelineSharesModels(t *testing.T) {
 	}
 	if p3.Models != private {
 		t.Error("Options.Models injection ignored")
+	}
+}
+
+// TestTrainModelsDetectorMatchesTrain pins TrainModels' streamed detector
+// training (every page drawn into one reused screenshot) to vision.Train
+// over the held page set it replaced, and bounds what the whole bundle's
+// training allocates: 600 held 420x340 pages alone were 85 MB.
+func TestTrainModelsDetectorMatchesTrain(t *testing.T) {
+	const seed, pages = 7, 600
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := TrainModels(ModelParams{Seed: seed, DetectorTrainPages: pages})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := vision.Train(pagegen.GenerateSet(pages, seed+2, pagegen.Config{}), seed+3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := m.Detector.Marshal()
+	ref, _ := want.Marshal()
+	if string(got) != string(ref) {
+		t.Error("TrainModels' detector differs from vision.Train over GenerateSet")
+	}
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("TrainModels allocated %.1f MB", mb)
+	if mb > 50 {
+		t.Errorf("TrainModels allocated %.1f MB, want at most 50", mb)
 	}
 }

@@ -68,7 +68,7 @@ func (f *Feed) SeedCount() int { return len(f.Entries) }
 // Filter applies the vendor phishing-detection check, returning confirmed
 // phishing entries only (the paper's 51,859 analogue).
 func (f *Feed) Filter() []Entry {
-	var out []Entry
+	out := make([]Entry, 0, len(f.Entries))
 	for _, e := range f.Entries {
 		if !e.Noise {
 			out = append(out, e)
@@ -79,10 +79,11 @@ func (f *Feed) Filter() []Entry {
 
 // URLs returns the confirmed phishing URLs in feed order.
 func (f *Feed) URLs() []string {
-	filtered := f.Filter()
-	out := make([]string, len(filtered))
-	for i, e := range filtered {
-		out[i] = e.URL
+	out := make([]string, 0, len(f.Entries))
+	for _, e := range f.Entries {
+		if !e.Noise {
+			out = append(out, e.URL)
+		}
 	}
 	return out
 }

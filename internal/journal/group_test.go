@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -34,7 +35,11 @@ func TestSyncGroupEquivalence(t *testing.T) {
 		j := mustOpen(t, dir, Options{})
 		defer j.Close()
 		var recs []Record
-		if err := j.Scan(func(r Record) error { recs = append(recs, r); return nil }); err != nil {
+		if err := j.Scan(func(r Record) error {
+			r.Payload = bytes.Clone(r.Payload) // valid only during the callback
+			recs = append(recs, r)
+			return nil
+		}); err != nil {
 			t.Fatalf("Scan(%s): %v", dir, err)
 		}
 		return recs

@@ -353,9 +353,12 @@ func (j *Journal) scanSegment(i int, last bool, ckpt *checkpoint) (maxSeq, first
 		return 0, 0, fmt.Errorf("journal: %w", err)
 	}
 	br := bufio.NewReaderSize(f, 1<<16)
-	var off int64
+	var (
+		off int64
+		buf []byte
+	)
 	for {
-		rec, n, err := readFrame(br, size-off)
+		rec, n, err := readFrame(br, size-off, &buf)
 		if err == io.EOF {
 			break
 		}
@@ -382,7 +385,7 @@ func (j *Journal) scanSegment(i int, last bool, ckpt *checkpoint) (maxSeq, first
 			}
 		}
 		if rec.Kind == KindRun && j.run == nil {
-			j.run = rec.Payload
+			j.run = bytes.Clone(rec.Payload)
 		}
 		off += int64(n)
 	}
@@ -659,9 +662,11 @@ func (j *Journal) CompletedURLs() map[string]bool {
 }
 
 // Scan streams every record in sequence order through fn, reading straight
-// off the segment files without loading a segment into memory. It may run
-// while appends continue; records appended after the Scan starts may or
-// may not be seen.
+// off the segment files without loading a segment into memory. Every record
+// is read into one reused buffer: a record's Payload is valid only during
+// fn's call with it, and fn must copy what it keeps. Scan may run while
+// appends continue; records appended after the Scan starts may or may not
+// be seen.
 func (j *Journal) Scan(fn func(Record) error) error {
 	// Appends write straight to the fd (no user-space buffering), so a
 	// scan sees every record already appended by this process.
@@ -688,9 +693,12 @@ func scanSegmentFile(path string, fn func(Record) error) error {
 	}
 	size := info.Size()
 	br := bufio.NewReaderSize(f, 1<<16)
-	var off int64
+	var (
+		off int64
+		buf []byte
+	)
 	for {
-		rec, n, err := readFrame(br, size-off)
+		rec, n, err := readFrame(br, size-off, &buf)
 		if err == io.EOF || errors.Is(err, errTorn) {
 			// A torn tail mid-scan only happens when scanning a journal
 			// another process is appending to; stop at the last whole

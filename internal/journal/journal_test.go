@@ -369,6 +369,48 @@ func TestBindRunPolicy(t *testing.T) {
 	}
 }
 
+// TestBoundManifestSurvivesReopen: a scan reads every record into one
+// reused buffer, so the run manifest Open finds must be copied out of it.
+// A manifest longer than the many session records after it in its segment
+// is still the bound one after a reopen, from the checkpoint or by rescan.
+func TestBoundManifestSurvivesReopen(t *testing.T) {
+	manifest := []byte(`{"pad":"` + strings.Repeat("m", 4096) + `"}`)
+	other := []byte(`{"pad":"` + strings.Repeat("o", 4096) + `"}`)
+	dir := t.TempDir()
+	opts := Options{Sync: SyncNone, CheckpointEvery: 16}
+	j := mustOpen(t, dir, opts)
+	if err := j.BindRun(manifest); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, j, 200, 0)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(j.segments) != 1 {
+		t.Fatalf("journal has %d segments; the records must share the manifest's", len(j.segments))
+	}
+	for _, ckpt := range []bool{true, false} {
+		if !ckpt {
+			if err := os.Remove(filepath.Join(dir, checkpointName)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j := mustOpen(t, dir, opts)
+		if err := j.BindRun(manifest); err != nil {
+			t.Fatalf("checkpoint %v: own manifest refused after reopen: %.200v", ckpt, err)
+		}
+		if err := j.BindRun(other); err == nil {
+			t.Fatalf("checkpoint %v: another manifest accepted after reopen", ckpt)
+		}
+		if got := j.CompletedCount(); got != 200 {
+			t.Fatalf("checkpoint %v: CompletedCount = %d, want 200", ckpt, got)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestRetiredStatsRecordSkipped: a journal written while runs still closed
 // with a stats record (kind 2, retired) opens, reports and resumes as if
 // the record were absent. Its twin holds the same run record and sessions

@@ -50,7 +50,9 @@ const (
 	MaxRecordBytes = 64 << 20
 )
 
-// Record is one framed journal entry.
+// Record is one framed journal entry. A Record handed to a Scan callback
+// shares its Payload with the scan's read buffer: the Payload is valid only
+// during the callback, and a callback that keeps it must copy it.
 type Record struct {
 	Seq     uint64
 	Kind    Kind
@@ -106,7 +108,10 @@ func decodeFrame(b []byte) (Record, int, error) {
 // readFrame streams one frame from br, where remaining is how many bytes
 // the segment file still holds (it bounds the allocation a garbage length
 // prefix could cause). io.EOF is returned only at a clean record boundary.
-func readFrame(br *bufio.Reader, remaining int64) (Record, int, error) {
+// The frame's body is read into *buf, which is grown when too small and
+// reused across the frames of a scan: the returned Payload aliases it and
+// is valid only until the next readFrame with the same buf.
+func readFrame(br *bufio.Reader, remaining int64, buf *[]byte) (Record, int, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -118,7 +123,10 @@ func readFrame(br *bufio.Reader, remaining int64) (Record, int, error) {
 	if n < bodyMinSize || n > MaxRecordBytes || int64(n) > remaining-headerSize {
 		return Record{}, 0, fmt.Errorf("%w: impossible body length %d", errTorn, n)
 	}
-	body := make([]byte, n)
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	body := (*buf)[:n]
 	if _, err := io.ReadFull(br, body); err != nil {
 		return Record{}, 0, fmt.Errorf("%w: body short of %d bytes", errTorn, n)
 	}

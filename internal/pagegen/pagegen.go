@@ -60,7 +60,12 @@ var buttonLabels = []string{
 // Table 5.
 func Generate(rng *rand.Rand, cfg Config) vision.Example {
 	cfg = cfg.withDefaults()
-	img := raster.New(cfg.PageW, cfg.PageH, raster.White)
+	return generateInto(raster.New(cfg.PageW, cfg.PageH, raster.White), rng, cfg)
+}
+
+// generateInto is Generate drawing into img, a blank cfg.PageW x cfg.PageH
+// page; cfg has its defaults applied.
+func generateInto(img *raster.Image, rng *rand.Rand, cfg Config) vision.Example {
 	var anns []vision.Annotation
 
 	// Vertical slot allocator prevents overlap.
@@ -123,14 +128,36 @@ func Generate(rng *rand.Rand, cfg Config) vision.Example {
 	return vision.Example{Image: img, Annotations: anns}
 }
 
-// GenerateSet produces n annotated pages from a fixed seed.
+// GenerateSet produces n annotated pages from a fixed seed: the pages Each
+// streams, each drawn into an image of its own.
 func GenerateSet(n int, seed int64, cfg Config) []vision.Example {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]vision.Example, n)
-	for i := range out {
-		out[i] = Generate(rng, cfg)
-	}
+	out := make([]vision.Example, 0, n)
+	generate(n, seed, cfg, false, func(ex vision.Example) { out = append(out, ex) })
 	return out
+}
+
+// Each generates n annotated pages from a fixed seed and hands them to fn
+// in order. Every page is drawn into one reused screenshot, so an example
+// is valid only during fn's call with it: a detector streams its training
+// pages through vision.Trainer without holding them.
+func Each(n int, seed int64, cfg Config, fn func(vision.Example)) {
+	generate(n, seed, cfg, true, fn)
+}
+
+// generate draws n pages from seed and hands each to fn, every page into a
+// new image or, with reuse, all into one image cleared between pages.
+func generate(n int, seed int64, cfg Config, reuse bool, fn func(vision.Example)) {
+	cfg = cfg.withDefaults()
+	rng := rand.New(rand.NewSource(seed))
+	var img *raster.Image
+	for i := 0; i < n; i++ {
+		if reuse && img != nil {
+			img.Fill(raster.R(0, 0, img.W, img.H), raster.White)
+		} else {
+			img = raster.New(cfg.PageW, cfg.PageH, raster.White)
+		}
+		fn(generateInto(img, rng, cfg))
+	}
 }
 
 // CaptchaCrops returns k rendered CAPTCHA images per kind, used to build the

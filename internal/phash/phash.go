@@ -44,7 +44,9 @@ func ComputeRegion(img *raster.Image, r raster.Rect) Hash {
 	if r.Clip(img.W, img.H).Empty() {
 		return Hash{}
 	}
-	return FromCells(img.CellCounts(r, GridW, GridH))
+	var cells [GridW * GridH]raster.Counts
+	img.CellCountsInto(cells[:], r, GridW, GridH)
+	return FromCells(cells[:])
 }
 
 // FromCells returns the hash of a region from its GridW x GridH cell

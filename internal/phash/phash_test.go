@@ -190,6 +190,16 @@ func BenchmarkComputeRegion(b *testing.B) {
 
 var hashSink Hash
 
+// TestComputeRegionAllocs pins the hash's cell counts to the stack: a
+// triage probe or crawl session hashes every page it sees.
+func TestComputeRegionAllocs(t *testing.T) {
+	img := landingPage()
+	r := raster.R(0, 0, img.W, img.H)
+	if n := testing.AllocsPerRun(20, func() { hashSink = ComputeRegion(img, r) }); n != 0 {
+		t.Errorf("ComputeRegion allocates %.0f times per call, want 0", n)
+	}
+}
+
 func BenchmarkCluster1000(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	hashes := make([]Hash, 1000)

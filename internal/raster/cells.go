@@ -39,9 +39,18 @@ func (im *Image) CellCounts(r Rect, gw, gh int) []Counts {
 	if gw <= 0 || gh <= 0 {
 		return nil
 	}
+	cells := make([]Counts, gw*gh)
+	im.CellCountsInto(cells, r, gw, gh)
+	return cells
+}
+
+// CellCountsInto is CellCounts writing into cells, which must hold gw*gh
+// zero counts: a caller that counts into an array of its own allocates
+// nothing.
+func (im *Image) CellCountsInto(cells []Counts, r Rect, gw, gh int) {
 	r = r.Clip(im.W, im.H)
-	if r.Empty() {
-		return make([]Counts, gw*gh)
+	if gw <= 0 || gh <= 0 || r.Empty() {
+		return
 	}
 	var buf [32][2]int
 	xs := buf[:0]
@@ -49,7 +58,7 @@ func (im *Image) CellCounts(r Rect, gw, gh int) []Counts {
 		x0, x1 := cellSpan(gx, r.W, gw)
 		xs = append(xs, [2]int{x0, x1})
 	}
-	return im.cellCounts(r, xs, gh)
+	im.cellCounts(cells, r, xs, gh)
 }
 
 // CellCountsCut is CellCounts over r, clipped to the image, with the grid's
@@ -67,19 +76,18 @@ func (im *Image) CellCountsCut(r Rect, cuts []int, gh int) []Counts {
 	if gh <= 0 || len(xs) == 0 {
 		return nil
 	}
-	r = r.Clip(im.W, im.H)
-	if r.Empty() {
-		return make([]Counts, len(xs)*gh)
+	cells := make([]Counts, len(xs)*gh)
+	if r = r.Clip(im.W, im.H); !r.Empty() {
+		im.cellCounts(cells, r, xs, gh)
 	}
-	return im.cellCounts(r, xs, gh)
+	return cells
 }
 
-// cellCounts counts the cells of the grid whose columns span xs, relative to
-// r.X, and whose gh rows split r.H as cellSpan does. r is clipped and not
-// empty.
-func (im *Image) cellCounts(r Rect, xs [][2]int, gh int) []Counts {
+// cellCounts adds into cells the counts of the grid whose columns span xs,
+// relative to r.X, and whose gh rows split r.H as cellSpan does. r is
+// clipped and not empty.
+func (im *Image) cellCounts(cells []Counts, r Rect, xs [][2]int, gh int) {
 	gw := len(xs)
-	cells := make([]Counts, gw*gh)
 	pix := im.Bytes()
 	line := func(y int) []byte { return pix[y*im.W+r.X : y*im.W+r.X+r.W] }
 	for gy := 0; gy < gh; gy++ {
@@ -98,7 +106,6 @@ func (im *Image) cellCounts(r Rect, xs [][2]int, gh int) []Counts {
 			y += m
 		}
 	}
-	return cells
 }
 
 // cellSpan returns the half-open span of cell i when n pixels are split

@@ -25,15 +25,19 @@ const dataURIPrefix = "data:image/pxi;base64,"
 var ErrBadImage = errors.New("raster: malformed PXI image data")
 
 // Encode serializes im to the PXI format. Each run of equal pixels, cut
-// every 255, is found a word at a time by RunEnd.
+// every 255, is found a word at a time by RunEnd. The stream is exactly as
+// long as its capacity: a corpus keeps every image it encodes, so the runs
+// are counted first and the stream allocated once at its length.
 func Encode(im *Image) []byte {
-	out := make([]byte, 0, 12+len(im.Pix)/4)
-	out = append(out, pxiMagic[:]...)
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(im.W))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(im.H))
-	out = append(out, hdr[:]...)
 	pix := im.Bytes()
+	runs := 0
+	for i := 0; i < len(pix); runs++ {
+		i = RunEnd(pix[:min(len(pix), i+255)], i+1, pix[i])
+	}
+	out := make([]byte, 0, len(pxiMagic)+8+2*runs)
+	out = append(out, pxiMagic[:]...)
+	out = binary.BigEndian.AppendUint32(out, uint32(im.W))
+	out = binary.BigEndian.AppendUint32(out, uint32(im.H))
 	for i := 0; i < len(pix); {
 		c := pix[i]
 		j := RunEnd(pix[:min(len(pix), i+255)], i+1, c)

@@ -484,6 +484,25 @@ func TestEncodeMatchesPerPixel(t *testing.T) {
 	}
 }
 
+// TestEncodeExactLength checks that an encoded stream holds no spare
+// capacity: a corpus keeps every stream it encodes, so spare capacity is
+// memory held for nothing.
+func TestEncodeExactLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	noisy := New(64, 48, White)
+	for i := range noisy.Pix {
+		noisy.Pix[i] = Color(rng.Intn(int(NumColors)))
+	}
+	page := New(400, 300, White)
+	page.Fill(R(0, 0, 400, 40), Navy)
+	page.DrawString("SIGN IN TO CONTINUE", 20, 60, Black)
+	for name, im := range map[string]*Image{"empty": New(0, 0, White), "one color": New(300, 200, Gray), "noise": noisy, "page": page} {
+		if b := Encode(im); len(b) != cap(b) {
+			t.Errorf("%s: Encode returned len %d, cap %d", name, len(b), cap(b))
+		}
+	}
+}
+
 // decodeRef is Decode without the size bound and with every run written
 // one pixel at a time.
 func decodeRef(data []byte) (*Image, bool) {

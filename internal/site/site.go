@@ -134,7 +134,11 @@ type Truth struct {
 	CloakKinds []string
 }
 
-// Site is one phishing website.
+// Site is one phishing website. The generator builds each campaign's kit
+// once: every deployment of a campaign shares the same Pages (and the Page
+// values they point to), Images and the slices inside Truth, and owns only
+// its ID, Host and Cloak. After generation all of them are read-only; a
+// write through one site would change every deployment of its campaign.
 type Site struct {
 	// ID is unique within a corpus, e.g. "site-000042".
 	ID string

@@ -276,8 +276,34 @@ type campaignSpec struct {
 	pageSeed int64
 }
 
-// Generate builds a corpus of p.NumSites sites.
+// Generate builds a corpus of p.NumSites sites. Each campaign's kit is
+// built once and shared by all of its deployments (see site.Site), and
+// equal image streams are kept once across kits.
 func Generate(p Params) *Corpus {
+	specs := planCampaigns(p)
+	corpus := &Corpus{Campaigns: len(specs), Seed: p.Seed, Sites: make([]*site.Site, 0, p.NumSites)}
+	// Kits often draw the same image (a brand's logo, a CAPTCHA): the
+	// corpus keeps one stream of each.
+	streams := map[string][]byte{}
+	for ci, spec := range specs {
+		k := buildKit(spec, ci)
+		for path, b := range k.images {
+			if kept, ok := streams[string(b)]; ok {
+				k.images[path] = kept
+			} else {
+				streams[string(b)] = b
+			}
+		}
+		for si := 0; si < spec.size; si++ {
+			corpus.Sites = append(corpus.Sites, k.deploy(si, len(corpus.Sites)))
+		}
+	}
+	return corpus
+}
+
+// planCampaigns draws the campaign specs of a p.NumSites-site corpus, in
+// deployment order.
+func planCampaigns(p Params) []*campaignSpec {
 	g := newGenState(p)
 	var specs []*campaignSpec
 	total := 0
@@ -305,15 +331,7 @@ func Generate(p Params) *Corpus {
 		specs = append(specs, drawCampaign(g, i, size))
 		total += size
 	}
-	corpus := &Corpus{Campaigns: len(specs), Seed: p.Seed}
-	siteIdx := 0
-	for ci, spec := range specs {
-		for si := 0; si < spec.size; si++ {
-			corpus.Sites = append(corpus.Sites, buildSite(spec, ci, si, siteIdx))
-			siteIdx++
-		}
-	}
-	return corpus
+	return specs
 }
 
 // campaignSize samples the skewed kit-deployment size distribution
@@ -574,12 +592,48 @@ func planDataFields(rng *rand.Rand, spec *campaignSpec) [][]fieldspec.Type {
 	return stages
 }
 
-// buildSite instantiates one deployment of the campaign kit. Page
-// construction is seeded per campaign, so every deployment serves the
-// identical pages; only the hostname differs.
-func buildSite(spec *campaignSpec, campIdx, siteInCamp, globalIdx int) *site.Site {
-	rng := rand.New(rand.NewSource(spec.pageSeed))
+// kit is one campaign's build: the pages, images and ground truth that
+// every deployment serves, and the brand word its hostnames are made from.
+type kit struct {
+	spec    *campaignSpec
+	campIdx int
+	word    string
+	pages   []*site.Page
+	images  map[string][]byte
+	truth   site.Truth
+}
+
+// deploy returns deployment siteInCamp of the kit as corpus site
+// globalIdx. Only the ID, the hostname and the cloak decoy (which names the
+// host) are its own; pages, images and truth are the kit's.
+func (k *kit) deploy(siteInCamp, globalIdx int) *site.Site {
 	var host string
+	if k.spec.sharedSLD {
+		host = fmt.Sprintf("v%d.%s-c%d.test", siteInCamp, k.word, k.campIdx)
+	} else {
+		host = fmt.Sprintf("login.%s-%d-%d.test", k.word, k.campIdx, siteInCamp)
+	}
+	s := &site.Site{
+		ID:         fmt.Sprintf("site-%06d", globalIdx),
+		Host:       host,
+		Brand:      k.spec.design.brand.Name,
+		Category:   k.spec.design.brand.Category,
+		CampaignID: k.spec.id,
+		Pages:      k.pages,
+		Images:     k.images,
+		Truth:      k.truth,
+	}
+	if len(k.spec.cloakRules) > 0 {
+		s.Cloak = &site.Cloak{Rules: k.spec.cloakRules, DecoyHTML: buildDecoyHTML(host)}
+	}
+	return s
+}
+
+// buildKit builds the campaign kit that spec, the campIdx-th campaign,
+// describes. Page construction is seeded per campaign, so the kit is what
+// every deployment would build for itself.
+func buildKit(spec *campaignSpec, campIdx int) *kit {
+	rng := rand.New(rand.NewSource(spec.pageSeed))
 	word := strings.ToLower(strings.Fields(spec.design.brand.Name)[0])
 	word = strings.Map(func(r rune) rune {
 		if r >= 'a' && r <= 'z' {
@@ -590,21 +644,9 @@ func buildSite(spec *campaignSpec, campIdx, siteInCamp, globalIdx int) *site.Sit
 	if word == "" {
 		word = "secure"
 	}
-	if spec.sharedSLD {
-		host = fmt.Sprintf("v%d.%s-c%d.test", siteInCamp, word, campIdx)
-	} else {
-		host = fmt.Sprintf("login.%s-%d-%d.test", word, campIdx, siteInCamp)
-	}
-	s := &site.Site{
-		ID:         fmt.Sprintf("site-%06d", globalIdx),
-		Host:       host,
-		Brand:      spec.design.brand.Name,
-		Category:   spec.design.brand.Category,
-		CampaignID: spec.id,
-		Images:     map[string][]byte{},
-	}
+	k := &kit{spec: spec, campIdx: campIdx, word: word, images: map[string][]byte{}}
 	d := spec.design
-	pb := newPageBuilder(&d, rng, s.Images)
+	pb := newPageBuilder(&d, rng, k.images)
 
 	type slot struct{ kind string }
 	var slots []slot
@@ -653,7 +695,6 @@ func buildSite(spec *campaignSpec, campIdx, siteInCamp, globalIdx int) *site.Sit
 		truth.Termination = site.TermNone
 	}
 	if len(spec.cloakRules) > 0 {
-		s.Cloak = &site.Cloak{Rules: spec.cloakRules, DecoyHTML: buildDecoyHTML(host)}
 		truth.Cloaked = true
 		for _, r := range spec.cloakRules {
 			truth.CloakKinds = append(truth.CloakKinds, r.Kind)
@@ -731,10 +772,10 @@ func buildSite(spec *campaignSpec, campIdx, siteInCamp, globalIdx int) *site.Sit
 		case sl.kind == "terminal":
 			pg.HTML = pb.buildTerminalPage(spec.termination)
 		}
-		s.Pages = append(s.Pages, pg)
+		k.pages = append(k.pages, pg)
 	}
-	truth.NumPages = len(s.Pages)
-	truth.MultiPage = len(s.Pages) > 1
-	s.Truth = truth
-	return s
+	truth.NumPages = len(k.pages)
+	truth.MultiPage = len(k.pages) > 1
+	k.truth = truth
+	return k
 }

@@ -66,58 +66,89 @@ func Train(examples []Example, seed int64) (*Detector, error) {
 
 // train is Train with the feature extractor as a parameter.
 func train(examples []Example, seed int64, features func(*raster.Image, raster.Rect) []float64) (*Detector, error) {
-	type acc struct {
-		sum, sumSq []float64
-		n          int
-	}
-	accs := map[string]*acc{}
-	observe := func(class string, f []float64) {
-		a := accs[class]
-		if a == nil {
-			a = &acc{sum: make([]float64, FeatureDim), sumSq: make([]float64, FeatureDim)}
-			accs[class] = a
-		}
-		for i, v := range f {
-			a.sum[i] += v
-			a.sumSq[i] += v * v
-		}
-		a.n++
-	}
-	rng := rand.New(rand.NewSource(seed))
-	total := 0
+	t := newTrainer(seed, features)
 	for _, ex := range examples {
-		for _, an := range ex.Annotations {
-			observe(an.Class, features(ex.Image, an.Box))
-			total++
-		}
-		// Background negatives: random crops that do not overlap any
-		// annotation by more than 20% IoU.
-		for tries, got := 0, 0; tries < 40 && got < 3; tries++ {
-			w := 20 + rng.Intn(160)
-			h := 12 + rng.Intn(60)
-			if ex.Image.W <= w || ex.Image.H <= h {
-				continue
-			}
-			box := raster.R(rng.Intn(ex.Image.W-w), rng.Intn(ex.Image.H-h), w, h)
-			overlaps := false
-			for _, an := range ex.Annotations {
-				if box.IoU(an.Box) > 0.2 {
-					overlaps = true
-					break
-				}
-			}
-			if overlaps {
-				continue
-			}
-			observe(ClassBackground, features(ex.Image, box))
-			got++
-		}
+		t.Observe(ex)
 	}
-	if total == 0 {
+	return t.Detector()
+}
+
+// Trainer is Train one example at a time: a caller can stream generated
+// pages through Observe, drawing each into the same screenshot, instead of
+// holding them all. Observing Train's examples in order, then calling
+// Detector, gives the detector Train(examples, seed) gives.
+type Trainer struct {
+	features func(*raster.Image, raster.Rect) []float64
+	rng      *rand.Rand
+	accs     map[string]*classAcc
+	total    int
+}
+
+// classAcc accumulates one class's feature moments.
+type classAcc struct {
+	sum, sumSq []float64
+	n          int
+}
+
+// NewTrainer starts a Train run with the given background-sampling seed.
+func NewTrainer(seed int64) *Trainer { return newTrainer(seed, Features) }
+
+func newTrainer(seed int64, features func(*raster.Image, raster.Rect) []float64) *Trainer {
+	return &Trainer{features: features, rng: rand.New(rand.NewSource(seed)), accs: map[string]*classAcc{}}
+}
+
+func (t *Trainer) observe(class string, f []float64) {
+	a := t.accs[class]
+	if a == nil {
+		a = &classAcc{sum: make([]float64, FeatureDim), sumSq: make([]float64, FeatureDim)}
+		t.accs[class] = a
+	}
+	for i, v := range f {
+		a.sum[i] += v
+		a.sumSq[i] += v * v
+	}
+	a.n++
+}
+
+// Observe adds one example's annotations and sampled background regions.
+// It keeps nothing of ex: the example's image may be reused afterwards.
+func (t *Trainer) Observe(ex Example) {
+	for _, an := range ex.Annotations {
+		t.observe(an.Class, t.features(ex.Image, an.Box))
+		t.total++
+	}
+	// Background negatives: random crops that do not overlap any
+	// annotation by more than 20% IoU.
+	rng := t.rng
+	for tries, got := 0, 0; tries < 40 && got < 3; tries++ {
+		w := 20 + rng.Intn(160)
+		h := 12 + rng.Intn(60)
+		if ex.Image.W <= w || ex.Image.H <= h {
+			continue
+		}
+		box := raster.R(rng.Intn(ex.Image.W-w), rng.Intn(ex.Image.H-h), w, h)
+		overlaps := false
+		for _, an := range ex.Annotations {
+			if box.IoU(an.Box) > 0.2 {
+				overlaps = true
+				break
+			}
+		}
+		if overlaps {
+			continue
+		}
+		t.observe(ClassBackground, t.features(ex.Image, box))
+		got++
+	}
+}
+
+// Detector fits the detector on everything observed so far.
+func (t *Trainer) Detector() (*Detector, error) {
+	if t.total == 0 {
 		return nil, ErrNoTraining
 	}
 	d := &Detector{Threshold: 0.5}
-	for name, a := range accs {
+	for name, a := range t.accs {
 		cs := classStats{Name: name, Count: a.n,
 			Mean: make([]float64, FeatureDim), Std: make([]float64, FeatureDim)}
 		for i := 0; i < FeatureDim; i++ {
