@@ -23,7 +23,6 @@ type cliFlags struct {
 	journalDir    string
 	journalSync   string
 	resume        bool
-	compact       bool
 	statusAddr    string
 	out           string
 	coordinator   bool
@@ -65,19 +64,11 @@ func validateFlags(f cliFlags) error {
 	if f.progress < 0 {
 		return fmt.Errorf("-progress must be >= 0 (got %v; 0 disables the periodic progress line)", f.progress)
 	}
-	switch f.journalSync {
-	case "always", "group", "batch", "none":
-	default:
-		return fmt.Errorf("unknown -journal-sync %q (want always, group, batch, or none)", f.journalSync)
+	if _, err := parseSyncPolicy(f.journalSync); err != nil {
+		return err
 	}
 	if f.resume && f.journalDir == "" {
 		return fmt.Errorf("-resume requires -journal <dir>")
-	}
-	if f.compact && f.journalDir == "" {
-		return fmt.Errorf("-compact requires -journal <dir>")
-	}
-	if f.statusAddr != "" && f.compact {
-		return fmt.Errorf("-status-addr cannot be combined with -compact: compaction rewrites the journal after the crawl ends, when the status server no longer reports live progress; run the compaction pass separately")
 	}
 	if f.coordinator && f.worker {
 		return fmt.Errorf("-coordinator and -worker are mutually exclusive: run each fleet process as exactly one role (the coordinator shards and merges, workers crawl)")
@@ -96,9 +87,6 @@ func validateFlags(f cliFlags) error {
 	}
 	if f.worker && f.resume {
 		return fmt.Errorf("-resume is coordinator-side in fleet mode: restart the coordinator with -resume and it will hand workers leases that skip already-journaled URLs")
-	}
-	if (f.coordinator || f.worker) && f.compact {
-		return fmt.Errorf("-compact cannot run in fleet mode: shard journals are merged, not compacted in place; compact them offline after the run if needed")
 	}
 	if f.worker && f.out != "" {
 		return fmt.Errorf("-o in worker mode would export a single shard, not the run: pass -o to the coordinator, whose export is the merged fleet view")

@@ -28,11 +28,9 @@ func TestValidateFlags(t *testing.T) {
 		{"zero workers is the default", func(f *cliFlags) { f.workers = 0 }, ""},
 		{"journal alone", func(f *cliFlags) { f.journalDir = "j" }, ""},
 		{"resume with journal", func(f *cliFlags) { f.journalDir = "j"; f.resume = true }, ""},
-		{"compact with journal", func(f *cliFlags) { f.journalDir = "j"; f.compact = true }, ""},
 		{"status with journal", func(f *cliFlags) { f.journalDir = "j"; f.statusAddr = ":0" }, ""},
 		{"progress interval", func(f *cliFlags) { f.progress = time.Second }, ""},
 		{"sync group", func(f *cliFlags) { f.journalSync = "group" }, ""},
-		{"sync batch", func(f *cliFlags) { f.journalSync = "batch" }, ""},
 		{"sync none", func(f *cliFlags) { f.journalSync = "none" }, ""},
 
 		{"zero sites", func(f *cliFlags) { f.sites = 0 }, "-sites"},
@@ -44,13 +42,8 @@ func TestValidateFlags(t *testing.T) {
 		{"negative fetch timeout", func(f *cliFlags) { f.fetchTimeout = -time.Second }, "-fetch-timeout"},
 		{"negative progress", func(f *cliFlags) { f.progress = -time.Second }, "-progress"},
 		{"bad journal sync", func(f *cliFlags) { f.journalSync = "fsync" }, "-journal-sync"},
+		{"sync batch", func(f *cliFlags) { f.journalSync = "batch" }, `unknown -journal-sync "batch"`},
 		{"resume without journal", func(f *cliFlags) { f.resume = true }, "-resume requires -journal"},
-		{"compact without journal", func(f *cliFlags) { f.compact = true }, "-compact requires -journal"},
-		{"status with compact", func(f *cliFlags) {
-			f.journalDir = "j"
-			f.compact = true
-			f.statusAddr = ":0"
-		}, "-status-addr cannot be combined with -compact"},
 
 		{"coordinator role", func(f *cliFlags) {
 			f.coordinator = true
@@ -108,12 +101,6 @@ func TestValidateFlags(t *testing.T) {
 			f.journalDir = "j"
 			f.resume = true
 		}, "-resume is coordinator-side"},
-		{"compact in fleet mode", func(f *cliFlags) {
-			f.coordinator = true
-			f.fleetAddr = ":0"
-			f.journalDir = "j"
-			f.compact = true
-		}, "-compact cannot run in fleet mode"},
 		{"export in worker mode", func(f *cliFlags) {
 			f.worker = true
 			f.fleetAddr = "127.0.0.1:8870"
@@ -173,12 +160,6 @@ func TestValidateFlags(t *testing.T) {
 		{"negative campaign-min", func(f *cliFlags) {
 			f.campaignMin = -1
 		}, "-campaign-min"},
-		{"triage with compact", func(f *cliFlags) {
-			f.triage = true
-			f.campaignThreshold = triage.DefaultCampaignThreshold
-			f.journalDir = "j"
-			f.compact = true
-		}, ""},
 		{"topk without triage", func(f *cliFlags) {
 			f.triageTopK = 10
 		}, "-triage-topk does nothing without -triage"},

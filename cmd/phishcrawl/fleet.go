@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"sync/atomic"
 	"time"
@@ -58,18 +56,18 @@ func runCoordinator(opts core.Options, fl fleetCLI) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", fl.addr)
+	srv, fleetAddr, err := serve("-fleet-addr", fl.addr, coord.Handler())
 	if err != nil {
-		log.Fatalf("-fleet-addr %s: %v", fl.addr, err)
+		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: coord.Handler()}
-	//phishvet:ignore goroleak: Serve is stopped by the deferred srv.Close on the next line; its return error is the normal ErrServerClosed
-	go srv.Serve(ln)
 	defer srv.Close()
 	fmt.Printf("Corpus: %d sites in %d campaigns. Fleet: coordinating %d URLs on http://%s\n",
-		len(corpus.Sites), corpus.Campaigns, len(urls), ln.Addr())
+		len(corpus.Sites), corpus.Campaigns, len(urls), fleetAddr)
 	if fl.statusAddr != "" {
-		statusSrv, addr, err := startFleetStatus(fl.statusAddr, coord)
+		// The coordinator's handler also serves the fleet-wide progress
+		// view: per-worker leases, URL/lease totals, ETA, and the merged
+		// per-stage latency percentiles.
+		statusSrv, addr, err := serve("-status-addr", fl.statusAddr, coord.Handler())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -77,7 +75,7 @@ func runCoordinator(opts core.Options, fl fleetCLI) {
 		fmt.Printf("Status: serving fleet-wide progress on http://%s/status\n", addr)
 	}
 	if fl.progress > 0 {
-		defer startFleetProgressLog(coord, fl.progress)()
+		defer startProgressLog(func() string { return coord.Status().String() }, fl.progress)()
 	}
 	<-coord.Done()
 	// Merge with the server still up: late workers polling for a lease get
@@ -168,45 +166,6 @@ func runWorkerMode(opts core.Options, fl fleetCLI) {
 	}
 }
 
-// startFleetStatus serves the coordinator's fleet-wide progress view at
-// addr — the fleet-mode counterpart of startStatus: per-worker leases,
-// URL/lease totals, ETA, and the merged per-stage latency percentiles.
-func startFleetStatus(addr string, coord *fleet.Coordinator) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("-status-addr %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: coord.Handler()}
-	//phishvet:ignore goroleak: Serve is stopped by the caller's deferred srv.Close; its return error is the normal ErrServerClosed
-	go srv.Serve(ln)
-	return srv, ln.Addr().String(), nil
-}
-
-// startFleetProgressLog prints the fleet status block to stderr every
-// interval, plus one final snapshot on stop.
-func startFleetProgressLog(coord *fleet.Coordinator, every time.Duration) (stop func()) {
-	tick := time.NewTicker(every)
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		for {
-			select {
-			case <-tick.C:
-				fmt.Fprintln(os.Stderr, coord.Status().String())
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		tick.Stop()
-		close(done)
-		<-finished
-		fmt.Fprintln(os.Stderr, coord.Status().String())
-	}
-}
-
 // parseSyncPolicy maps the -journal-sync flag to the journal's policy.
 func parseSyncPolicy(s string) (journal.SyncPolicy, error) {
 	switch s {
@@ -214,10 +173,8 @@ func parseSyncPolicy(s string) (journal.SyncPolicy, error) {
 		return journal.SyncAlways, nil
 	case "group":
 		return journal.SyncGroup, nil
-	case "batch":
-		return journal.SyncBatch, nil
 	case "none":
 		return journal.SyncNone, nil
 	}
-	return 0, fmt.Errorf("unknown -journal-sync %q (want always, group, batch, or none)", s)
+	return 0, fmt.Errorf("unknown -journal-sync %q (want always, group, or none)", s)
 }

@@ -45,8 +45,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the crawl to this file")
 	journalDir := flag.String("journal", "", "stream finished sessions into a crash-safe journal at this directory")
 	resume := flag.Bool("resume", false, "resume the journal at -journal: skip already-completed URLs")
-	compact := flag.Bool("compact", false, "after the crawl, compact superseded records out of the journal")
-	journalSync := flag.String("journal-sync", "always", "journal fsync policy: always | group | batch | none")
+	journalSync := flag.String("journal-sync", "always", "journal fsync policy: always | group | none")
 
 	def := chaos.DefaultProfile()
 	chaosOn := flag.Bool("chaos", false, "inject operational faults into the feed (dead/stalling/slow/5xx/truncated/takedown/flaky sites)")
@@ -90,7 +89,6 @@ func main() {
 		journalDir:        *journalDir,
 		journalSync:       *journalSync,
 		resume:            *resume,
-		compact:           *compact,
 		statusAddr:        *statusAddr,
 		out:               *out,
 		coordinator:       *coordinator,
@@ -192,7 +190,7 @@ func main() {
 		mon = farm.NewMonitor()
 	}
 	if *statusAddr != "" {
-		srv, addr, err := startStatus(*statusAddr, mon)
+		srv, addr, err := serve("-status-addr", *statusAddr, statusHandler(mon))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -200,7 +198,7 @@ func main() {
 		fmt.Printf("Status: serving live progress on http://%s/status\n", addr)
 	}
 	if *progressEvery > 0 {
-		defer startProgressLog(mon, *progressEvery)()
+		defer startProgressLog(func() string { return mon.Snapshot().String() }, *progressEvery)()
 	}
 
 	fmt.Printf("Building pipeline (%d sites, seed %d)...\n", *numSites, *seed)
@@ -241,7 +239,7 @@ func main() {
 		stats farm.Stats
 	)
 	if *journalDir != "" {
-		logs, stats = crawlJournaled(p, *journalDir, *sample, *resume, *compact, *journalSync)
+		logs, stats = crawlJournaled(p, *journalDir, *sample, *resume, *journalSync)
 	} else {
 		p.Crawl(*sample)
 		logs, stats = p.Logs, p.Stats
@@ -330,7 +328,7 @@ func exportLogs(path string, logs []*crawler.SessionLog) {
 // SIGKILLed — each session log carries its trace); elapsed time and panic
 // counts, which no session log carries and the journal does not record,
 // are this process's own (p.Stats).
-func crawlJournaled(p *core.Pipeline, dir string, sample int, resume, compact bool, syncPolicy string) ([]*crawler.SessionLog, farm.Stats) {
+func crawlJournaled(p *core.Pipeline, dir string, sample int, resume bool, syncPolicy string) ([]*crawler.SessionLog, farm.Stats) {
 	policy, err := parseSyncPolicy(syncPolicy)
 	if err != nil {
 		log.Fatal(err)
@@ -355,13 +353,6 @@ func crawlJournaled(p *core.Pipeline, dir string, sample int, resume, compact bo
 		fmt.Printf("Journal: resumed %s — %d URLs already complete, crawled %d\n", dir, skipped, p.Stats.Sites)
 	} else {
 		fmt.Printf("Journal: %d sessions journaled to %s\n", p.Stats.Sites, dir)
-	}
-	if compact {
-		dropped, err := j.Compact()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("Journal: compaction dropped %d superseded records\n", dropped)
 	}
 
 	logs, err := j.Sessions()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"repro/internal/journal"
 )
 
 // readExport reads an export verbatim. NetLog timestamps come from the
@@ -140,5 +143,38 @@ func TestKillResumeSmoke(t *testing.T) {
 		}
 		t.Fatalf("resumed export diverges from clean run at line %d (clean %d lines, resumed %d)",
 			n+1, len(cl), len(rl))
+	}
+
+	// The journal holds exactly one session record per crawled URL: the
+	// resume re-crawled only URLs whose record the kill or the torn tail
+	// lost. Sessions() keeps the latest per URL, so the export above
+	// cannot show a duplicate; the raw records can.
+	j, err := journal.Open(jdir, journal.Options{Sync: journal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	records := map[string]int{}
+	err = j.Scan(func(r journal.Record) error {
+		if r.Kind != journal.KindSession {
+			return nil
+		}
+		var lg struct{ SeedURL string }
+		if err := json.Unmarshal(r.Payload, &lg); err != nil {
+			return err
+		}
+		records[lg.SeedURL]++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, n := range records {
+		if n != 1 {
+			t.Errorf("journal holds %d session records for %s, want 1", n, u)
+		}
+	}
+	if want := strings.Count(resumedBytes, "\n"); len(records) != want {
+		t.Errorf("journal holds session records for %d URLs, want %d (one per exported session)", len(records), want)
 	}
 }

@@ -68,16 +68,10 @@ func makeStatusView(p farm.Progress) statusView {
 	return v
 }
 
-// startStatus binds addr and serves live run progress at /status: plain
-// text by default (the one-line progress summary plus the per-stage
-// percentile table), JSON with ?format=json. Returns the server (so main
-// can Close it) and the resolved listen address — pass ":0" or
-// "127.0.0.1:0" to let the kernel pick a free port.
-func startStatus(addr string, mon *farm.Monitor) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("-status-addr %s: %w", addr, err)
-	}
+// statusHandler serves live run progress at /status: plain text by
+// default (the one-line progress summary plus the per-stage percentile
+// table), JSON with ?format=json.
+func statusHandler(mon *farm.Monitor) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		p := mon.Snapshot()
@@ -94,17 +88,29 @@ func startStatus(addr string, mon *farm.Monitor) (*http.Server, string, error) {
 			fmt.Fprintf(w, "\n%s", metrics.StageTable(p.Stages))
 		}
 	})
-	srv := &http.Server{Handler: mux}
+	return mux
+}
+
+// serve binds addr, named by flagName in a bind error, and serves h on it
+// until the returned server is closed. It returns the server (so the
+// caller can Close it) and the resolved listen address — pass ":0" or
+// "127.0.0.1:0" to let the kernel pick a free port.
+func serve(flagName, addr string, h http.Handler) (*http.Server, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", fmt.Errorf("%s %s: %w", flagName, addr, err)
+	}
+	srv := &http.Server{Handler: h}
 	//phishvet:ignore goroleak: Serve is stopped by the caller's deferred srv.Close; its return error is the normal ErrServerClosed
 	go srv.Serve(ln)
 	return srv, ln.Addr().String(), nil
 }
 
-// startProgressLog prints the monitor's one-line progress summary to
-// stderr every interval. The returned stop function halts the ticker and
-// prints one final line so the last state of a finished crawl is always
-// visible, however the interval aligned.
-func startProgressLog(mon *farm.Monitor, every time.Duration) (stop func()) {
+// startProgressLog prints line() to stderr every interval. The returned
+// stop function halts the ticker and prints one final line so the last
+// state of a finished crawl is always visible, however the interval
+// aligned.
+func startProgressLog(line func() string, every time.Duration) (stop func()) {
 	tick := time.NewTicker(every)
 	done := make(chan struct{})
 	finished := make(chan struct{})
@@ -113,7 +119,7 @@ func startProgressLog(mon *farm.Monitor, every time.Duration) (stop func()) {
 		for {
 			select {
 			case <-tick.C:
-				fmt.Fprintln(os.Stderr, mon.Snapshot().String())
+				fmt.Fprintln(os.Stderr, line())
 			case <-done:
 				return
 			}
@@ -123,6 +129,6 @@ func startProgressLog(mon *farm.Monitor, every time.Duration) (stop func()) {
 		tick.Stop()
 		close(done)
 		<-finished
-		fmt.Fprintln(os.Stderr, mon.Snapshot().String())
+		fmt.Fprintln(os.Stderr, line())
 	}
 }

@@ -94,16 +94,6 @@ func plainHost(rawURL string) (host string, ok bool) {
 	return rest[:end], true
 }
 
-// AttachMeta copies feed metadata (site id, brand, sector, campaign) onto
-// session logs by seed-URL match, the join the farm performs implicitly in
-// the paper's pipeline.
-func AttachMeta(logs []*crawler.SessionLog, entries []feed.Entry) {
-	byURL := MetaIndex(entries)
-	for _, l := range logs {
-		AttachMetaIndexed(l, byURL)
-	}
-}
-
 // MetaIndex builds the seed-URL → feed-entry join index once, so a
 // streaming consumer (the journal sink journaling each session as it
 // completes) can attach metadata per log without rebuilding the map.

@@ -543,13 +543,13 @@ func (c *Crawler) classifyAndLog(pl *PageLog, fields []FieldInfo) {
 	}
 }
 
-// fillAndSubmit forges data for every field and walks the submit-strategy
-// ladder, retrying with fresh data when the site rejects a submission
-// (detected as "no page transition"). Returns the new page, or nil when the
-// site never accepted the data.
-func (c *Crawler) fillAndSubmit(p *browser.Page, fields []FieldInfo, pl *PageLog, fk *faker.Faker) *browser.Page {
+// transitionFrom returns the predicate that tells whether an action on p
+// moved the session on: the next page has a different URL or a different
+// DOM hash (URL only under URLOnlyTransitions). A nil page is no
+// transition.
+func (c *Crawler) transitionFrom(p *browser.Page) func(*browser.Page) bool {
 	beforeURL, beforeHash := p.URL, p.DOMHash()
-	transitioned := func(np *browser.Page) bool {
+	return func(np *browser.Page) bool {
 		if np == nil {
 			return false
 		}
@@ -558,6 +558,14 @@ func (c *Crawler) fillAndSubmit(p *browser.Page, fields []FieldInfo, pl *PageLog
 		}
 		return np.URL != beforeURL || np.DOMHash() != beforeHash
 	}
+}
+
+// fillAndSubmit forges data for every field and walks the submit-strategy
+// ladder, retrying with fresh data when the site rejects a submission
+// (detected as "no page transition"). Returns the new page, or nil when the
+// site never accepted the data.
+func (c *Crawler) fillAndSubmit(p *browser.Page, fields []FieldInfo, pl *PageLog, fk *faker.Faker) *browser.Page {
+	transitioned := c.transitionFrom(p)
 	// record notes which strategy actually performed a submission (a POST
 	// reached the site), even when the site re-served the same page: the
 	// Section 5.1.2 "12% required visual detection" measurement counts the
@@ -645,16 +653,7 @@ func (c *Crawler) visualSubmit(p *browser.Page, transitioned func(*browser.Page)
 // clickThrough handles input-less pages (Section 4.4): find a button-like
 // element to advance, falling back to visual detection.
 func (c *Crawler) clickThrough(p *browser.Page, pl *PageLog) *browser.Page {
-	beforeURL, beforeHash := p.URL, p.DOMHash()
-	transitioned := func(np *browser.Page) bool {
-		if np == nil {
-			return false
-		}
-		if c.URLOnlyTransitions {
-			return np.URL != beforeURL
-		}
-		return np.URL != beforeURL || np.DOMHash() != beforeHash
-	}
+	transitioned := c.transitionFrom(p)
 	// DOM buttons and button-like links first.
 	for _, el := range clickCandidates(p.Doc) {
 		if np, err := p.Click(el); err == nil && transitioned(np) {

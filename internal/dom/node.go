@@ -12,7 +12,6 @@ package dom
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -389,20 +388,6 @@ func (n *Node) Closest(tag string) *Node {
 	return nil
 }
 
-// Siblings returns the other children of n's parent, in document order.
-func (n *Node) Siblings() []*Node {
-	if n.Parent == nil {
-		return nil
-	}
-	var out []*Node
-	for c := n.Parent.FirstChild; c != nil; c = c.NextSibling {
-		if c != n {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the subtree rooted at n. The copy is detached.
 func (n *Node) Clone() *Node {
 	cp := &Node{Type: n.Type, Tag: n.Tag, Data: n.Data}
@@ -436,14 +421,4 @@ func (n *Node) Path() string {
 		parts[i], parts[j] = parts[j], parts[i]
 	}
 	return strings.Join(parts, "/")
-}
-
-// SortedAttrNames returns the attribute names sorted, for stable output.
-func (n *Node) SortedAttrNames() []string {
-	names := make([]string, 0, len(n.Attrs))
-	for _, a := range n.Attrs {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -89,11 +89,6 @@ func Body(doc *Node) *Node {
 	return doc
 }
 
-// Head returns the <head> element, or nil.
-func Head(doc *Node) *Node {
-	return doc.FindFirst(func(n *Node) bool { return n.Type == ElementNode && n.Tag == "head" })
-}
-
 // Title returns the document title text, or empty.
 func Title(doc *Node) string {
 	t := doc.FindFirst(func(n *Node) bool { return n.Type == ElementNode && n.Tag == "title" })

@@ -155,9 +155,6 @@ func (f *Faker) City() string { return f.pick(cities) }
 // State returns a US state abbreviation.
 func (f *Faker) State() string { return f.pick(states) }
 
-// Zip returns a 5-digit ZIP code.
-func (f *Faker) Zip() string { return f.digits(5) }
-
 // Question returns a security question.
 func (f *Faker) Question() string { return f.pick(questions) }
 

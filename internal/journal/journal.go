@@ -38,9 +38,6 @@ const (
 	// SyncAlways fsyncs after every record: a crash loses at most the
 	// record being written. The default, and what a 43-day crawl wants.
 	SyncAlways SyncPolicy = iota
-	// SyncBatch fsyncs every Options.SyncEvery records and at checkpoint,
-	// roll, and close: bounded loss, far fewer fsyncs.
-	SyncBatch
 	// SyncNone leaves durability to the OS page cache (tests, throwaway
 	// runs). Close still syncs.
 	SyncNone
@@ -62,8 +59,6 @@ type Options struct {
 	SegmentBytes int
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncEvery is the SyncBatch interval in records (default 32).
-	SyncEvery int
 	// CheckpointEvery rewrites the completed-URL checkpoint after this
 	// many session appends (default 256). The checkpoint is an
 	// optimization only — recovery never trusts it past the data.
@@ -79,9 +74,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 32
 	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 256
@@ -134,7 +126,7 @@ type Journal struct {
 	nextSeq    uint64
 	completed  map[string]uint64
 	run        []byte // the run manifest record's payload; nil until one exists
-	unsynced   int    // appends since the last fsync (SyncBatch, SyncGroup)
+	unsynced   int    // appends since the last fsync
 	dirtyCkpt  int    // session appends since the last checkpoint write
 	closed     bool
 
@@ -152,10 +144,11 @@ type Journal struct {
 // Open opens (or creates) the journal in dir, recovering from any crash
 // that interrupted a previous writer: a torn record at the tail of the
 // last segment is truncated away, an orphan segment from an interrupted
-// roll is adopted, stale segments from an interrupted compaction are
-// removed, and a checkpoint that claims more than the surviving data is
-// discarded and rebuilt by scanning. Corruption anywhere else (a sealed
-// segment that no longer parses) is an error, never silent loss.
+// roll is adopted, a stale segment left by an earlier version's
+// interrupted compaction is removed, and a checkpoint that claims more
+// than the surviving data is discarded and rebuilt by scanning.
+// Corruption anywhere else (a sealed segment that no longer parses) is an
+// error, never silent loss.
 func Open(dir string, opts Options) (*Journal, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -245,8 +238,10 @@ func (j *Journal) loadManifest() error {
 				// adopt it as the next segment.
 				j.segments = append(j.segments, segmentInfo{Name: name})
 			default:
-				// A leftover below the manifest's tail: an interrupted
-				// compaction already committed a manifest without it.
+				// A leftover below the manifest's tail. Only an earlier
+				// version's compaction wrote such files: interrupted after
+				// it committed a manifest without the old segments, it left
+				// them behind.
 				if err := os.Remove(filepath.Join(j.dir, name)); err != nil {
 					return fmt.Errorf("journal: removing stale segment: %w", err)
 				}
@@ -504,12 +499,6 @@ func (j *Journal) appendLocked(kind Kind, payload []byte) (uint64, error) {
 		if err := j.syncActiveLocked(); err != nil {
 			return 0, err
 		}
-	case SyncBatch:
-		if j.unsynced >= j.opts.SyncEvery {
-			if err := j.syncActiveLocked(); err != nil {
-				return 0, err
-			}
-		}
 	case SyncGroup, SyncNone:
 		// SyncGroup records reach here through the commit loop, which
 		// fsyncs the whole batch in commitBatchLocked; SyncNone leaves
@@ -716,9 +705,10 @@ func scanSegmentFile(path string, fn func(Record) error) error {
 }
 
 // Sessions decodes every session record and returns the latest session per
-// URL (compaction semantics applied at read time), ordered by FeedIndex —
-// the same order an uninterrupted in-memory run would have produced, so
-// the export is byte-identical to one.
+// URL, ordered by FeedIndex — the same order an uninterrupted in-memory
+// run would have produced, so the export is byte-identical to one. A crawl
+// appends one session per URL; a journal holding more (an earlier
+// version's re-crawls) reads as its latest.
 func (j *Journal) Sessions() ([]*crawler.SessionLog, error) {
 	type slot struct {
 		seq uint64

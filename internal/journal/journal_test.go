@@ -2,6 +2,8 @@ package journal
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -131,12 +133,15 @@ func TestJournalResumeSkipsCompleted(t *testing.T) {
 	}
 }
 
-func TestJournalSupersededRetryRecordsAndCompaction(t *testing.T) {
+// TestJournalSessionsKeepsLatestPerURL: a crawl appends one session per
+// URL, but a journal an earlier version wrote may hold a URL twice (a
+// resumed run re-crawling it). Sessions reads the latest, also after a
+// reopen.
+func TestJournalSessionsKeepsLatestPerURL(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{SegmentBytes: 512, Sync: SyncNone})
 	appendN(t, j, 12, 0)
-	// Re-crawl three URLs (a later resumed run re-adjudicating them): the
-	// newer records supersede the old ones.
+	// Re-crawl three URLs: the newer records supersede the old ones.
 	for _, i := range []int{2, 5, 9} {
 		lg := testSession(i, "http://host"+itoa(i)+".example/login", "stuck")
 		lg.Attempts = 9
@@ -160,16 +165,6 @@ func TestJournalSupersededRetryRecordsAndCompaction(t *testing.T) {
 		}
 	}
 	check(j, 12)
-
-	dropped, err := j.Compact()
-	if err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if dropped != 3 {
-		t.Fatalf("Compact dropped %d records, want 3", dropped)
-	}
-	check(j, 12)
-	// Still appendable after compaction, and the rewrite survives reopen.
 	appendN(t, j, 1, 12)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -177,7 +172,7 @@ func TestJournalSupersededRetryRecordsAndCompaction(t *testing.T) {
 	j2 := mustOpen(t, dir, Options{})
 	defer j2.Close()
 	if j2.CompletedCount() != 13 {
-		t.Fatalf("CompletedCount after compact+reopen = %d, want 13", j2.CompletedCount())
+		t.Fatalf("CompletedCount after reopen = %d, want 13", j2.CompletedCount())
 	}
 	check(j2, 13)
 }
@@ -236,30 +231,64 @@ func TestJournalStaleCheckpointDiscarded(t *testing.T) {
 	}
 }
 
+// TestJournalOrphanSegmentAdopted: Open reconciles the manifest with the
+// segment files on disk. An unlisted segment past the manifest's tail is
+// adopted; one below the tail is removed. Either way no record is lost and
+// the journal stays appendable.
 func TestJournalOrphanSegmentAdopted(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{Sync: SyncNone})
-	want := appendN(t, j, 4, 0)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	written := func() (string, []*crawler.SessionLog) {
+		dir := t.TempDir()
+		j := mustOpen(t, dir, Options{Sync: SyncNone})
+		want := appendN(t, j, 4, 0)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir, want
 	}
+	reopen := func(dir string, want []*crawler.SessionLog) {
+		t.Helper()
+		j := mustOpen(t, dir, Options{})
+		defer j.Close()
+		got, err := j.Sessions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("reconciling the segments lost records")
+		}
+		appendN(t, j, 2, 4)
+		if j.CompletedCount() != 6 {
+			t.Fatalf("CompletedCount = %d, want 6", j.CompletedCount())
+		}
+	}
+
 	// A roll that crashed after creating the next segment but before
-	// committing the manifest leaves an empty orphan.
+	// committing the manifest leaves an empty orphan past the tail.
+	dir, want := written()
 	if err := os.WriteFile(filepath.Join(dir, segmentName(2)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j2 := mustOpen(t, dir, Options{})
-	defer j2.Close()
-	got, err := j2.Sessions()
+	reopen(dir, want)
+
+	// An earlier version's compaction copied the records into a new
+	// segment and committed a manifest naming only it; interrupted before
+	// it removed the old segment, it left a stale copy below the tail.
+	dir, want = written()
+	stale := filepath.Join(dir, segmentName(1))
+	data, err := os.ReadFile(stale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("orphan adoption lost records")
+	if err := os.WriteFile(filepath.Join(dir, segmentName(2)), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	appendN(t, j2, 2, 4)
-	if j2.CompletedCount() != 6 {
-		t.Fatalf("CompletedCount = %d, want 6", j2.CompletedCount())
+	compacted := &Journal{dir: dir, segments: []segmentInfo{{Name: segmentName(2), FirstSeq: 1}}}
+	if err := compacted.writeManifest(); err != nil {
+		t.Fatal(err)
+	}
+	reopen(dir, want)
+	if _, err := os.Stat(stale); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("stale segment below the manifest's tail survived Open: %v", err)
 	}
 }
 
@@ -309,8 +338,8 @@ func TestJournalRejectsSealedSegmentCorruption(t *testing.T) {
 // TestBindRunPolicy pins the run-record policy: a fresh journal records
 // the manifest, a journal holding one accepts only byte-equal manifests —
 // also after a reopen that skips the sealed segment holding the record
-// (checkpoint), after one that rescans every segment, and after
-// compaction — and a journal with sessions but no run record is refused.
+// (checkpoint) and after one that rescans every segment — and a journal
+// with sessions but no run record is refused.
 func TestBindRunPolicy(t *testing.T) {
 	manifest, other := []byte(`{"seed":1}`), []byte(`{"seed":2}`)
 	check := func(j *Journal, when string) {
@@ -345,10 +374,6 @@ func TestBindRunPolicy(t *testing.T) {
 	}
 	j = mustOpen(t, dir, opts)
 	check(j, "reopened from checkpoint")
-	if _, err := j.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check(j, "compacted")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,9 @@
 //	body   := kind(1 byte) | seq(uint64 LE) | payload
 //
 // The CRC covers the body. The sequence number is assigned once, strictly
-// increasing across the whole journal, and never reused — compaction keeps
-// original sequence numbers so the completed-URL checkpoint stays valid.
+// increasing across the whole journal, and never reused, so the
+// completed-URL checkpoint's URL → seq map stays valid for the journal's
+// whole life.
 package journal
 
 import (

@@ -114,12 +114,6 @@ func (e *Engine) Text(img *raster.Image) string {
 	return joinLines(e.Recognize(img))
 }
 
-// TextMask returns all recognized text in the mask's region joined by
-// newlines.
-func (e *Engine) TextMask(m *Mask) string {
-	return joinLines(e.RecognizeMask(m, m.Region))
-}
-
 func joinLines(rs []Result) string {
 	lines := make([]string, len(rs))
 	for i, r := range rs {

@@ -110,11 +110,6 @@ func Distance(a, b Hash) int {
 // considered the same design; the paper uses 20 for CAPTCHA verification.
 const DefaultSimilarityThreshold = 20
 
-// Similar reports whether two hashes are within the default threshold.
-func Similar(a, b Hash) bool {
-	return Distance(a, b) <= DefaultSimilarityThreshold
-}
-
 // Cluster groups items by hash similarity using single-linkage greedy
 // assignment: each item joins the first cluster whose exemplar is within
 // threshold, otherwise it starts a new cluster. Returns the cluster index of

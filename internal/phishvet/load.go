@@ -81,9 +81,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModuleDir returns the module root the loader resolves against.
-func (l *Loader) ModuleDir() string { return l.moduleDir }
-
 // modulePath reads the module declaration out of a go.mod.
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)

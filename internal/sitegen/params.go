@@ -112,7 +112,7 @@ var paperBrandCounts = map[string]int{
 }
 
 // Params configures corpus generation. The zero value is not useful; use
-// DefaultParams (paper-scale) or ScaledParams.
+// ScaledParams (ScaledParams(PaperFilteredSites, seed) is paper scale).
 type Params struct {
 	// NumSites is the number of confirmed phishing sites to generate (the
 	// paper's 51,859 at full scale).
@@ -133,11 +133,6 @@ type Params struct {
 	// blind spot Section 6 calls out. 0 (the default) generates no cloaked
 	// kits and leaves the corpus byte-identical to earlier versions.
 	CloakRate float64
-}
-
-// DefaultParams returns paper-scale parameters.
-func DefaultParams(seed int64) Params {
-	return Params{NumSites: PaperFilteredSites, Seed: seed}
 }
 
 // ScaledParams returns a corpus scaled to n sites with all rates intact.

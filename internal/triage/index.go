@@ -121,6 +121,3 @@ func (ix *Index) Lookup(fp *Fingerprint) (campaign int, sim float64, ok bool) {
 	}
 	return best, bestSim, true
 }
-
-// Rep returns campaign id's representative fingerprint.
-func (ix *Index) Rep(id int) *Fingerprint { return ix.reps[id] }
