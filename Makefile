@@ -18,8 +18,8 @@ test: lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/farm/... ./internal/chaos/... ./internal/browser/... ./internal/fleet/...
 
-# The farm and crawler are the concurrent hot paths (shared stage-timing
-# collector, worker pool over one crawler template, retry re-enqueues), and
+# The farm and crawler are the concurrent hot paths (shared session
+# tally, worker pool over one crawler template, retry re-enqueues), and
 # the fleet coordinator serves concurrent workers; keep them race-clean.
 race:
 	$(GO) test -race ./internal/farm/... ./internal/crawler/... ./internal/chaos/... ./internal/browser/... ./internal/fleet/...
@@ -67,7 +67,7 @@ chaos: status-smoke fleet-smoke triage-smoke cloak-smoke
 
 # Live-telemetry smoke: start a short crawl with -status-addr, hit the
 # /status endpoint mid-run (JSON and plain text), and require well-formed
-# progress counts and per-stage p50/p90/p99. The curl equivalent is
+# progress counts and the progress line. The curl equivalent is
 # `curl http://ADDR/status?format=json`.
 status-smoke:
 	$(GO) test -run 'StatusSmoke' ./cmd/phishcrawl/...
@@ -169,7 +169,8 @@ alloc-gate:
 	$(GO) test -run 'Alloc|Pooled|HasTokens|ExactLength|DetectorMatchesTrain' ./internal/crawler/... ./internal/textclass/... ./internal/phash/ ./internal/browser/ ./internal/raster/ ./internal/core/
 
 # Byte-identity pins under varied scheduling: the farm's 1-vs-30-worker
-# pins (plain, pooled, fault-injected, stage table), the triage probe
+# pins (plain, pooled, fault-injected, and the stage table folded from
+# each run's logs), the triage probe
 # pool's 1-vs-8-worker pin, the pooled == unpooled session pins, the
 # memo == no-memo session pin and the triage plan's memo == no-memo pin,
 # three times each at GOMAXPROCS=1 and GOMAXPROCS=2. Sessions give their

@@ -92,7 +92,7 @@ func validateFlags(f cliFlags) error {
 		return fmt.Errorf("-o in worker mode would export a single shard, not the run: pass -o to the coordinator, whose export is the merged fleet view")
 	}
 	if f.worker && f.statusAddr != "" {
-		return fmt.Errorf("-status-addr in worker mode is not served: the coordinator's -status-addr shows fleet-wide progress including this worker's lease and stage percentiles")
+		return fmt.Errorf("-status-addr in worker mode is not served: the coordinator's -status-addr shows fleet-wide progress including this worker's lease")
 	}
 	if f.leaseSites < 0 {
 		return fmt.Errorf("-lease-sites must be >= 0 (got %d; 0 uses the default %d)", f.leaseSites, fleet.DefaultLeaseSites)

@@ -64,10 +64,9 @@ func runCoordinator(opts core.Options, fl fleetCLI) {
 	fmt.Printf("Corpus: %d sites in %d campaigns. Fleet: coordinating %d URLs on http://%s\n",
 		len(corpus.Sites), corpus.Campaigns, len(urls), fleetAddr)
 	if fl.statusAddr != "" {
-		// The coordinator's handler also serves the fleet-wide progress
-		// view: per-worker leases, URL/lease totals, ETA, and the merged
-		// per-stage latency percentiles.
-		statusSrv, addr, err := serve("-status-addr", fl.statusAddr, coord.Handler())
+		// The fleet-wide progress view alone: per-worker leases, URL/lease
+		// totals, throughput and ETA. The wire protocol stays on -fleet-addr.
+		statusSrv, addr, err := serve("-status-addr", fl.statusAddr, coord.StatusHandler())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -157,7 +156,6 @@ func runWorkerMode(opts core.Options, fl fleetCLI) {
 				Failed:     pr.Failed,
 				Panics:     pr.Panics,
 				FastPathed: pr.FastPathed,
-				Stages:     pr.Stages,
 			}
 		},
 	})

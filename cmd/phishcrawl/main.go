@@ -8,7 +8,7 @@
 // flags make the crawl itself crash-safe: every finished session streams
 // into a durable segment store, and -resume continues an interrupted run,
 // re-crawling only the URLs it never completed. -status-addr serves live
-// run progress (counts, ETA, per-stage latency percentiles) over HTTP, and
+// run progress (counts, throughput, ETA) over HTTP, and
 // -progress prints a periodic one-line summary to stderr.
 package main
 
@@ -28,7 +28,6 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/farm"
 	"repro/internal/journal"
-	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/sessionio"
 	"repro/internal/triage"
@@ -265,8 +264,8 @@ func main() {
 // printRunReport prints the crawl summary every mode shares — batch,
 // journaled, and fleet-coordinator runs all end in exactly this report, so
 // the fleet determinism pin can compare their output blocks directly:
-// outcome counts, page/field totals, the failure taxonomy, and the
-// per-stage latency table, all over stats. Its first line is run, this
+// outcome counts, page/field totals, the failure taxonomy over stats, and
+// the per-stage latency table folded from logs. Its first line is run, this
 // process's own share: the sessions it crawled over its own elapsed time,
 // so a resumed run's throughput counts no earlier run's sessions.
 func printRunReport(run farm.Stats, logs []*crawler.SessionLog, stats farm.Stats) {
@@ -303,9 +302,7 @@ func printRunReport(run farm.Stats, logs []*crawler.SessionLog, stats farm.Stats
 		fmt.Printf("\n%s", t)
 	}
 
-	if len(stats.Stages) > 0 {
-		fmt.Printf("\nPer-stage timing (session-logical clock, not wall time):\n%s", metrics.StageTable(stats.Stages))
-	}
+	fmt.Printf("\nPer-stage timing (session-logical clock, not wall time):\n%s", report.StageTable(logs))
 }
 
 // exportLogs writes the session logs to path as JSON Lines ("" = no
@@ -323,11 +320,10 @@ func exportLogs(path string, logs []*crawler.SessionLog) {
 // crawlJournaled runs the crash-safe crawl path: sessions stream into the
 // journal as they complete, an interrupted journal resumes, and the
 // returned logs/stats are the view over every session the journal holds.
-// Outcome statistics and stage latency histograms are recomputed from the
-// journaled sessions themselves (exact even when an earlier run was
-// SIGKILLed — each session log carries its trace); elapsed time and panic
-// counts, which no session log carries and the journal does not record,
-// are this process's own (p.Stats).
+// Outcome statistics are recomputed from the journaled sessions
+// themselves (exact even when an earlier run was SIGKILLed); elapsed time
+// and panic counts, which no session log carries and the journal does not
+// record, are this process's own (p.Stats).
 func crawlJournaled(p *core.Pipeline, dir string, sample int, resume bool, syncPolicy string) ([]*crawler.SessionLog, farm.Stats) {
 	policy, err := parseSyncPolicy(syncPolicy)
 	if err != nil {

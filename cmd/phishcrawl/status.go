@@ -9,40 +9,27 @@ import (
 	"time"
 
 	"repro/internal/farm"
-	"repro/internal/metrics"
 )
 
 // statusView is the JSON shape GET /status?format=json serves. Durations
 // are flattened to integer milliseconds so the payload stays trivially
 // parseable from shell tooling (jq, curl | python).
 type statusView struct {
-	Total        int         `json:"total"`
-	Done         int         `json:"done"`
-	PreCompleted int         `json:"preCompleted"`
-	Retried      int         `json:"retried"`
-	Degraded     int         `json:"degraded"`
-	Failed       int         `json:"failed"`
-	Panics       int         `json:"panics"`
-	FastPathed   int         `json:"fastPathed"`
-	ElapsedMs    int64       `json:"elapsedMs"`
-	EtaMs        int64       `json:"etaMs"`
-	SitesPerDay  float64     `json:"sitesPerDay"`
-	Stages       []stageView `json:"stages"`
-}
-
-// stageView carries one stage's latency summary: call count, total, and
-// the p50/p90/p99 read off the stage's streaming histogram.
-type stageView struct {
-	Stage   string `json:"stage"`
-	Count   int64  `json:"count"`
-	TotalMs int64  `json:"totalMs"`
-	P50Ms   int64  `json:"p50Ms"`
-	P90Ms   int64  `json:"p90Ms"`
-	P99Ms   int64  `json:"p99Ms"`
+	Total        int     `json:"total"`
+	Done         int     `json:"done"`
+	PreCompleted int     `json:"preCompleted"`
+	Retried      int     `json:"retried"`
+	Degraded     int     `json:"degraded"`
+	Failed       int     `json:"failed"`
+	Panics       int     `json:"panics"`
+	FastPathed   int     `json:"fastPathed"`
+	ElapsedMs    int64   `json:"elapsedMs"`
+	EtaMs        int64   `json:"etaMs"`
+	SitesPerDay  float64 `json:"sitesPerDay"`
 }
 
 func makeStatusView(p farm.Progress) statusView {
-	v := statusView{
+	return statusView{
 		Total:        p.Total,
 		Done:         p.Done,
 		PreCompleted: p.PreCompleted,
@@ -55,22 +42,10 @@ func makeStatusView(p farm.Progress) statusView {
 		EtaMs:        p.ETA.Milliseconds(),
 		SitesPerDay:  p.SitesPerDay,
 	}
-	for _, s := range p.Stages {
-		v.Stages = append(v.Stages, stageView{
-			Stage:   string(s.Stage),
-			Count:   s.Count,
-			TotalMs: s.Total.Milliseconds(),
-			P50Ms:   s.P50().Milliseconds(),
-			P90Ms:   s.P90().Milliseconds(),
-			P99Ms:   s.P99().Milliseconds(),
-		})
-	}
-	return v
 }
 
-// statusHandler serves live run progress at /status: plain text by
-// default (the one-line progress summary plus the per-stage percentile
-// table), JSON with ?format=json.
+// statusHandler serves live run progress at /status: the one-line
+// progress summary as plain text by default, JSON with ?format=json.
 func statusHandler(mon *farm.Monitor) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
@@ -84,9 +59,6 @@ func statusHandler(mon *farm.Monitor) http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, p.String())
-		if len(p.Stages) > 0 {
-			fmt.Fprintf(w, "\n%s", metrics.StageTable(p.Stages))
-		}
 	})
 	return mux
 }

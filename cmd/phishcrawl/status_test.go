@@ -98,7 +98,7 @@ func TestStatusSmoke(t *testing.T) {
 		if v.Done >= last.Done {
 			last = v
 		}
-		if text == "" && len(v.Stages) > 0 {
+		if text == "" {
 			// Grab the plain-text twin while the server is certainly alive.
 			if resp, err := http.Get(base + "/status"); err == nil {
 				body, _ := io.ReadAll(resp.Body)
@@ -123,33 +123,12 @@ func TestStatusSmoke(t *testing.T) {
 	if last.ElapsedMs <= 0 {
 		t.Errorf("elapsedMs = %d, want > 0", last.ElapsedMs)
 	}
-	if len(last.Stages) == 0 {
-		t.Fatalf("no stage percentiles in snapshot: %+v", last)
-	}
-	seen := map[string]bool{}
-	for _, s := range last.Stages {
-		seen[s.Stage] = true
-		if s.Count <= 0 {
-			t.Errorf("stage %s has count %d", s.Stage, s.Count)
-		}
-		if s.P50Ms <= 0 || s.P90Ms < s.P50Ms || s.P99Ms < s.P90Ms {
-			t.Errorf("stage %s percentiles not monotone: p50=%d p90=%d p99=%d",
-				s.Stage, s.P50Ms, s.P90Ms, s.P99Ms)
-		}
-	}
-	if !seen["render"] {
-		t.Errorf("render stage missing from %+v", last.Stages)
-	}
-
 	// The plain-text view is the human-facing twin of the same snapshot.
 	if text == "" {
 		t.Fatal("never captured the plain-text status view")
 	}
 	if !strings.Contains(text, "progress:") {
 		t.Errorf("text view missing progress line:\n%s", text)
-	}
-	if !strings.Contains(text, "P50") || !strings.Contains(text, "P99") {
-		t.Errorf("text view missing percentile table:\n%s", text)
 	}
 
 	if err := cmd.Wait(); err != nil {

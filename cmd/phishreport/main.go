@@ -95,7 +95,7 @@ func main() {
 	fmt.Fprintf(&b, "Outcomes: %v\n", p.Stats.Outcomes)
 
 	section("Per-stage latency (session-logical clock)")
-	code(metrics.StageTable(p.Stats.Stages))
+	code(report.StageTable(logs))
 	section("Session timeline (deepest crawl session)")
 	code(report.SessionTimeline(report.PickTimelineSession(logs)))
 

@@ -179,7 +179,7 @@ type Pipeline struct {
 	Triage *triage.Plan
 
 	// Monitor, when set before crawling, receives live run progress
-	// (completions, retries, stage latencies) for cmd/phishcrawl's status
+	// (completions, retries, panics) for cmd/phishcrawl's status
 	// endpoint and progress line. nil disables progress tracking.
 	Monitor *farm.Monitor
 

@@ -235,8 +235,8 @@ type SessionLog struct {
 	// session-logical clock: what the crawler actually did, in order, with
 	// work-proportional durations. Being logical, it is a pure function of
 	// the session's content — byte-stable across runs, worker counts, and
-	// journal resume — and it is the single source the farm derives
-	// Stats.Stages latency histograms from.
+	// journal resume — and it is the single source the printed per-stage
+	// latency table (report.StageTable) folds from.
 	Trace []trace.Span `json:",omitempty"`
 	// FirstPageEmbedding supports campaign clustering and the cloning
 	// analysis without retaining full screenshots.

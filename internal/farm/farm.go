@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/crawler"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // DefaultWorkers matches the paper's 30 parallel Docker sessions.
@@ -106,8 +105,8 @@ type Config struct {
 	// already in flight run to completion, and RunStream surfaces the
 	// first error; the crawl itself keeps going.
 	Sink func(idx int, lg *crawler.SessionLog) error
-	// Monitor, when non-nil, receives live progress (completions, retries,
-	// panics, stage latencies) for the status endpoint and progress line.
+	// Monitor, when non-nil, receives live progress (completions, retries
+	// and panics) for the status endpoint and progress line.
 	Monitor *Monitor
 
 	// observe, when non-nil, is told of every change to the number of
@@ -121,12 +120,6 @@ type Stats struct {
 	Sites    int
 	Elapsed  time.Duration
 	Outcomes map[string]int
-	// Stages is the per-stage latency breakdown (render, OCR, detect,
-	// submit) in stage order: counts, totals, and streaming histogram
-	// percentiles. It folds from finished sessions' traces — final
-	// attempts only, on the session-logical clock — so it is byte-identical
-	// across worker counts and across journal kill/resume.
-	Stages []metrics.StageStat
 	// FastPathed counts sessions resolved by the FastPath hook (triage
 	// attribution or lexical cut) — sessions that cost no browser.
 	FastPathed int
@@ -154,23 +147,33 @@ type Stats struct {
 
 // SitesPerDay extrapolates throughput.
 func (s Stats) SitesPerDay() float64 {
-	if s.Elapsed <= 0 {
-		return 0
+	perDay, _ := Throughput(s.Sites, 0, s.Elapsed)
+	return perDay
+}
+
+// Throughput extrapolates a crawl's rate from the sessions it crawled in
+// elapsed wall time: sites per day, and how long the remaining sessions
+// take at that rate. Both read 0 until a session is crawled and time has
+// passed; the ETA also reads 0 when nothing remains.
+func Throughput(crawled, remaining int, elapsed time.Duration) (sitesPerDay float64, eta time.Duration) {
+	if crawled <= 0 || elapsed <= 0 {
+		return 0, 0
 	}
-	return float64(s.Sites) / s.Elapsed.Seconds() * 86400
+	if remaining > 0 {
+		eta = elapsed / time.Duration(crawled) * time.Duration(remaining)
+	}
+	return float64(crawled) / elapsed.Seconds() * 86400, eta
 }
 
 // tally is the one rule for how a finished session counts into Stats. The
 // live run adds each session as it lands, Tally replays journaled logs
-// through it, and the Monitor keeps one for the status endpoint. Stage
-// latencies fold from each log's trace spans on the session-logical
-// clock, and only final attempts are added, so live, streamed and
-// journal-resumed runs all derive the same histograms at any worker
-// count. The zero value is ready to use; callers lock.
+// through it, and the Monitor keeps one for the status endpoint. Only
+// final attempts are added, so live, streamed and journal-resumed runs
+// all derive the same counts at any worker count. The zero value is ready
+// to use; callers lock.
 type tally struct {
 	sites, fastPathed, retries, degraded, uncloaked, cloakAttempts int
 	outcomes, failures                                             map[string]int
-	stages                                                         metrics.StageTimings
 }
 
 // add counts one finished session; a nil log counts as lost.
@@ -182,11 +185,6 @@ func (t *tally) add(lg *crawler.SessionLog) {
 	if lg == nil {
 		t.outcomes[OutcomeLost]++
 		return
-	}
-	for _, sp := range lg.Trace {
-		if st, ok := metrics.StageByName(sp.Name); ok && sp.Kind == trace.KindStage {
-			t.stages.Observe(st, sp.Duration())
-		}
 	}
 	t.outcomes[lg.Outcome]++
 	t.retries += lg.Attempts - 1
@@ -215,7 +213,6 @@ func (t *tally) stats(elapsed time.Duration, panics int) Stats {
 		Sites:         t.sites,
 		Elapsed:       elapsed,
 		Outcomes:      map[string]int{},
-		Stages:        t.stages.Snapshot(),
 		FastPathed:    t.fastPathed,
 		Retries:       t.retries,
 		Degraded:      t.degraded,
@@ -232,7 +229,7 @@ func (t *tally) stats(elapsed time.Duration, panics int) Stats {
 // Tally recomputes the session-derived part of Stats from final logs, by
 // the same rule a live run counts them with: Sites, Outcomes, Failures,
 // Degraded, FastPathed, the cloak counts, Retries (each session's final
-// Attempts-1 re-queues) and Stages. A resumed crawl's tallied Stats
+// Attempts-1 re-queues). A resumed crawl's tallied Stats
 // therefore match an uninterrupted run's byte for byte even when an
 // earlier run was killed mid-crawl. Elapsed and Panics stay zero. A nil
 // entry counts as lost.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/phishserver"
 	"repro/internal/site"
 	"repro/internal/textclass"
+	"repro/internal/trace"
 )
 
 func quickSite(host string) *site.Site {
@@ -97,15 +98,18 @@ func TestRunCrawlsAll(t *testing.T) {
 	if total != stats.Sites {
 		t.Errorf("outcomes sum to %d, want %d", total, stats.Sites)
 	}
-	// The shared timing collector saw every worker: one render per page.
-	var render metrics.StageStat
-	for _, s := range stats.Stages {
-		if s.Stage == "render" {
-			render = s
+	// Every worker's sessions carry their traces: one render span per page.
+	renders, pages := 0, 0
+	for _, l := range logs {
+		pages += len(l.Pages)
+		for _, sp := range l.Trace {
+			if sp.Kind == trace.KindStage && sp.Name == metrics.StageRender.String() {
+				renders++
+			}
 		}
 	}
-	if render.Count < int64(stats.Sites) || render.Total <= 0 {
-		t.Errorf("render stage = %+v, want >= %d observations", render, stats.Sites)
+	if renders != pages {
+		t.Errorf("render spans = %d, want one per page (%d)", renders, pages)
 	}
 }
 

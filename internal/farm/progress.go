@@ -94,9 +94,6 @@ type Progress struct {
 	// until at least one session finishes or when the run is complete.
 	ETA         time.Duration
 	SitesPerDay float64
-	// Stages is the per-stage latency snapshot (count, total, histogram
-	// percentiles) over sessions finished so far.
-	Stages []metrics.StageStat
 }
 
 // Snapshot reads the current progress. Safe to call from the status
@@ -117,16 +114,9 @@ func (m *Monitor) Snapshot() Progress {
 		Failed:       s.Outcomes[OutcomeGaveUp] + s.Outcomes[OutcomeLost],
 		Panics:       int(m.panics.Load()),
 		Elapsed:      m.start.Elapsed(),
-		Stages:       s.Stages,
 	}
 	p.Done = s.Sites + p.PreCompleted
-	crawled := p.Done - p.PreCompleted
-	if crawled > 0 && p.Elapsed > 0 {
-		p.SitesPerDay = float64(crawled) / p.Elapsed.Seconds() * 86400
-		if rem := p.Total - p.Done; rem > 0 {
-			p.ETA = time.Duration(int64(p.Elapsed) / int64(crawled) * int64(rem))
-		}
-	}
+	p.SitesPerDay, p.ETA = Throughput(s.Sites, p.Total-p.Done, p.Elapsed)
 	return p
 }
 

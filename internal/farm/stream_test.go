@@ -242,12 +242,6 @@ func TestTallyMatchesRunStats(t *testing.T) {
 	if got.Degraded != stats.Degraded {
 		t.Errorf("Degraded = %d, want %d", got.Degraded, stats.Degraded)
 	}
-	// Stages fold from the journaled traces and must match what the live
-	// run derived from the very same finished sessions — the single-source
-	// property that keeps resumed stats equal to uninterrupted stats.
-	if !reflect.DeepEqual(got.Stages, stats.Stages) {
-		t.Errorf("Tally Stages = %+v, want the run's %+v", got.Stages, stats.Stages)
-	}
 	if got.Retries != stats.Retries {
 		t.Errorf("Retries = %d, want %d", got.Retries, stats.Retries)
 	}

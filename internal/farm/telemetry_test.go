@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,92 +8,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/crawler"
-	"repro/internal/metrics"
 )
-
-// TestStagesIdenticalAcrossWorkerCounts pins the telemetry acceptance
-// property: stage latency histograms (and therefore p50/p90/p99) derive
-// from session-logical traces, so a 1-worker run and a 30-worker run of
-// the same feed report byte-identical Stats.Stages — impossible with
-// wall-clock stage timing.
-func TestStagesIdenticalAcrossWorkerCounts(t *testing.T) {
-	reg, urls := streamFixture(t, 400, 30)
-	_, serial := Run(Config{Workers: 1, Crawler: testCrawler(reg, nil)}, urls)
-	_, wide := Run(Config{Workers: 30, Crawler: testCrawler(reg, nil)}, urls)
-
-	a, err := json.Marshal(serial.Stages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(wide.Stages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("Stages diverge across worker counts:\n1:  %s\n30: %s", a, b)
-	}
-	var renderP50 bool
-	for _, s := range serial.Stages {
-		if s.Stage == "render" && s.Count > 0 && s.P50() > 0 && s.P99() >= s.P50() {
-			renderP50 = true
-		}
-	}
-	if !renderP50 {
-		t.Fatalf("render percentiles missing from Stages: %+v", serial.Stages)
-	}
-}
-
-// TestResumedStatsMatchUninterrupted is the regression test for the
-// stats double-counting audit: a crawl split across two runs (as journal
-// resume splits it) must tally to exactly the Stats — including stage
-// histograms — of one uninterrupted run. Under the old scheme Stages came
-// from live per-attempt worker collectors (lost for killed runs, and
-// counting superseded attempts), so resumed and uninterrupted runs could
-// not agree.
-func TestResumedStatsMatchUninterrupted(t *testing.T) {
-	reg, urls := streamFixture(t, 440, 24)
-	fullLogs, fullStats := Run(Config{Workers: 6, Crawler: testCrawler(reg, nil)}, urls)
-
-	// First "run" crawls the even indices, the "resumed run" the rest —
-	// the exact split Config.Skip produces when a journal already holds
-	// half the URLs.
-	combined := make([]*crawler.SessionLog, len(urls))
-	for _, skipEven := range []bool{true, false} {
-		skipEven := skipEven
-		_, err := RunStream(Config{
-			Workers: 6,
-			Crawler: testCrawler(reg, nil),
-			Skip:    func(idx int, _ string) bool { return (idx%2 == 0) == skipEven },
-			Sink: func(idx int, lg *crawler.SessionLog) error {
-				combined[idx] = lg
-				return nil
-			},
-		}, urls)
-		if err != nil {
-			t.Fatalf("RunStream: %v", err)
-		}
-	}
-
-	resumed := Tally(combined)
-	uninterrupted := Tally(fullLogs)
-	if !reflect.DeepEqual(resumed.Stages, uninterrupted.Stages) {
-		t.Errorf("resumed Stages diverge from uninterrupted:\n%+v\nvs\n%+v",
-			resumed.Stages, uninterrupted.Stages)
-	}
-	// And the tallied view matches what the uninterrupted live run itself
-	// reported — one source of truth across all three paths.
-	if !reflect.DeepEqual(resumed.Stages, fullStats.Stages) {
-		t.Errorf("tallied Stages diverge from the live run's:\n%+v\nvs\n%+v",
-			resumed.Stages, fullStats.Stages)
-	}
-	if !reflect.DeepEqual(resumed.Outcomes, uninterrupted.Outcomes) {
-		t.Errorf("Outcomes = %v, want %v", resumed.Outcomes, uninterrupted.Outcomes)
-	}
-	if resumed.Sites != uninterrupted.Sites || resumed.Retries != uninterrupted.Retries ||
-		resumed.Degraded != uninterrupted.Degraded {
-		t.Errorf("resumed tally %+v diverges from uninterrupted %+v", resumed, uninterrupted)
-	}
-}
 
 // TestMonitorProgress drives a run with a Monitor attached and checks the
 // snapshot the status endpoint would serve.
@@ -116,11 +30,6 @@ func TestMonitorProgress(t *testing.T) {
 	}
 	if p.ETA != 0 {
 		t.Errorf("finished run still reports ETA %v", p.ETA)
-	}
-	// The monitor's stage view matches the run's Stats exactly: both fold
-	// the same finished traces.
-	if !reflect.DeepEqual(p.Stages, stats.Stages) {
-		t.Errorf("monitor Stages %+v diverge from run Stages %+v", p.Stages, stats.Stages)
 	}
 	line := p.String()
 	if !strings.Contains(line, "progress: 12/12 (100.0%) done") {
@@ -148,12 +57,11 @@ func TestMonitorProgress(t *testing.T) {
 	}
 	type counts struct {
 		Done, Failed, Degraded, FastPathed, Retried int
-		Stages                                      []metrics.StageStat
 	}
 	p = mon.Snapshot()
-	got := counts{p.Done, p.Failed, p.Degraded, p.FastPathed, p.Retried, p.Stages}
+	got := counts{p.Done, p.Failed, p.Degraded, p.FastPathed, p.Retried}
 	want := counts{stats.Sites, stats.Outcomes[OutcomeGaveUp] + stats.Outcomes[OutcomeLost],
-		stats.Degraded, stats.FastPathed, stats.Retries, stats.Stages}
+		stats.Degraded, stats.FastPathed, stats.Retries}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("monitor %+v diverges from run Stats %+v", got, want)
 	}

@@ -87,7 +87,6 @@ type Coordinator struct {
 	workers     map[string]*workerView
 
 	// Totals over the results of the shards accepted this incarnation.
-	stages                      []metrics.StageStat
 	crawled, fastPathed, panics int
 
 	start    metrics.Stopwatch
@@ -318,7 +317,6 @@ func (c *Coordinator) result(req ResultRequest) ResultResponse {
 	ls.doneBy = req.Worker
 	ls.doneAttempt = req.Attempt
 	c.accepted = append(c.accepted, Lease{ID: ls.id, Start: ls.start, End: ls.end, Attempt: req.Attempt})
-	c.stages = metrics.MergeStageStats(c.stages, req.Stats.Stages)
 	c.crawled += req.Stats.Sites
 	c.fastPathed += req.Stats.FastPathed
 	c.panics += req.Stats.Panics
@@ -399,7 +397,7 @@ func (c *Coordinator) Merge() ([]*crawler.SessionLog, farm.Stats, error) {
 
 // Handler returns the coordinator's HTTP interface: the three POST
 // endpoints of the wire protocol plus GET /status serving the fleet-wide
-// progress view.
+// progress view (StatusHandler).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathLease, func(w http.ResponseWriter, r *http.Request) {
@@ -428,6 +426,15 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		writeJSON(w, c.result(req))
 	})
+	mux.Handle(PathStatus, c.StatusHandler())
+	return mux
+}
+
+// StatusHandler serves GET /status alone: the fleet-wide progress view as
+// plain text, or as JSON with ?format=json. A read-only status port serves
+// it, so that port answers none of the wire protocol.
+func (c *Coordinator) StatusHandler() http.Handler {
+	mux := http.NewServeMux()
 	mux.HandleFunc(PathStatus, func(w http.ResponseWriter, r *http.Request) {
 		st := c.Status()
 		if r.URL.Query().Get("format") == "json" {
@@ -439,9 +446,6 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, st.String())
-		if len(st.Stages) > 0 {
-			fmt.Fprintf(w, "\n%s", metrics.StageTable(st.Stages))
-		}
 	})
 	return mux
 }

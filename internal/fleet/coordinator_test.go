@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -361,12 +362,37 @@ func TestOversizedRequestRefused(t *testing.T) {
 	}
 }
 
+// oldStages is the per-stage latency array workers of earlier versions
+// still send in heartbeat progress and in result stats.
+const oldStages = `"stages":[{"Stage":"render","Count":2,"Total":3000000,"Buckets":[0,2]}]`
+
+// post sends body to the handler's path and decodes the JSON answer into
+// resp, failing unless it is 200.
+func post(t *testing.T, h http.Handler, path, body string, resp any) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST %s answered %d: %s", path, rec.Code, rec.Body.String())
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), resp); err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+}
+
 func TestStatusView(t *testing.T) {
 	urls := testURLs(10)
 	c := newTestCoordinator(t, urls, 4, time.Minute, false)
 	resp, _ := c.grant(LeaseRequest{Worker: "w1", Manifest: testManifest})
 	l := *resp.Lease
-	c.beat(HeartbeatRequest{Worker: "w1", LeaseID: l.ID, Attempt: l.Attempt, Progress: Progress{Done: 2}})
+	// An older worker's heartbeat still carries its stage table; the field
+	// is ignored and the heartbeat counts.
+	var hb HeartbeatResponse
+	post(t, c.Handler(), PathHeartbeat, fmt.Sprintf(`{"worker":"w1","leaseId":%d,"attempt":%d,"progress":{"done":2,%s}}`,
+		l.ID, l.Attempt, oldStages), &hb)
+	if !hb.Valid {
+		t.Fatal("heartbeat carrying stages rejected")
+	}
 	st := c.Status()
 	if st.TotalURLs != 10 || st.Leases != 3 || st.LeasesActive != 1 || st.LeasesPending != 2 {
 		t.Fatalf("status totals wrong: %+v", st)
@@ -379,5 +405,70 @@ func TestStatusView(t *testing.T) {
 	}
 	if !strings.Contains(st.String(), "worker w1") || !strings.Contains(st.String(), "lease [0,4)") {
 		t.Fatalf("status text missing worker row:\n%s", st.String())
+	}
+	// So does its result.
+	var res ResultResponse
+	post(t, c.Handler(), PathResult, fmt.Sprintf(`{"worker":"w1","leaseId":%d,"attempt":%d,"stats":{"Sites":4,%s}}`,
+		l.ID, l.Attempt, oldStages), &res)
+	if !res.Accepted {
+		t.Fatalf("result carrying stages rejected: %s", res.Reason)
+	}
+	if st := c.Status(); st.DoneURLs != 4 || st.LeasesDone != 1 {
+		t.Fatalf("after the result: %d URLs and %d leases done, want 4 and 1", st.DoneURLs, st.LeasesDone)
+	}
+}
+
+// TestStatusThroughput: sites/day and the ETA extrapolate from the
+// sessions crawled so far at nanosecond resolution, so a crawl faster
+// than a millisecond per site still reads an ETA.
+func TestStatusThroughput(t *testing.T) {
+	advance := fakeClock(t)
+	c := newTestCoordinator(t, testURLs(4000), 1000, time.Minute, false)
+	if st := c.Status(); st.EtaMs != 0 || st.SitesPerDay != 0 {
+		t.Fatalf("nothing crawled yet, but eta %dms and %v sites/day", st.EtaMs, st.SitesPerDay)
+	}
+	resp, _ := c.grant(LeaseRequest{Worker: "w1", Manifest: testManifest})
+	advance(500 * time.Millisecond)
+	l := *resp.Lease
+	if res := c.result(ResultRequest{Worker: "w1", LeaseID: l.ID, Attempt: l.Attempt, Stats: farm.Stats{Sites: 1000}}); !res.Accepted {
+		t.Fatalf("result rejected: %s", res.Reason)
+	}
+	// 1,000 of 4,000 in 500ms: the other 3,000 take 1.5s.
+	st := c.Status()
+	if st.EtaMs != 1500 || st.SitesPerDay != 1000/0.5*86400 {
+		t.Fatalf("eta %dms and %v sites/day, want 1500ms and %v", st.EtaMs, st.SitesPerDay, 1000/0.5*86400)
+	}
+	if !strings.Contains(st.String(), "| eta 1.5s |") {
+		t.Fatalf("status line missing the ETA:\n%s", st.String())
+	}
+}
+
+// TestStatusHandlerServesOnlyStatus: the handler a read-only status port
+// serves answers GET /status and none of the wire protocol.
+func TestStatusHandlerServesOnlyStatus(t *testing.T) {
+	c := newTestCoordinator(t, testURLs(4), 4, time.Minute, false)
+	lease := fmt.Sprintf(`{"worker":"w1","manifest":%s}`, testManifest)
+	for _, path := range []string{PathLease, PathHeartbeat, PathResult} {
+		rec := httptest.NewRecorder()
+		c.StatusHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(lease)))
+		if rec.Code != http.StatusNotFound && rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s on the status handler answered %d, want 404 or 405", path, rec.Code)
+		}
+	}
+	if st := c.Status(); st.LeasesActive != 0 || len(st.Workers) != 0 {
+		t.Fatalf("the status handler granted a lease: %+v", st)
+	}
+	for query, want := range map[string]string{"": "fleet: 0/4 (0.0%) urls done", "?format=json": `"totalUrls": 4`} {
+		rec := httptest.NewRecorder()
+		c.StatusHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, PathStatus+query, nil))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("GET /status%s answered %d, want 200 with %q:\n%s", query, rec.Code, want, rec.Body.String())
+		}
+	}
+	// The same request on the protocol handler is granted.
+	var resp LeaseResponse
+	post(t, c.Handler(), PathLease, lease, &resp)
+	if resp.Lease == nil {
+		t.Fatalf("the protocol handler refused the lease request: %+v", resp)
 	}
 }

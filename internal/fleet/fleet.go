@@ -5,9 +5,9 @@
 // its own segment directory, and report per-shard statistics back. Leases
 // expire when a worker misses its heartbeats, so a SIGKILLed worker's
 // range is re-issued to a live one, and the coordinator's merged view —
-// sessions deduplicated by seed URL, outcome and stage histograms folded
-// from them through farm.Tally — is byte-identical to
-// what a single process crawling the whole feed would have produced
+// sessions deduplicated by seed URL, outcome counts tallied from them
+// through farm.Tally — is byte-identical to what a single process
+// crawling the whole feed would have produced
 // ("N processes × M workers ≡ 1 × 1").
 //
 // The protocol deliberately carries no URLs in the hot path: both sides
@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/farm"
-	"repro/internal/metrics"
 )
 
 // Wire paths the coordinator serves. Workers POST JSON request bodies and
@@ -82,9 +81,8 @@ type LeaseResponse struct {
 }
 
 // Progress is the cumulative live-progress payload a worker reports with
-// each heartbeat: session counts across every lease it has crawled so far
-// plus its stage-latency snapshot, feeding the coordinator's fleet-wide
-// /status view.
+// each heartbeat: session counts across every lease it has crawled so far,
+// feeding the coordinator's fleet-wide /status view.
 type Progress struct {
 	Done     int `json:"done"`
 	Retried  int `json:"retried"`
@@ -94,8 +92,7 @@ type Progress struct {
 	// FastPathed counts sessions resolved by the triage fast path
 	// (attributed to a campaign or cut at the lexical stage) — included in
 	// Done.
-	FastPathed int                 `json:"fastPathed,omitempty"`
-	Stages     []metrics.StageStat `json:"stages,omitempty"`
+	FastPathed int `json:"fastPathed,omitempty"`
 }
 
 // HeartbeatRequest renews a lease and reports progress.
@@ -115,7 +112,7 @@ type HeartbeatResponse struct {
 }
 
 // ResultRequest submits a finished shard: the per-shard farm statistics,
-// whose session count, fast-path count, stage histograms and panics feed
+// whose session count, fast-path count and panics feed
 // the coordinator's live status and its merged panic count. The sessions
 // themselves are already durable in the shard's journal directory — the
 // result message only has to say "range done, stats attached", which is

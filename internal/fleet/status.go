@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/farm"
 	"repro/internal/metrics"
 )
 
@@ -24,9 +25,8 @@ type WorkerStatus struct {
 }
 
 // Status is the fleet-wide progress snapshot served at the coordinator's
-// /status endpoint: URL and lease totals, per-worker lease state, ETA, and
-// the merged per-stage latency percentiles (accepted shards plus the live
-// heartbeat snapshots of in-flight leases).
+// /status endpoint: URL and lease totals, per-worker lease state,
+// throughput and ETA.
 type Status struct {
 	TotalURLs int `json:"totalUrls"`
 	// DoneURLs counts journaled sessions: recovered at startup, in
@@ -46,9 +46,6 @@ type Status struct {
 	EtaMs         int64          `json:"etaMs"`
 	SitesPerDay   float64        `json:"sitesPerDay"`
 	Workers       []WorkerStatus `json:"workers"`
-	// Stages is the fleet-wide per-stage latency view; percentiles are
-	// read off the merged streaming histograms.
-	Stages []metrics.StageStat `json:"stages,omitempty"`
 }
 
 // Status snapshots the fleet-wide progress. Safe to call from the status
@@ -57,11 +54,12 @@ func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := metrics.Now()
+	elapsed := c.start.Elapsed()
 	st := Status{
 		TotalURLs: len(c.cfg.URLs),
 		Recovered: len(c.completed),
 		Leases:    len(c.leases),
-		ElapsedMs: c.start.Elapsed().Milliseconds(),
+		ElapsedMs: elapsed.Milliseconds(),
 	}
 	live := 0
 	for _, ls := range c.leases {
@@ -79,7 +77,6 @@ func (c *Coordinator) Status() Status {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	stages := metrics.MergeStageStats(nil, c.stages)
 	for _, name := range names {
 		w := c.workers[name]
 		ws := WorkerStatus{
@@ -93,21 +90,14 @@ func (c *Coordinator) Status() Status {
 			ws.Attempt = w.attempt
 			live += w.progress.Done
 			st.FastPathed += w.progress.FastPathed
-			stages = metrics.MergeStageStats(stages, w.progress.Stages)
 		}
 		st.Workers = append(st.Workers, ws)
 	}
 	st.FastPathed += c.fastPathed
-	st.Stages = stages
 	st.DoneURLs = len(c.completed) + c.crawled + live
-	crawledNow := c.crawled + live
-	elapsed := c.start.Elapsed()
-	if crawledNow > 0 && elapsed > 0 {
-		st.SitesPerDay = float64(crawledNow) / elapsed.Seconds() * 86400
-		if rem := st.TotalURLs - st.DoneURLs; rem > 0 {
-			st.EtaMs = (elapsed.Milliseconds() / int64(crawledNow)) * int64(rem)
-		}
-	}
+	var eta time.Duration
+	st.SitesPerDay, eta = farm.Throughput(c.crawled+live, st.TotalURLs-st.DoneURLs, elapsed)
+	st.EtaMs = eta.Milliseconds()
 	return st
 }
 

@@ -12,8 +12,8 @@ import "time"
 // the seam.
 
 // now is the package's single clock read. Tests swap it via
-// SetClockForTest so everything downstream of the seam — Now, Stopwatch,
-// StageTimings.Start/ObserveSince — is drivable by a fake clock.
+// SetClockForTest so everything downstream of the seam — Now and
+// Stopwatch — is drivable by a fake clock.
 var now = time.Now
 
 // Now returns the current wall-clock time.
@@ -29,7 +29,7 @@ func SetClockForTest(clock func() time.Time) (restore func()) {
 }
 
 // Stopwatch measures elapsed wall-clock time for operational accounting
-// (farm throughput, stage totals). It never feeds session output.
+// (farm throughput, ETA). It never feeds session output.
 type Stopwatch struct{ start time.Time }
 
 // NewStopwatch starts a stopwatch.

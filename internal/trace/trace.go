@@ -57,7 +57,8 @@ const initialSpanCap = 64
 
 // Session collects one session's spans and owns its logical clock. It is
 // not safe for concurrent use — a session is driven by one worker — and a
-// nil *Session is a valid no-op collector, mirroring metrics.StageTimings.
+// nil *Session is a valid no-op collector, so instrumented code needs no
+// guards.
 type Session struct {
 	spans []Span
 	stack []int // indices of open spans, innermost last
