@@ -12,17 +12,19 @@ build:
 
 # Default test gate: lint first (gofmt, go vet, phishvet), the full suite,
 # then the race detector over the resilience-critical packages (retry
-# queue, fault injector, context deadlines) so a data race on the farm's
-# new retry paths fails `make test`.
+# queue, fault injector, context deadlines, the journal's commit loop) so
+# a data race on the farm's retry paths or the journal's append path fails
+# `make test`.
 test: lint
 	$(GO) test ./...
-	$(GO) test -race ./internal/farm/... ./internal/chaos/... ./internal/browser/... ./internal/fleet/...
+	$(GO) test -race ./internal/farm/... ./internal/chaos/... ./internal/browser/... ./internal/fleet/... ./internal/journal/...
 
 # The farm and crawler are the concurrent hot paths (shared session
-# tally, worker pool over one crawler template, retry re-enqueues), and
-# the fleet coordinator serves concurrent workers; keep them race-clean.
+# tally, worker pool over one crawler template, retry re-enqueues), the
+# fleet coordinator serves concurrent workers, and every journaled session
+# goes through the journal's commit loop; keep them race-clean.
 race:
-	$(GO) test -race ./internal/farm/... ./internal/crawler/... ./internal/chaos/... ./internal/browser/... ./internal/fleet/...
+	$(GO) test -race ./internal/farm/... ./internal/crawler/... ./internal/chaos/... ./internal/browser/... ./internal/fleet/... ./internal/journal/...
 
 vet:
 	$(GO) vet ./...
@@ -122,10 +124,13 @@ cloak-smoke:
 # overlapping boxes fall back to Detect), the behaviour script parser (no
 # panic, and an accepted behaviour survives Marshal), the fleet
 # coordinator's wire handlers (no panic, 200 or 4xx, and no range done
-# that was not leased to the worker and attempt completing it) and the
+# that was not leased to the worker and attempt completing it), the
 # journal's run binding over hostile segment bytes (no panic in Open or
 # BindRun, and a journal bound to a manifest still accepts it and refuses
-# another after a reopen, with or without its checkpoint).
+# another after a reopen, with or without its checkpoint) and the browser's
+# cookie jar and redirect loop against a hostile server (no panic, giving
+# up after 10 hops, a sorted and reproducible Cookie header, expired
+# cookies dropped, a POST body kept only across 307/308).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=15s ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzCellCounts -fuzztime=15s ./internal/raster
@@ -138,6 +143,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRescan -fuzztime=15s ./internal/vision
 	$(GO) test -run='^$$' -fuzz=FuzzCoordinatorRequests -fuzztime=15s ./internal/fleet
 	$(GO) test -run='^$$' -fuzz=FuzzBindRun -fuzztime=15s ./internal/journal
+	$(GO) test -run='^$$' -fuzz=FuzzNavigate -fuzztime=15s ./internal/browser
 
 # Hot-path microbenchmarks: the detector pass (BenchmarkDetect on one
 # synthetic page; the pattern also matches BenchmarkDetectPages, Detect per

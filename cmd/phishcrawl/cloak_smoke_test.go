@@ -131,7 +131,7 @@ func TestCloakSmoke(t *testing.T) {
 	// journal's run manifest, which pins the cloak options, must match
 	// this run's).
 	jdir := filepath.Join(dir, "journal")
-	jargs := append(append([]string{}, args...), "-cloak-retries", "5", "-workers", "30", "-journal", jdir, "-journal-sync", "group")
+	jargs := append(append([]string{}, args...), "-cloak-retries", "5", "-workers", "30", "-journal", jdir)
 	crashJournaled(t, bin, jargs, jdir, 40)
 
 	resumed := filepath.Join(dir, "adaptive-resumed.jsonl")

@@ -8,9 +8,12 @@ import (
 
 // crashAfter is the crash-test seam, read once at startup: with
 // PHISHCRAWL_CRASH_AFTER=n in the environment the process SIGKILLs itself
-// right after its n-th session append returns, counted over every journal
-// it opens. Crash smokes use it to kill a journaled crawl or a fleet worker
-// at an exact record count instead of racing a kill against its progress.
+// right after the journal writes its n-th session frame, counted over every
+// journal it opens. The hook runs under the journal's lock before that
+// frame's batch is synced, so exactly n session frames exist when the kill
+// lands, and the page cache keeps them. Crash smokes use it to kill a
+// journaled crawl or a fleet worker at an exact record count instead of
+// racing a kill against its progress.
 // Unset or not a positive count, it is nil and nothing is hooked.
 var crashAfter = crashHook(os.Getenv("PHISHCRAWL_CRASH_AFTER"))
 

@@ -30,7 +30,6 @@ func TestValidateFlags(t *testing.T) {
 		{"resume with journal", func(f *cliFlags) { f.journalDir = "j"; f.resume = true }, ""},
 		{"status with journal", func(f *cliFlags) { f.journalDir = "j"; f.statusAddr = ":0" }, ""},
 		{"progress interval", func(f *cliFlags) { f.progress = time.Second }, ""},
-		{"sync group", func(f *cliFlags) { f.journalSync = "group" }, ""},
 		{"sync none", func(f *cliFlags) { f.journalSync = "none" }, ""},
 
 		{"zero sites", func(f *cliFlags) { f.sites = 0 }, "-sites"},
@@ -43,6 +42,7 @@ func TestValidateFlags(t *testing.T) {
 		{"negative progress", func(f *cliFlags) { f.progress = -time.Second }, "-progress"},
 		{"bad journal sync", func(f *cliFlags) { f.journalSync = "fsync" }, "-journal-sync"},
 		{"sync batch", func(f *cliFlags) { f.journalSync = "batch" }, `unknown -journal-sync "batch"`},
+		{"sync group", func(f *cliFlags) { f.journalSync = "group" }, `unknown -journal-sync "group" (want always or none)`},
 		{"resume without journal", func(f *cliFlags) { f.resume = true }, "-resume requires -journal"},
 
 		{"coordinator role", func(f *cliFlags) {

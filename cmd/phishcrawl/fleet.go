@@ -169,10 +169,8 @@ func parseSyncPolicy(s string) (journal.SyncPolicy, error) {
 	switch s {
 	case "always":
 		return journal.SyncAlways, nil
-	case "group":
-		return journal.SyncGroup, nil
 	case "none":
 		return journal.SyncNone, nil
 	}
-	return 0, fmt.Errorf("unknown -journal-sync %q (want always, group, or none)", s)
+	return 0, fmt.Errorf("unknown -journal-sync %q (want always or none)", s)
 }

@@ -44,7 +44,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the crawl to this file")
 	journalDir := flag.String("journal", "", "stream finished sessions into a crash-safe journal at this directory")
 	resume := flag.Bool("resume", false, "resume the journal at -journal: skip already-completed URLs")
-	journalSync := flag.String("journal-sync", "always", "journal fsync policy: always | group | none")
+	journalSync := flag.String("journal-sync", "always", "journal fsync policy: always (every acknowledged append durable; concurrent appends share an fsync) | none")
 
 	def := chaos.DefaultProfile()
 	chaosOn := flag.Bool("chaos", false, "inject operational faults into the feed (dead/stalling/slow/5xx/truncated/takedown/flaky sites)")

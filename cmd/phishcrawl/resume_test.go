@@ -48,10 +48,13 @@ func segmentFiles(dir string) []string {
 }
 
 // crashJournaled runs phishcrawl with args, which journal into jdir, until
-// it SIGKILLs itself right after its n-th journaled session
-// (PHISHCRAWL_CRASH_AFTER), mid-crawl. It then tears the tail of the last
+// it SIGKILLs itself right after writing its n-th journaled session
+// (PHISHCRAWL_CRASH_AFTER), mid-crawl, and requires the killed journal to
+// hold exactly n session records. It then tears the tail of the last
 // segment by one byte, simulating a crash mid-append: the resume must
-// truncate the torn record and re-crawl its URL.
+// truncate the torn record and re-crawl its URL. (Reading the journal
+// closes it with a checkpoint that the tear leaves ahead of the data, so
+// the resume also discards a stale checkpoint.)
 func crashJournaled(t *testing.T, bin string, args []string, jdir string, n int) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -62,6 +65,23 @@ func crashJournaled(t *testing.T, bin string, args []string, jdir string, n int)
 	}
 	if ws, ok := cmd.ProcessState.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
 		t.Fatalf("journaled crawl exited with %v, want death by SIGKILL after %d sessions:\n%s", err, n, out)
+	}
+	j, err := journal.Open(jdir, journal.Options{Sync: journal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := 0
+	err = j.Scan(func(r journal.Record) error {
+		if r.Kind == journal.KindSession {
+			sessions++
+		}
+		return nil
+	})
+	if cerr := j.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || sessions != n {
+		t.Fatalf("killed journal holds %d session records (%v), want exactly %d", sessions, err, n)
 	}
 	segs := segmentFiles(jdir)
 	if len(segs) == 0 {
@@ -103,14 +123,14 @@ func TestKillResumeSmoke(t *testing.T) {
 	cleanOut := run("-o", clean)
 
 	// Interrupted run: the crawl SIGKILLs itself after its 50th journaled
-	// session, mid-crawl, and the tail is torn. The interrupted leg runs
-	// under -journal-sync group, so the kill lands on the group-commit
-	// path: the crash may only lose the unacknowledged batch, and the
-	// resume below must still reproduce the clean run byte-for-byte. (The
-	// pipeline pools session graphs by default, so this pin also covers
-	// pooling across a kill/resume boundary.)
+	// session, mid-crawl, and the tail is torn. The kill lands inside a
+	// group commit, before its batch is synced: the crash may only lose
+	// the unacknowledged batch, and the resume below must still reproduce
+	// the clean run byte-for-byte. (The pipeline pools session graphs by
+	// default, so this pin also covers pooling across a kill/resume
+	// boundary.)
 	jdir := filepath.Join(dir, "journal")
-	crashJournaled(t, bin, append(append([]string{}, args...), "-journal", jdir, "-journal-sync", "group"), jdir, 50)
+	crashJournaled(t, bin, append(append([]string{}, args...), "-journal", jdir), jdir, 50)
 
 	// Resume and export the merged view.
 	resumed := filepath.Join(dir, "resumed.jsonl")

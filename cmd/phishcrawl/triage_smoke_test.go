@@ -155,7 +155,7 @@ func TestTriageSmoke(t *testing.T) {
 	// byte-for-byte (the journal's run manifest, which pins the triage
 	// options, must match this run's).
 	jdir := filepath.Join(dir, "journal")
-	jargs := append(append([]string{}, args...), "-triage", "-workers", "30", "-journal", jdir, "-journal-sync", "group")
+	jargs := append(append([]string{}, args...), "-triage", "-workers", "30", "-journal", jdir)
 	crashJournaled(t, bin, jargs, jdir, 60)
 
 	resumed := filepath.Join(dir, "triage-resumed.jsonl")

@@ -412,8 +412,8 @@ func (p *Pipeline) crawl(start, end int, done map[string]bool, j *journal.Journa
 	cfg := p.farmConfig()
 	cfg.Skip = func(idx int, u string) bool { return idx < start || skip(u) }
 	// The sink touches only its own session and log slot, or the journal,
-	// whose appends are internally serialized (and batched under the
-	// group-commit sync policy), so concurrent delivery needs no lock.
+	// whose commit loop serializes and batches appends, so concurrent
+	// delivery needs no lock.
 	cfg.Sink = func(idx int, lg *crawler.SessionLog) error {
 		analysis.AttachMetaIndexed(lg, byURL)
 		p.Triage.Stamp(lg)

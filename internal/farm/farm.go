@@ -99,9 +99,9 @@ type Config struct {
 	// the session's position in the input URL list. RunStream requires it
 	// and Run supplies its own. Deliveries run outside the farm's tally
 	// lock and may overlap, so the sink must be safe for concurrent use:
-	// the journal sink's encode and fsync then run in each session's own
-	// goroutine, and its group commit can batch overlapping appends into
-	// one fsync. After a sink error no new delivery starts, deliveries
+	// the journal sink then encodes in each session's own goroutine, and
+	// the journal's commit loop batches overlapping appends into one
+	// fsync. After a sink error no new delivery starts, deliveries
 	// already in flight run to completion, and RunStream surfaces the
 	// first error; the crawl itself keeps going.
 	Sink func(idx int, lg *crawler.SessionLog) error

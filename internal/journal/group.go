@@ -1,49 +1,29 @@
-// Group commit: the SyncGroup policy batches concurrent appends so a whole
-// burst of finished sessions reaches stable storage with a single fsync.
-//
-// Appenders marshal their payloads in their own goroutines, enqueue, and
-// block; a background commit loop drains everything queued while the
-// previous fsync was in flight, writes the batch with one write call,
-// fsyncs once, and only then releases every waiter. Each caller therefore
-// keeps the SyncAlways guarantee — when AppendSession returns nil, the
-// record is durable — while a 30-worker farm pays ~1/30th of the fsyncs.
-// A crash can only lose records whose appends had not yet returned (at
-// most one per concurrent appender), and a resumed run re-crawls exactly
-// those URLs.
+// Group commit: the journal's one write path. Appenders marshal their
+// payloads in their own goroutines, enqueue, and block; a background
+// commit loop drains everything queued while the previous fsync was in
+// flight, writes the batch frame by frame, fsyncs once, and only then
+// releases every waiter. When AppendSession returns nil under SyncAlways
+// the record is durable, while a 30-worker farm pays ~1/30th of the
+// fsyncs. A crash can only lose records whose appends had not yet
+// returned (at most one per concurrent appender), and a resumed run
+// re-crawls exactly those URLs.
 
 package journal
 
 import "fmt"
 
-// groupReq is one append waiting on a group commit.
+// groupReq is one record waiting on a group commit.
 type groupReq struct {
-	payload []byte // a session record's payload
-	url     string // the session's SeedURL
+	kind    Kind
+	payload []byte
+	url     string // a session's SeedURL; empty for the run record
 	seq     uint64 // assigned during commit
 	done    chan error
 }
 
-// appendGroup enqueues one session record for the commit loop and blocks
-// until the batch containing it is durable (or failed as a whole).
-func (j *Journal) appendGroup(payload []byte, url string) error {
-	if len(payload) > MaxRecordBytes-bodyMinSize {
-		return fmt.Errorf("journal: record of %d bytes exceeds limit", len(payload))
-	}
-	req := &groupReq{payload: payload, url: url, done: make(chan error, 1)}
-	j.mu.Lock()
-	if j.closed || j.stopping {
-		j.mu.Unlock()
-		return fmt.Errorf("journal: closed")
-	}
-	j.pending = append(j.pending, req)
-	j.groupCond.Signal()
-	j.mu.Unlock()
-	return <-req.done
-}
-
-// commitLoop is the background committer, started by Open under SyncGroup
-// and stopped by Close. It exits only once the queue is drained, so every
-// append accepted before Close set stopping is still committed.
+// commitLoop is the background committer, started by Open and stopped by
+// Close. Once Close has set stopping and the queue is drained, it closes
+// the journal, so every append accepted before Close is still committed.
 func (j *Journal) commitLoop() {
 	for {
 		//phishvet:ignore locknoblock: group commit by design — the batch write+fsync happens under j.mu so appenders queue behind exactly one fsync
@@ -52,6 +32,7 @@ func (j *Journal) commitLoop() {
 			j.groupCond.Wait()
 		}
 		if len(j.pending) == 0 {
+			j.closeErr = j.closeLocked()
 			j.mu.Unlock()
 			close(j.loopDone)
 			return
@@ -66,65 +47,50 @@ func (j *Journal) commitLoop() {
 	}
 }
 
-// flushPendingLocked commits any queued appends in the caller's goroutine
-// (Sync and Close use it; the commit loop tolerates waking to an already
-// drained queue). The waiters are released before returning.
-func (j *Journal) flushPendingLocked() error {
-	if len(j.pending) == 0 {
-		return nil
+// commitBatchLocked writes the batch in arrival order, one frame per write
+// with segment rolls in between where needed, then makes it durable with a
+// single fsync before exposing any of its URLs as completed. Under
+// SyncNone only a batch holding the run record is synced. It is the only
+// writer of record frames. Its first failure poisons the journal: that
+// batch and every later append, BindRun and Close return the error, and no
+// checkpoint is written again, so nothing is acknowledged after a partial
+// frame and no checkpoint covers a record the URL index lacks. Whatever of
+// a failed batch reached the disk is deduplicated at read time by sequence
+// number.
+func (j *Journal) commitBatchLocked(batch []*groupReq) (err error) {
+	if j.err != nil {
+		return j.err
 	}
-	batch := j.pending
-	j.pending = nil
-	err := j.commitBatchLocked(batch)
-	for _, r := range batch {
-		r.done <- err
-	}
-	return err
-}
-
-// commitBatchLocked writes the batch in arrival order — one frame-packed
-// write per segment stretch, segment rolls in between where needed — then
-// makes it durable with a single fsync before exposing any of its URLs as
-// completed. A write or fsync failure fails the whole batch: none of its
-// records are marked completed (whatever reached the disk is deduplicated
-// at read time by sequence number), and every waiter sees the error, which
-// stops the run.
-func (j *Journal) commitBatchLocked(batch []*groupReq) error {
-	buf := j.groupBuf[:0]
-	defer func() { j.groupBuf = buf[:0] }()
-	frames := 0
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
+	defer func() {
+		if err != nil {
+			j.err = err
 		}
-		if _, err := j.active.Write(buf); err != nil {
-			return fmt.Errorf("journal: append: %w", err)
-		}
-		j.activeSize += int64(len(buf))
-		j.unsynced += frames
-		buf, frames = buf[:0], 0
-		return nil
-	}
+	}()
+	durable := j.opts.Sync == SyncAlways
 	for _, r := range batch {
-		frame := encodeFrame(Record{Seq: j.nextSeq, Kind: KindSession, Payload: r.payload})
-		if pos := j.activeSize + int64(len(buf)); pos > 0 && pos+int64(len(frame)) > int64(j.opts.SegmentBytes) {
-			if err := flush(); err != nil {
-				return err
-			}
+		frame := encodeFrame(Record{Seq: j.nextSeq, Kind: r.kind, Payload: r.payload})
+		if j.activeSize > 0 && j.activeSize+int64(len(frame)) > int64(j.opts.SegmentBytes) {
 			if err := j.rollLocked(); err != nil {
 				return err
 			}
 		}
+		if _, err := j.active.Write(frame); err != nil {
+			return fmt.Errorf("journal: append: %w", err)
+		}
+		j.activeSize += int64(len(frame))
+		j.unsynced++
 		r.seq = j.nextSeq
 		j.nextSeq++
-		buf = append(buf, frame...)
-		frames++
+		if r.kind == KindRun {
+			durable = true
+		} else if j.opts.AfterSession != nil {
+			j.opts.AfterSession()
+		}
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-	if err := j.syncActiveLocked(); err != nil {
-		return err
+	if durable {
+		if err := j.syncActiveLocked(); err != nil {
+			return err
+		}
 	}
 	// The batch is durable: expose completions and advance the checkpoint
 	// cadence.
@@ -138,4 +104,17 @@ func (j *Journal) commitBatchLocked(batch []*groupReq) error {
 		return j.writeCheckpointLocked()
 	}
 	return nil
+}
+
+// closeLocked ends the journal for the commit loop: a final checkpoint,
+// which syncs first, unless a commit failed, then the segment's close.
+func (j *Journal) closeLocked() error {
+	err := j.err
+	if err == nil {
+		err = j.writeCheckpointLocked()
+	}
+	if cerr := j.active.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("journal: close: %w", cerr)
+	}
+	return err
 }

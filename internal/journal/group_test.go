@@ -1,87 +1,25 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/crawler"
 )
 
-// TestSyncGroupEquivalence pins group commit to the SyncAlways format
-// record-for-record: the same sequence of appends must produce identical
-// records (sequence, kind, payload) and, since framing is deterministic,
-// byte-identical segment files. SyncGroup changes when fsync happens, never
-// what is written.
-func TestSyncGroupEquivalence(t *testing.T) {
-	dirAlways, dirGroup := t.TempDir(), t.TempDir()
-	ja := mustOpen(t, dirAlways, Options{Sync: SyncAlways})
-	jg := mustOpen(t, dirGroup, Options{Sync: SyncGroup})
-	for _, j := range []*Journal{ja, jg} {
-		if err := j.BindRun([]byte(`{"seed":1}`)); err != nil {
-			t.Fatalf("BindRun: %v", err)
-		}
-		appendN(t, j, 11, 0)
-		if err := j.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-	}
-
-	collect := func(dir string) []Record {
-		j := mustOpen(t, dir, Options{})
-		defer j.Close()
-		var recs []Record
-		if err := j.Scan(func(r Record) error {
-			r.Payload = bytes.Clone(r.Payload) // valid only during the callback
-			recs = append(recs, r)
-			return nil
-		}); err != nil {
-			t.Fatalf("Scan(%s): %v", dir, err)
-		}
-		return recs
-	}
-	ra, rg := collect(dirAlways), collect(dirGroup)
-	if len(ra) != len(rg) {
-		t.Fatalf("record counts differ: SyncAlways %d, SyncGroup %d", len(ra), len(rg))
-	}
-	for i := range ra {
-		if ra[i].Seq != rg[i].Seq || ra[i].Kind != rg[i].Kind || string(ra[i].Payload) != string(rg[i].Payload) {
-			t.Fatalf("record %d differs:\nSyncAlways seq=%d kind=%d %s\nSyncGroup  seq=%d kind=%d %s",
-				i, ra[i].Seq, ra[i].Kind, ra[i].Payload, rg[i].Seq, rg[i].Kind, rg[i].Payload)
-		}
-	}
-
-	segsA, _ := listSegments(dirAlways)
-	segsG, _ := listSegments(dirGroup)
-	if len(segsA) != len(segsG) {
-		t.Fatalf("segment counts differ: %v vs %v", segsA, segsG)
-	}
-	for i := range segsA {
-		a, err := os.ReadFile(filepath.Join(dirAlways, segsA[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := os.ReadFile(filepath.Join(dirGroup, segsG[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(g) {
-			t.Fatalf("segment %s differs between policies", segsA[i])
-		}
-	}
-}
-
-// TestSyncGroupConcurrentAppends drives group commit the way the farm does
-// — many goroutines appending at once — and verifies nothing is lost,
+// TestGroupCommitConcurrentAppends drives the commit loop the way the farm
+// does — many goroutines appending at once — and verifies nothing is lost,
 // reordered into invalid sequence numbers, or torn: after Close, a reopen
 // must hold every session exactly once with contiguous sequences.
-func TestSyncGroupConcurrentAppends(t *testing.T) {
+func TestGroupCommitConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{Sync: SyncGroup})
+	j := mustOpen(t, dir, Options{Sync: SyncAlways})
 	const n = 64
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -131,33 +69,31 @@ func TestSyncGroupConcurrentAppends(t *testing.T) {
 // tear the tail at a known batch boundary.
 func groupBatch(t *testing.T, j *Journal, logs []*crawler.SessionLog) {
 	t.Helper()
-	j.mu.Lock()
-	for _, lg := range logs {
+	batch := make([]*groupReq, len(logs))
+	for i, lg := range logs {
 		payload, err := json.Marshal(lg)
 		if err != nil {
-			j.mu.Unlock()
 			t.Fatal(err)
 		}
-		j.pending = append(j.pending, &groupReq{
-			payload: payload, url: lg.SeedURL, done: make(chan error, 1),
-		})
+		batch[i] = &groupReq{kind: KindSession, payload: payload, url: lg.SeedURL}
 	}
-	err := j.flushPendingLocked()
+	j.mu.Lock()
+	err := j.commitBatchLocked(batch)
 	j.mu.Unlock()
 	if err != nil {
 		t.Fatalf("group batch commit: %v", err)
 	}
 }
 
-// TestSyncGroupCrashLossBound is the crash-loss table test for group
+// TestGroupCommitCrashLossBound is the crash-loss table test for group
 // commit: with one batch durably committed and a second batch torn at
 // EVERY possible byte offset (a crash mid-batch-write), reopening must
 // never lose a record from the first batch — the loss bound is "records of
 // the unacknowledged batch only" — must keep every whole frame before the
 // tear, and must stay appendable.
-func TestSyncGroupCrashLossBound(t *testing.T) {
+func TestGroupCommitCrashLossBound(t *testing.T) {
 	master := t.TempDir()
-	j := mustOpen(t, master, Options{Sync: SyncGroup})
+	j := mustOpen(t, master, Options{Sync: SyncAlways})
 	first := make([]*crawler.SessionLog, 3)
 	for i := range first {
 		first[i] = testSession(i, "http://host"+itoa(i)+".example/login", "completed")
@@ -218,7 +154,7 @@ func TestSyncGroupCrashLossBound(t *testing.T) {
 			}
 		}
 
-		jr, err := Open(dir, Options{Sync: SyncGroup})
+		jr, err := Open(dir, Options{Sync: SyncAlways})
 		if err != nil {
 			t.Fatalf("cut at byte %d: Open failed: %v", cut, err)
 		}
@@ -243,5 +179,64 @@ func TestSyncGroupCrashLossBound(t *testing.T) {
 			t.Fatalf("cut at byte %d: reopen lost the healed append", cut)
 		}
 		j2.Close()
+	}
+}
+
+// TestCommitFailurePoisons pins that the journal's first failed write
+// sticks: with the active segment swapped for a read-only descriptor of the
+// same file, an append fails, and after the good descriptor is back every
+// later append, BindRun and Close still return that same error, Close
+// writes no checkpoint, and a reopen holds only the acknowledged session.
+// A record refused for its size is the caller's error and poisons nothing.
+func TestCommitFailurePoisons(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{Sync: SyncAlways})
+	if err := j.BindRun(make([]byte, MaxRecordBytes)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("BindRun(oversized) = %v, want the size refusal", err)
+	}
+	manifest := []byte(`{"seed":1}`)
+	if err := j.BindRun(manifest); err != nil {
+		t.Fatalf("BindRun after a size refusal: %v", err)
+	}
+	appendN(t, j, 1, 0)
+
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("expected one segment, got %v (%v)", segs, err)
+	}
+	ro, err := os.Open(filepath.Join(dir, segs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	j.mu.Lock()
+	good := j.active
+	j.active = ro
+	j.mu.Unlock()
+	first := j.AppendSession(testSession(1, "http://lost.example/login", "completed"))
+	if first == nil {
+		t.Fatal("append through a read-only segment succeeded")
+	}
+	j.mu.Lock()
+	j.active = good
+	j.mu.Unlock()
+
+	if err := j.AppendSession(testSession(2, "http://after.example/login", "completed")); !errors.Is(err, first) {
+		t.Fatalf("append after the failure = %v, want the first failure %v", err, first)
+	}
+	if err := j.BindRun(manifest); !errors.Is(err, first) {
+		t.Fatalf("BindRun after the failure = %v, want the first failure %v", err, first)
+	}
+	if err := j.Close(); !errors.Is(err, first) {
+		t.Fatalf("Close = %v, want the first failure %v", err, first)
+	}
+	if _, err := os.Stat(filepath.Join(dir, checkpointName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("poisoned Close wrote a checkpoint (stat: %v)", err)
+	}
+
+	j2 := mustOpen(t, dir, Options{})
+	defer j2.Close()
+	if n := j2.CompletedCount(); n != 1 || !j2.Completed("http://host0.example/login") {
+		t.Fatalf("reopen holds %d completed URLs, want only the acknowledged one", n)
 	}
 }

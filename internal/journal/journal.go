@@ -1,8 +1,8 @@
 // Package journal is the crash-safe crawl record store: an append-only log
 // of finished crawl sessions in rolling, CRC-framed segment files. The
 // paper's measurement crawl runs for 43 days; this package is what makes
-// such a run survivable — every finished session is durable the moment it
-// is appended, a crash (even one that tears the final record mid-write) is
+// such a run survivable — every finished session is durable the moment its
+// append returns, a crash (even one that tears the final record mid-write) is
 // recovered on the next Open by truncating the torn tail, and the
 // completed-URL checkpoint index lets a resumed run re-crawl only the URLs
 // it never finished. A MANIFEST file tracks segment order; a CHECKPOINT
@@ -11,6 +11,11 @@
 // (write-temp, fsync, rename), so the segment files themselves are the
 // only mutable state — and they only ever grow, except for tail
 // truncation during recovery.
+//
+// Every record reaches the disk through one path, the group commit in
+// group.go: appends queue, a background loop writes each queued frame and
+// shares one fsync among them, and only then are their callers released.
+// The first failed write, roll or fsync poisons the journal for good.
 package journal
 
 import (
@@ -35,21 +40,16 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every record: a crash loses at most the
-	// record being written. The default, and what a 43-day crawl wants.
+	// SyncAlways makes every acknowledged append durable: each batch of
+	// group-committed appends is fsynced once before any of its callers
+	// returns, so concurrent appenders share one fsync instead of paying
+	// one apiece. A crash loses only appends that had not yet returned (at
+	// most one per concurrent appender); a resumed run re-crawls exactly
+	// those URLs. The default, and what a 43-day crawl wants.
 	SyncAlways SyncPolicy = iota
 	// SyncNone leaves durability to the OS page cache (tests, throwaway
-	// runs). Close still syncs.
+	// runs). The run record and Close still sync.
 	SyncNone
-	// SyncGroup batches concurrent appends behind a background commit
-	// loop: everything queued while the previous fsync was in flight is
-	// written together and made durable with one fsync, then every waiter
-	// is released. Per caller this is as strong as SyncAlways — an append
-	// that returned nil is durable — but a farm of workers shares each
-	// fsync instead of paying one apiece. A crash loses only appends that
-	// had not yet returned (at most one per concurrent appender); a
-	// resumed run re-crawls exactly those URLs.
-	SyncGroup
 )
 
 // Options tunes a journal; the zero value is production-safe.
@@ -63,11 +63,12 @@ type Options struct {
 	// many session appends (default 256). The checkpoint is an
 	// optimization only — recovery never trusts it past the data.
 	CheckpointEvery int
-	// AfterSession, when set, is called at the end of every AppendSession
-	// that succeeded, before it returns. Under every policy but SyncGroup
-	// it runs under the journal's write lock, so no other append lands
-	// between the call and its record; crash tests use it to kill the
-	// process at an exact record count.
+	// AfterSession, when set, is called right after each session record's
+	// frame is written, before its batch is synced, under the journal's
+	// write lock: when its n-th call runs, exactly n session frames have
+	// been written. Crash tests use it to kill the process at an exact
+	// record count (a process kill keeps the page cache, so all n frames
+	// survive it).
 	AfterSession func()
 }
 
@@ -128,17 +129,17 @@ type Journal struct {
 	run        []byte // the run manifest record's payload; nil until one exists
 	unsynced   int    // appends since the last fsync
 	dirtyCkpt  int    // session appends since the last checkpoint write
-	closed     bool
+	err        error  // the first commit failure; it poisons the journal
 
-	// Group-commit state (SyncGroup only). pending is the queue the commit
-	// loop drains; groupCond (sharing mu) wakes it; stopping tells it to
-	// exit once drained, and loopDone reports that it has. groupBuf is the
-	// loop's frame-packing scratch.
+	// Commit-loop state. pending is the queue the loop drains; groupCond
+	// (sharing mu) wakes it; stopping, set by Close, tells it to close the
+	// journal once drained, and loopDone reports that it has, with
+	// closeErr.
 	groupCond *sync.Cond
 	pending   []*groupReq
 	stopping  bool
 	loopDone  chan struct{}
-	groupBuf  []byte
+	closeErr  error
 }
 
 // Open opens (or creates) the journal in dir, recovering from any crash
@@ -185,11 +186,9 @@ func Open(dir string, opts Options) (*Journal, error) {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	j.active = f
-	if j.opts.Sync == SyncGroup {
-		j.groupCond = sync.NewCond(&j.mu)
-		j.loopDone = make(chan struct{})
-		go j.commitLoop()
-	}
+	j.groupCond = sync.NewCond(&j.mu)
+	j.loopDone = make(chan struct{})
+	go j.commitLoop()
 	return j, nil
 }
 
@@ -401,41 +400,48 @@ func sessionURL(payload []byte) string {
 }
 
 // AppendSession appends one finished crawl session and marks its SeedURL
-// completed. Durability follows the configured sync policy.
+// completed. It queues the record for the commit loop and returns once the
+// batch holding it is committed; under SyncAlways the record is then
+// durable.
 func (j *Journal) AppendSession(lg *crawler.SessionLog) error {
 	payload, err := json.Marshal(lg)
 	if err != nil {
 		return fmt.Errorf("journal: encoding session: %w", err)
 	}
-	if j.opts.Sync == SyncGroup {
-		if err := j.appendGroup(payload, lg.SeedURL); err != nil {
-			return err
-		}
-		j.afterSession()
-		return nil
-	}
-	//phishvet:ignore locknoblock: j.mu is the WAL's write order — the append and its fsync must be serialized against every other writer
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	seq, err := j.appendLocked(KindSession, payload)
-	if err != nil {
+	if err := checkSize(payload); err != nil {
 		return err
 	}
-	j.completed[lg.SeedURL] = seq
-	j.dirtyCkpt++
-	if j.dirtyCkpt >= j.opts.CheckpointEvery {
-		if err := j.writeCheckpointLocked(); err != nil {
-			return err
-		}
+	req := &groupReq{kind: KindSession, payload: payload, url: lg.SeedURL, done: make(chan error, 1)}
+	j.mu.Lock()
+	if err := j.shutLocked(); err != nil {
+		j.mu.Unlock()
+		return err
 	}
-	j.afterSession()
+	j.pending = append(j.pending, req)
+	j.groupCond.Signal()
+	j.mu.Unlock()
+	return <-req.done
+}
+
+// checkSize refuses a payload too large to frame. The refusal is the
+// caller's error, not the journal's: it poisons nothing.
+func checkSize(payload []byte) error {
+	if len(payload) > MaxRecordBytes-bodyMinSize {
+		return fmt.Errorf("journal: record of %d bytes exceeds limit", len(payload))
+	}
 	return nil
 }
 
-func (j *Journal) afterSession() {
-	if j.opts.AfterSession != nil {
-		j.opts.AfterSession()
+// shutLocked reports why the journal takes no more records: its first
+// commit failure, or Close.
+func (j *Journal) shutLocked() error {
+	if j.err != nil {
+		return j.err
 	}
+	if j.stopping {
+		return fmt.Errorf("journal: closed")
+	}
+	return nil
 }
 
 // BindRun ties the journal to one run configuration, given as the run
@@ -452,9 +458,15 @@ func (j *Journal) BindRun(manifest []byte) error {
 	if len(manifest) == 0 {
 		return fmt.Errorf("journal: %s: empty run manifest", j.dir)
 	}
+	if err := checkSize(manifest); err != nil {
+		return err
+	}
 	//phishvet:ignore locknoblock: j.mu is the WAL's write order — the run record and its fsync must precede every session append
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if err := j.shutLocked(); err != nil {
+		return err
+	}
 	switch {
 	case j.run != nil:
 		if !bytes.Equal(j.run, manifest) {
@@ -464,47 +476,11 @@ func (j *Journal) BindRun(manifest []byte) error {
 	case len(j.completed) > 0:
 		return fmt.Errorf("journal: %s holds %d sessions but no run manifest (it predates run manifests); it can be reported but not resumed", j.dir, len(j.completed))
 	}
-	if _, err := j.appendLocked(KindRun, manifest); err != nil {
-		return err
-	}
-	if err := j.syncActiveLocked(); err != nil {
+	if err := j.commitBatchLocked([]*groupReq{{kind: KindRun, payload: manifest}}); err != nil {
 		return err
 	}
 	j.run = append([]byte(nil), manifest...)
 	return nil
-}
-
-func (j *Journal) appendLocked(kind Kind, payload []byte) (uint64, error) {
-	if j.closed {
-		return 0, fmt.Errorf("journal: closed")
-	}
-	if len(payload) > MaxRecordBytes-bodyMinSize {
-		return 0, fmt.Errorf("journal: record of %d bytes exceeds limit", len(payload))
-	}
-	frame := encodeFrame(Record{Seq: j.nextSeq, Kind: kind, Payload: payload})
-	if j.activeSize > 0 && j.activeSize+int64(len(frame)) > int64(j.opts.SegmentBytes) {
-		if err := j.rollLocked(); err != nil {
-			return 0, err
-		}
-	}
-	if _, err := j.active.Write(frame); err != nil {
-		return 0, fmt.Errorf("journal: append: %w", err)
-	}
-	j.activeSize += int64(len(frame))
-	seq := j.nextSeq
-	j.nextSeq++
-	j.unsynced++
-	switch j.opts.Sync {
-	case SyncAlways:
-		if err := j.syncActiveLocked(); err != nil {
-			return 0, err
-		}
-	case SyncGroup, SyncNone:
-		// SyncGroup records reach here through the commit loop, which
-		// fsyncs the whole batch in commitBatchLocked; SyncNone leaves
-		// durability to the OS page cache by contract.
-	}
-	return seq, nil
 }
 
 func (j *Journal) syncActiveLocked() error {
@@ -573,51 +549,17 @@ func (j *Journal) writeManifest() error {
 	return atomicWriteFile(filepath.Join(j.dir, manifestName), data)
 }
 
-// Sync forces everything appended so far — including appends still queued
-// for group commit — to stable storage.
-func (j *Journal) Sync() error {
-	//phishvet:ignore locknoblock: Sync's contract is "blocked appenders wait for stable storage" — the fsync must happen inside the write lock
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	if err := j.flushPendingLocked(); err != nil {
-		return err
-	}
-	return j.syncActiveLocked()
-}
-
-// Close syncs, writes a final checkpoint, and releases the journal. Under
-// SyncGroup it first stops the commit loop, which drains and commits every
-// append accepted before Close.
+// Close stops the commit loop, which commits every append accepted before
+// Close, syncs, writes a final checkpoint and releases the active segment.
+// A poisoned journal writes no checkpoint, and Close returns its first
+// commit failure. Later calls return what the first one did.
 func (j *Journal) Close() error {
 	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return nil
-	}
-	if j.groupCond != nil {
-		if !j.stopping {
-			j.stopping = true
-			j.groupCond.Signal()
-		}
-		j.mu.Unlock()
-		<-j.loopDone
-		//phishvet:ignore locknoblock: final checkpoint + segment close must exclude any late appender; nothing else runs after Close
-		j.mu.Lock()
-		if j.closed { // a concurrent Close finished while we waited
-			j.mu.Unlock()
-			return nil
-		}
-	}
-	defer j.mu.Unlock()
-	err := j.writeCheckpointLocked()
-	if cerr := j.active.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("journal: close: %w", cerr)
-	}
-	j.closed = true
-	return err
+	j.stopping = true
+	j.groupCond.Signal()
+	j.mu.Unlock()
+	<-j.loopDone
+	return j.closeErr
 }
 
 // Dir returns the journal directory.

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/crawler"
@@ -510,20 +511,61 @@ func TestRetiredStatsRecordSkipped(t *testing.T) {
 }
 
 // TestAfterSessionCountsAppends checks the crash-test hook: it runs once
-// per successful session append, before the append returns, under the
-// serial and the group-commit policies.
+// per session frame written, under the journal's lock, so at its k-th call
+// exactly k session frames are on the page cache (and none of them reads as
+// completed before its batch is durable) — appended one at a time or by
+// concurrent appenders sharing batches. One at a time, each append returns
+// only after the fsync covering its frame.
 func TestAfterSessionCountsAppends(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncAlways, SyncGroup} {
-		calls := 0
-		j := mustOpen(t, t.TempDir(), Options{Sync: policy, AfterSession: func() { calls++ }})
-		for i := 0; i < 5; i++ {
-			appendN(t, j, 1, i)
-			if calls != i+1 {
-				t.Errorf("policy %v: hook ran %d times after %d appends", policy, calls, i+1)
+	dir := t.TempDir()
+	var j *Journal
+	calls := 0
+	j = mustOpen(t, dir, Options{Sync: SyncAlways, AfterSession: func() {
+		calls++
+		frames := 0
+		segs, err := listSegments(dir)
+		for _, seg := range segs {
+			if err == nil {
+				err = scanSegmentFile(filepath.Join(dir, seg), func(r Record) error {
+					if r.Kind == KindSession {
+						frames++
+					}
+					return nil
+				})
 			}
 		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
+		if err != nil || frames != calls {
+			t.Errorf("hook call %d: %d session frames written (%v)", calls, frames, err)
 		}
+		if len(j.completed) >= calls {
+			t.Errorf("hook call %d: %d URLs completed before the batch is durable", calls, len(j.completed))
+		}
+	}})
+	for i := 0; i < 5; i++ {
+		appendN(t, j, 1, i)
+		j.mu.Lock()
+		got, unsynced := calls, j.unsynced
+		j.mu.Unlock()
+		if got != i+1 || unsynced != 0 {
+			t.Errorf("after %d appends: hook ran %d times, %d frames unsynced", i+1, got, unsynced)
+		}
+	}
+	const n = 32
+	var wg sync.WaitGroup
+	for i := 5; i < 5+n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := j.AppendSession(testSession(i, "http://host"+itoa(i)+".example/login", "completed")); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 5+n {
+		t.Errorf("hook ran %d times for %d appends", calls, 5+n)
 	}
 }

@@ -8,8 +8,8 @@ import (
 // The checkedsync rule flags EVERY call whose error return is silently
 // dropped inside the two packages that own the durability path —
 // internal/journal and internal/sessionio. In ordinary code an ignored
-// error is a style question; on the commit path (group-commit loop,
-// segment rolls, checkpoint writes, manifest parsing) it silently turns
+// error is a style question; on the commit path (the journal's one commit
+// loop, segment rolls, checkpoint writes, manifest parsing) it silently turns
 // "synced to stable storage" into "probably synced", so the whole package
 // is held to the checked-or-acknowledged standard.
 
