@@ -158,10 +158,13 @@ fuzz:
 # triage probe's pHash and cropped embedding of a rendered landing page, and
 # a whole triage plan of a 120-site clone-heavy feed (BenchmarkBuildPlan,
 # without a memo and with a fresh page memo per plan), and the generation
-# of a 2,400-site clone-heavy corpus (BenchmarkGenerate).
+# of a 2,400-site clone-heavy corpus (BenchmarkGenerate), and the farm
+# layer alone (BenchmarkRunStream: 200 pixel-free sessions at Workers 2
+# behind a 1 ms timer per request and a 100 µs timer per sink delivery,
+# reported in sites/s).
 # End-to-end throughput is measured by `python3 _phishbench/run.py`, not here.
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkTypedPageDetect|BenchmarkRenderPages|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped|BenchmarkBuildPlan|BenchmarkGenerate' -benchmem ./...
+	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkTypedPageDetect|BenchmarkRenderPages|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped|BenchmarkBuildPlan|BenchmarkGenerate|BenchmarkRunStream' -benchmem ./...
 
 # Allocation gates: the per-session allocs/op budgets and the
 # pooled-vs-unpooled byte-identity pins (testing.AllocsPerRun enforces the
@@ -184,8 +187,11 @@ alloc-gate:
 # run in changes with every schedule; these pins prove the bytes do not.
 # Two more pin the corpus: shared campaign kits equal a build of every
 # deployment from scratch, and a chaos+cloak crawl leaves the shared kits
-# unchanged.
-PINS = ^(TestRunDeterministicAcrossWorkerCounts.*|TestChaosDeterministicAcrossWorkerCounts|TestStagesIdenticalAcrossWorkerCounts|TestBuildPlanDeterministicAcrossWorkers|TestBuildPlanMemoMatchesNoMemo|TestCrawlPooledMatchesUnpooled.*|TestCrawlMemoMatchesNoMemo|TestKitsMatchPerDeploymentBuild|TestCrawlLeavesCorpusUnchanged)$$
+# unchanged. Three pin the farm's admission, whose in-flight count moves
+# most at GOMAXPROCS=1: computing never exceeds Workers and in flight
+# reaches but never passes its cap, and neither sessions held on the
+# network nor ones held in the sink stop a Workers-1 farm admitting more.
+PINS = ^(TestRunDeterministicAcrossWorkerCounts.*|TestChaosDeterministicAcrossWorkerCounts|TestStagesIdenticalAcrossWorkerCounts|TestBuildPlanDeterministicAcrossWorkers|TestBuildPlanMemoMatchesNoMemo|TestCrawlPooledMatchesUnpooled.*|TestCrawlMemoMatchesNoMemo|TestKitsMatchPerDeploymentBuild|TestCrawlLeavesCorpusUnchanged|TestSlotBounds|TestHeldRoundTripsKeepAdmitting|TestHeldSinkKeepsAdmitting)$$
 pins:
 	for procs in 1 2; do \
 		GOMAXPROCS=$$procs $(GO) test -count=3 -run '$(PINS)' ./internal/farm/ ./internal/crawler/ ./internal/triage/ ./internal/sitegen/ ./internal/core/ || exit 1; \

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bufio"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -41,8 +43,9 @@ func TestFleetSmoke(t *testing.T) {
 	}
 	cleanOut := string(cleanOutB)
 
-	// Fleet run: coordinator on a kernel-assigned loopback port, output
-	// teed to a file so the test can learn the resolved address.
+	// Fleet run: coordinator on a kernel-assigned loopback port. Its
+	// stdout is scanned for the address banner and teed, with its stderr,
+	// into coordinator.log for the failure messages.
 	jdir := filepath.Join(dir, "journal")
 	merged := filepath.Join(dir, "fleet.jsonl")
 	coordLog, err := os.Create(filepath.Join(dir, "coordinator.log"))
@@ -54,7 +57,10 @@ func TestFleetSmoke(t *testing.T) {
 		"-coordinator", "-fleet-addr", "127.0.0.1:0",
 		"-journal", jdir, "-lease-sites", "60", "-lease-ttl", "2s", "-o", merged)
 	coord := exec.Command(bin, coordArgs...)
-	coord.Stdout = coordLog
+	coordPipe, err := coord.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
 	coord.Stderr = coordLog
 	if err := coord.Start(); err != nil {
 		t.Fatal(err)
@@ -70,19 +76,28 @@ func TestFleetSmoke(t *testing.T) {
 		return string(b)
 	}
 
-	// Learn the coordinator's address from its startup banner.
+	// Learn the coordinator's address from its startup banner; the tee
+	// runs until the coordinator closes its stdout.
 	addrRe := regexp.MustCompile(`coordinating \d+ URLs on http://([0-9.]+:\d+)`)
+	addrCh := make(chan string, 1)
+	teed := make(chan struct{})
+	go func() {
+		defer close(teed)
+		sc := bufio.NewScanner(coordPipe)
+		announced := false
+		for sc.Scan() {
+			fmt.Fprintln(coordLog, sc.Text())
+			if m := addrRe.FindStringSubmatch(sc.Text()); m != nil && !announced {
+				announced = true
+				addrCh <- m[1]
+			}
+		}
+	}()
 	var addr string
-	deadline := time.Now().Add(30 * time.Second)
-	for addr == "" {
-		if m := addrRe.FindStringSubmatch(readCoordLog()); m != nil {
-			addr = m[1]
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never announced its address:\n%s", readCoordLog())
-		}
-		time.Sleep(10 * time.Millisecond)
+	select {
+	case addr = <-addrCh:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("coordinator never announced its address:\n%s", readCoordLog())
 	}
 
 	startWorker := func(name string, env ...string) *exec.Cmd {
@@ -133,6 +148,7 @@ func TestFleetSmoke(t *testing.T) {
 	// process.
 	replacement := startWorker("w3")
 
+	<-teed // Wait closes the pipe, so the tee must drain it first
 	if err := coord.Wait(); err != nil {
 		t.Fatalf("coordinator: %v\n%s", err, readCoordLog())
 	}

@@ -36,7 +36,7 @@ import (
 func main() {
 	numSites := flag.Int("sites", 1000, "corpus size")
 	seed := flag.Int64("seed", 42, "seed")
-	workers := flag.Int("workers", 30, "sessions computing at once; a session waiting on the network or the journal holds none, and up to 4x this many are in flight (paper: 30 parallel sessions)")
+	workers := flag.Int("workers", 30, "sessions computing at once; a session waiting on the network or the journal holds none, and a new one starts whenever a worker would go idle, up to 64 in flight per worker that can compute at once (min(workers, GOMAXPROCS)) (paper: 30 parallel sessions)")
 	sample := flag.Int("sample", 0, "crawl only the first N sites (0 = all)")
 	out := flag.String("o", "", "write session logs as JSON Lines to this file")
 	detectorTrain := flag.Int("detector-train", 0, "object-detector training pages (0 = pipeline default)")

@@ -29,7 +29,7 @@ import (
 func main() {
 	numSites := flag.Int("sites", 5000, "corpus size")
 	seed := flag.Int64("seed", 42, "seed")
-	workers := flag.Int("workers", 30, "sessions computing at once (up to 4x this many in flight)")
+	workers := flag.Int("workers", 30, "sessions computing at once; a new one starts whenever a worker would go idle, up to 64 in flight per worker that can compute at once (min(workers, GOMAXPROCS))")
 	out := flag.String("o", "", "output file (default stdout)")
 	detScale := flag.Int("detector-scale", 2000, "detector training pages (paper protocol: 10,000)")
 	triageOn := flag.Bool("triage", false, "crawl through the triage funnel and report the campaign-attribution table")

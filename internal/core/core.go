@@ -36,7 +36,9 @@ type Options struct {
 	Seed int64
 	// Workers is the number of sessions the farm computes at once (default
 	// 30, the paper's setting); sessions waiting on the network or the
-	// journal hold none, and up to 4×Workers are in flight (farm.Config).
+	// journal hold none, and a new one starts whenever a worker would
+	// otherwise go idle, up to 64 in flight per worker that can compute
+	// at once, min(Workers, GOMAXPROCS) (farm.Config).
 	Workers int
 	// DetectorTrainPages is the number of generated pages the object
 	// detector is fitted on (paper: 10,000). Default 600, which reaches

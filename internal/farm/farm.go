@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,11 +29,23 @@ import (
 // DefaultWorkers matches the paper's 30 parallel Docker sessions.
 const DefaultWorkers = 30
 
-// inFlightPerWorker bounds the sessions in flight at once to this many
-// times Config.Workers. Only Workers of them compute; the rest wait on the
-// network, a slot, or the sink. The bound caps the memory a feed of
-// stalling hosts can pin.
-const inFlightPerWorker = 4
+// maxInFlightPerCore caps the sessions in flight (admitted, until their
+// sink returns) at this many times the workers that can compute at once,
+// min(Workers, GOMAXPROCS). Admission is work-conserving, so the cap
+// bounds memory, not throughput, unless nearly every session in flight
+// waits on the network or the sink. At 64, a Workers-2 farm on two cores
+// crawls 4,000 chaos sites with 50 ms fetch timeouts in under a third of
+// the wall time a cap of 4 per worker took, and an all-stall feed in 7%.
+// Counting cores rather than workers keeps -workers 30 on two cores from
+// holding 350–450 sessions, most of them waiting for a core with their
+// pages held, which cost 12% more peak RSS (EXPERIMENTS.md,
+// "Work-conserving admission").
+const maxInFlightPerCore = 64
+
+// inFlightCap is the farm's cap on sessions in flight at a worker count.
+func inFlightCap(workers int) int {
+	return maxInFlightPerCore * min(workers, runtime.GOMAXPROCS(0))
+}
 
 // DefaultMaxRetries is how many extra attempts a transiently-failed
 // session gets before the farm gives up.
@@ -64,7 +77,9 @@ const OutcomePanic = "panic"
 type Config struct {
 	// Workers is the number of sessions computing at once (default 30).
 	// A session waiting on a transport round trip or on the sink holds no
-	// worker, and up to 4×Workers sessions are in flight.
+	// worker, and a new session starts whenever a worker would go idle,
+	// up to a memory cap of 64 sessions in flight per worker that can
+	// compute at once (min(Workers, GOMAXPROCS)).
 	Workers int
 	// Crawler is the shared crawler template; its NewBrowser hook supplies
 	// the per-session fresh profile.
@@ -111,7 +126,8 @@ type Config struct {
 
 	// observe, when non-nil, is told of every change to the number of
 	// sessions computing and in flight, by the session making it while it
-	// holds its slot. Tests pin the farm's concurrency bounds through it.
+	// holds its slot or place. Tests pin the farm's concurrency bounds
+	// through it.
 	observe func(computing, inFlight int)
 }
 
@@ -287,7 +303,6 @@ func RunStream(cfg Config, urls []string) (Stats, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers
 	}
-	inFlight := min(inFlightPerWorker*workers, len(include))
 	maxRetries, retryBase, retryMax := ResolveRetries(cfg.MaxRetries, cfg.RetryBase, cfg.RetryMax)
 	maxRetries = max(maxRetries, 0)
 
@@ -369,32 +384,8 @@ func RunStream(cfg Config, urls []string) (Stats, error) {
 		lg.FeedIndex = jb.idx
 		return lg
 	}
-	sl := slots{free: make(chan struct{}, workers), observe: cfg.observe}
+	adm := newAdmission(workers, cfg.observe)
 	pending.Add(len(include))
-	for range inFlight {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each session runner gets its own crawler so faker sequences
-			// differ across sessions without shared state; its wait hook
-			// gives the slot back for every round trip.
-			c := *cfg.Crawler
-			c.WaitHook = sl.wait
-			for jb := range jobs {
-				sl.note(0, 1)
-				sl.take()
-				lg := attempt(&c, jb)
-				// The slot goes back before the sink, so a journal fsync
-				// never holds one.
-				sl.give()
-				if lg != nil {
-					finish(lg)
-					pending.Done()
-				}
-				sl.note(0, -1)
-			}
-		}()
-	}
 	for _, i := range include {
 		jobs <- job{idx: i}
 	}
@@ -404,9 +395,37 @@ func RunStream(cfg Config, urls []string) (Stats, error) {
 		pending.Wait()
 		close(jobs)
 	}()
+	// A runner crawls one admitted attempt, holding its slot while it
+	// computes and its place in flight until its sink returns, then
+	// carries on with the next queued job while a slot is free.
+	run := func(jb job) {
+		defer wg.Done()
+		// Each runner gets its own crawler so faker sequences differ
+		// across sessions without shared state; its wait hook gives the
+		// slot back for every round trip.
+		c := *cfg.Crawler
+		c.WaitHook = adm.waitHook
+		for ok := true; ok; jb, ok = adm.next(jobs) {
+			lg := attempt(&c, jb)
+			// The slot goes back before the sink, so a journal fsync
+			// never holds one.
+			adm.give()
+			if lg != nil {
+				finish(lg)
+				pending.Done()
+			}
+		}
+	}
+	// The dispatcher admits a queued job whenever a slot would otherwise
+	// go idle and no runner carries on with it, and starts its runner.
+	for jb := range jobs {
+		adm.admit()
+		wg.Add(1)
+		go run(jb)
+	}
 	wg.Wait()
 
-	// The runners exit only once every included URL has landed, so the
+	// The dispatcher stops only once every included URL has landed, so the
 	// tally has counted each of them.
 	return landed.stats(start.Elapsed(), int(atomic.LoadInt64(&panics))), landed.sinkErr
 }
@@ -417,35 +436,114 @@ func retryable(outcome string) bool {
 	return crawler.Retryable(outcome) || outcome == OutcomePanic
 }
 
-// slots is the farm's compute semaphore: Config.Workers slots, one held
-// by each session while it computes.
-type slots struct {
-	free    chan struct{}
-	observe func(computing, inFlight int)
+// admission is the farm's work-conserving scheduler. slots holds one
+// element per session computing, at most Workers. A session back from a
+// round trip blocks sending to slots while every slot is held, and the
+// runtime hands a freed slot to the longest-blocked sender, so those
+// sessions get slots first: the dispatcher and a runner carrying on only
+// take a slot no session waits for. Sessions in flight are counted from
+// their admission until their sink returns, up to limit. The slot hand-offs
+// never block, so a session's fetch deadline, which runs from before it
+// gives its slot back, is not spent queueing on a lock.
+type admission struct {
+	slots chan struct{}
+	// room wakes the dispatcher when a slot is left free or a place in
+	// flight frees; it holds one signal.
+	room     chan struct{}
+	limit    int64
+	inFlight atomic.Int64
+	observe  func(computing, inFlight int)
 }
 
-func (s slots) take() {
-	s.free <- struct{}{}
-	s.note(1, 0)
+func newAdmission(workers int, observe func(computing, inFlight int)) *admission {
+	return &admission{
+		slots: make(chan struct{}, workers), room: make(chan struct{}, 1),
+		limit: int64(inFlightCap(workers)), observe: observe,
+	}
 }
 
-func (s slots) give() {
-	s.note(-1, 0)
-	<-s.free
+// admit blocks until a new attempt may start: a slot no session waits for
+// is free and fewer than limit sessions are in flight. Only the dispatcher
+// admits, so the check and the count cannot interleave with another.
+func (a *admission) admit() {
+	for a.inFlight.Load() == a.limit || !a.tryTake() {
+		<-a.room
+	}
+	a.inFlight.Add(1)
+	a.note(0, 1)
 }
 
-// wait is the per-session wait hook (crawler.Crawler.WaitHook): the slot
-// goes back for the round trip and is taken again when it returns. The
-// browser defers the resume, so a round trip that panics still takes its
-// slot back before crawlGuarded recovers.
-func (s slots) wait() (resume func()) {
-	s.give()
-	return s.take
+// tryTake takes a free slot if one is left, without waiting.
+func (a *admission) tryTake() bool {
+	select {
+	case a.slots <- struct{}{}:
+		a.note(1, 0)
+		return true
+	default:
+		return false
+	}
 }
 
-func (s slots) note(computing, inFlight int) {
-	if s.observe != nil {
-		s.observe(computing, inFlight)
+// take returns a slot to a session back from a round trip, waiting in
+// line while every slot is held.
+func (a *admission) take() {
+	a.slots <- struct{}{}
+	a.note(1, 0)
+}
+
+// give releases the caller's slot. A session waiting in take gets it;
+// a slot left free wakes the dispatcher.
+func (a *admission) give() {
+	a.note(-1, 0)
+	<-a.slots
+	if len(a.slots) < cap(a.slots) {
+		a.wake()
+	}
+}
+
+// next hands a runner whose session has landed the next queued job and a
+// slot, when a slot is free and a job waits; its place in flight passes
+// to that job. Otherwise the runner's flight ends. Carrying on in the
+// same goroutine spares waking the dispatcher and starting a goroutine
+// for every session, which cost a 30-worker crawl on two cores about 7%
+// of its wall time.
+func (a *admission) next(jobs <-chan job) (job, bool) {
+	if a.tryTake() {
+		select {
+		case jb, ok := <-jobs:
+			if ok {
+				return jb, true
+			}
+		default:
+		}
+		a.give()
+	}
+	a.note(0, -1)
+	a.inFlight.Add(-1)
+	a.wake()
+	return job{}, false
+}
+
+// wake signals room without waiting; a signal already pending serves.
+func (a *admission) wake() {
+	select {
+	case a.room <- struct{}{}:
+	default:
+	}
+}
+
+// waitHook is each session's crawler.Crawler.WaitHook: the slot goes back
+// for the round trip and is taken again when it returns. The browser
+// defers the resume, so a round trip that panics still takes its slot
+// back before crawlGuarded recovers.
+func (a *admission) waitHook() (resume func()) {
+	a.give()
+	return a.take
+}
+
+func (a *admission) note(computing, inFlight int) {
+	if a.observe != nil {
+		a.observe(computing, inFlight)
 	}
 }
 

@@ -50,7 +50,8 @@ func (c *concurrency) observe(computing, inFlight int) {
 }
 
 // runOrReport runs the farm, failing the test if it has not finished in a
-// minute: the timeout only reports a deadlock, it paces nothing.
+// minute: the timeout only reports a deadlock, it paces nothing. Like Run
+// it keeps every log, and it hands each one on to cfg.Sink when set.
 func runOrReport(t *testing.T, cfg Config, urls []string) ([]*crawler.SessionLog, Stats) {
 	t.Helper()
 	type result struct {
@@ -59,7 +60,16 @@ func runOrReport(t *testing.T, cfg Config, urls []string) ([]*crawler.SessionLog
 	}
 	done := make(chan result, 1)
 	go func() {
-		logs, stats := Run(cfg, urls)
+		logs := make([]*crawler.SessionLog, len(urls))
+		sink := cfg.Sink
+		cfg.Sink = func(idx int, lg *crawler.SessionLog) error {
+			logs[idx] = lg
+			if sink != nil {
+				return sink(idx, lg)
+			}
+			return nil
+		}
+		stats, _ := RunStream(cfg, urls)
 		done <- result{logs, stats}
 	}()
 	select {
@@ -68,6 +78,42 @@ func runOrReport(t *testing.T, cfg Config, urls []string) ([]*crawler.SessionLog
 	case <-time.After(time.Minute):
 		t.Fatal("farm did not finish within a minute: deadlocked")
 		return nil, Stats{}
+	}
+}
+
+// holdUntil returns a gate that blocks each of its first n-1 callers
+// until the n-th arrives; later callers pass straight through.
+func holdUntil(n int32) func() {
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	return func() {
+		if k := arrived.Add(1); k == n {
+			close(all)
+		} else if k < n {
+			<-all
+		}
+	}
+}
+
+// holdLanding wraps a transport so that landing requests wait at gate.
+func holdLanding(gate func()) func(inner http.RoundTripper) http.RoundTripper {
+	return func(inner http.RoundTripper) http.RoundTripper {
+		return transportFunc(func(req *http.Request) (*http.Response, error) {
+			if req.URL.Path == "/" {
+				gate()
+			}
+			return inner.RoundTrip(req)
+		})
+	}
+}
+
+// requireCompleted fails the test unless every site completed.
+func requireCompleted(t *testing.T, logs []*crawler.SessionLog) {
+	t.Helper()
+	for i, l := range logs {
+		if l == nil || l.Outcome != crawler.OutcomeCompleted {
+			t.Fatalf("site %d: %+v", i, l)
+		}
 	}
 }
 
@@ -101,32 +147,15 @@ func TestRoundTripGivesSlotBack(t *testing.T) {
 
 // TestSlotBounds pins both concurrency bounds through the observe hook:
 // sessions computing never exceed Workers, and sessions in flight never
-// exceed 4×Workers. The first landing requests are held until 4×Workers of
-// them wait at once, so the in-flight bound is reached, not just honoured.
+// exceed the cap. The first landing requests are held until a cap's worth
+// of them wait at once, so the cap is reached, not just honoured.
 func TestSlotBounds(t *testing.T) {
-	const workers, sites = 2, 40
-	want := inFlightPerWorker * workers
-	var waiting atomic.Int32
-	full := make(chan struct{})
-	c, urls := slotFixture(500, sites, func(inner http.RoundTripper) http.RoundTripper {
-		return transportFunc(func(req *http.Request) (*http.Response, error) {
-			if req.URL.Path == "/" {
-				if n := waiting.Add(1); n == int32(want) {
-					close(full)
-				} else if n < int32(want) {
-					<-full
-				}
-			}
-			return inner.RoundTrip(req)
-		})
-	})
+	const workers = 2
+	want := inFlightCap(workers)
+	c, urls := slotFixture(500, want+20, holdLanding(holdUntil(int32(want))))
 	var cc concurrency
 	logs, _ := runOrReport(t, Config{Workers: workers, Crawler: c, observe: cc.observe}, urls)
-	for i, l := range logs {
-		if l == nil || l.Outcome != crawler.OutcomeCompleted {
-			t.Fatalf("site %d: %+v", i, l)
-		}
-	}
+	requireCompleted(t, logs)
 	if cc.maxComputing > workers || cc.maxComputing < 1 {
 		t.Errorf("at most %d sessions computed at once, want 1..%d", cc.maxComputing, workers)
 	}
@@ -136,6 +165,30 @@ func TestSlotBounds(t *testing.T) {
 	if cc.computing != 0 || cc.inFlight != 0 {
 		t.Errorf("after the run %d sessions compute and %d are in flight, want 0 and 0", cc.computing, cc.inFlight)
 	}
+}
+
+// TestHeldRoundTripsKeepAdmitting pins that sessions waiting on the
+// network do not stop admission: with one worker, the landing requests
+// are held until five sessions wait on them at once, more than a fixed
+// pool of four runners per worker could ever start.
+func TestHeldRoundTripsKeepAdmitting(t *testing.T) {
+	c, urls := slotFixture(700, 8, holdLanding(holdUntil(5)))
+	logs, _ := runOrReport(t, Config{Workers: 1, Crawler: c}, urls)
+	requireCompleted(t, logs)
+}
+
+// TestHeldSinkKeepsAdmitting pins that sessions waiting on the sink hold
+// no slot and do not stop admission below the cap: with one worker, every
+// delivery is held until five sessions have been delivered, so the crawl
+// only finishes if the farm keeps crawling while they wait.
+func TestHeldSinkKeepsAdmitting(t *testing.T) {
+	c, urls := slotFixture(800, 8, func(inner http.RoundTripper) http.RoundTripper { return inner })
+	gate := holdUntil(5)
+	logs, _ := runOrReport(t, Config{Workers: 1, Crawler: c, Sink: func(int, *crawler.SessionLog) error {
+		gate()
+		return nil
+	}}, urls)
+	requireCompleted(t, logs)
 }
 
 // TestPanicMidRoundTripKeepsSlot pins that a transport panic, recovered by
