@@ -130,7 +130,9 @@ cloak-smoke:
 # another after a reopen, with or without its checkpoint) and the browser's
 # cookie jar and redirect loop against a hostile server (no panic, giving
 # up after 10 hops, a sorted and reproducible Cookie header, expired
-# cookies dropped, a POST body kept only across 307/308).
+# cookies dropped, a POST body kept only across 307/308) and the session
+# log reader over hostile JSON Lines (no panic, and an accepted input
+# survives Write and a second Read, an empty list reading back as nil).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordRoundTrip -fuzztime=15s ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzCellCounts -fuzztime=15s ./internal/raster
@@ -144,6 +146,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCoordinatorRequests -fuzztime=15s ./internal/fleet
 	$(GO) test -run='^$$' -fuzz=FuzzBindRun -fuzztime=15s ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzNavigate -fuzztime=15s ./internal/browser
+	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=15s ./internal/sessionio
 
 # Hot-path microbenchmarks: the detector pass (BenchmarkDetect on one
 # synthetic page; the pattern also matches BenchmarkDetectPages, Detect per
@@ -202,14 +205,22 @@ pins:
 # so a 2,000-site report (~3 s) regenerated here must equal the committed
 # testdata/paper-report.md byte for byte. A change that moves a paper
 # number fails until the snapshot is regenerated with the same command and
-# the moved numbers are named in CHANGES.md.
+# the moved numbers are named in CHANGES.md. The replay path is pinned
+# too: the same crawl saved by phishcrawl as a JSON Lines export and as a
+# journal must report the same bytes through phishreport -i.
 PAPER_FLAGS = -sites 2000 -seed 42 -workers 2
 paper-check:
 	@tmp=$$(mktemp -d); \
-	if ! $(GO) run ./cmd/phishreport $(PAPER_FLAGS) -o $$tmp/report.md >/dev/null 2>$$tmp/err; then \
-		cat $$tmp/err; rm -rf $$tmp; exit 1; fi; \
-	diff -u testdata/paper-report.md $$tmp/report.md; status=$$?; rm -rf $$tmp; \
-	if [ $$status -ne 0 ]; then echo "paper report differs: regenerate with go run ./cmd/phishreport $(PAPER_FLAGS) > testdata/paper-report.md"; fi; \
-	exit $$status
+	fail() { cat $$tmp/err 2>/dev/null; echo "$$1"; rm -rf $$tmp; exit 1; }; \
+	$(GO) build -o $$tmp/ ./cmd/phishcrawl ./cmd/phishreport 2>$$tmp/err || fail "build failed"; \
+	$$tmp/phishreport $(PAPER_FLAGS) -o $$tmp/report.md >/dev/null 2>$$tmp/err || fail "phishreport failed"; \
+	diff -u testdata/paper-report.md $$tmp/report.md || fail "paper report differs: regenerate with go run ./cmd/phishreport $(PAPER_FLAGS) > testdata/paper-report.md"; \
+	$$tmp/phishcrawl $(PAPER_FLAGS) -o $$tmp/logs.jsonl -journal $$tmp/j >/dev/null 2>$$tmp/err || fail "phishcrawl failed"; \
+	for in in logs.jsonl j; do \
+		$$tmp/phishreport $(PAPER_FLAGS) -i $$tmp/$$in -o $$tmp/replay.md >/dev/null 2>$$tmp/err || fail "phishreport -i $$in failed"; \
+		rm -f $$tmp/err; \
+		diff -u testdata/paper-report.md $$tmp/replay.md || fail "phishreport -i $$in differs from the crawl's report"; \
+	done; \
+	rm -rf $$tmp
 
 check: build lint bench-check test race alloc-gate pins paper-check
