@@ -127,7 +127,10 @@ cloak-smoke:
 # that was not leased to the worker and attempt completing it), the
 # journal's run binding over hostile segment bytes (no panic in Open or
 # BindRun, and a journal bound to a manifest still accepts it and refuses
-# another after a reopen, with or without its checkpoint) and the browser's
+# another after a reopen), the journal's SeedURL key scan (a marshalled
+# session log reads back its SeedURL, no panic on raw bytes, and agreement
+# with json.Unmarshal wherever that accepts an object without repeated
+# keys) and the browser's
 # cookie jar and redirect loop against a hostile server (no panic, giving
 # up after 10 hops, a sorted and reproducible Cookie header, expired
 # cookies dropped, a POST body kept only across 307/308) and the session
@@ -145,6 +148,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRescan -fuzztime=15s ./internal/vision
 	$(GO) test -run='^$$' -fuzz=FuzzCoordinatorRequests -fuzztime=15s ./internal/fleet
 	$(GO) test -run='^$$' -fuzz=FuzzBindRun -fuzztime=15s ./internal/journal
+	$(GO) test -run='^$$' -fuzz=FuzzSessionURL -fuzztime=15s ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzNavigate -fuzztime=15s ./internal/browser
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=15s ./internal/sessionio
 

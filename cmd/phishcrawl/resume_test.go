@@ -52,9 +52,7 @@ func segmentFiles(dir string) []string {
 // (PHISHCRAWL_CRASH_AFTER), mid-crawl, and requires the killed journal to
 // hold exactly n session records. It then tears the tail of the last
 // segment by one byte, simulating a crash mid-append: the resume must
-// truncate the torn record and re-crawl its URL. (Reading the journal
-// closes it with a checkpoint that the tear leaves ahead of the data, so
-// the resume also discards a stale checkpoint.)
+// truncate the torn record and re-crawl its URL.
 func crashJournaled(t *testing.T, bin string, args []string, jdir string, n int) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)

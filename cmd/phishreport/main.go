@@ -110,8 +110,9 @@ func sessions(c config, in string) (*core.Pipeline, []*crawler.SessionLog, error
 }
 
 // readSessions loads the sessions at path: a journal if path is a
-// directory, a JSON Lines export otherwise. A journal is opened as a
-// resume would open it, so a torn tail left by a killed crawl is cut.
+// directory, a JSON Lines export otherwise. A journal is only read, never
+// written: a torn tail left by a killed crawl ends the read, and a
+// directory without segments is refused as it is.
 func readSessions(path string) ([]*crawler.SessionLog, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -120,15 +121,7 @@ func readSessions(path string) ([]*crawler.SessionLog, error) {
 	if !fi.IsDir() {
 		return sessionio.ReadFile(path)
 	}
-	j, err := journal.Open(path, journal.Options{})
-	if err != nil {
-		return nil, err
-	}
-	logs, err := j.Sessions()
-	if cerr := j.Close(); err == nil {
-		err = cerr
-	}
-	return logs, err
+	return journal.ReadSessions(path)
 }
 
 // checkFeed refuses sessions crawled from another feed: each one's

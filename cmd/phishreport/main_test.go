@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -119,5 +120,23 @@ func TestReportRefusesOtherFeed(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "was not crawled from this feed") {
 			t.Errorf("-sites %d -seed %d: err = %v, want a feed mismatch", bad.sites, bad.seed, err)
 		}
+	}
+}
+
+// TestReportEmptyDirUntouched: -i of a directory that holds no journal
+// fails and writes nothing into it; reading a saved crawl never opens a
+// journal writer.
+func TestReportEmptyDirUntouched(t *testing.T) {
+	dir := t.TempDir()
+	c := config{sites: 150, seed: 7, workers: 2, detScale: 50}
+	if _, _, err := sessions(c, dir); err == nil {
+		t.Fatal("-i of an empty directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("-i left %s in the directory it read", e.Name())
 	}
 }

@@ -340,7 +340,8 @@ func (c *Coordinator) noteWorkerLocked(name string, now time.Time) {
 }
 
 // Merge reads every authoritative shard journal — the directories found at
-// startup plus the shards accepted this incarnation — deduplicates
+// startup plus the shards accepted this incarnation — with
+// journal.ReadSessions, which writes nothing into them, deduplicates
 // sessions by seed URL (a re-crawled URL produces a byte-identical
 // session, so either copy serves), re-assembles feed order, and recomputes
 // the run statistics from the sessions exactly as the single-process
@@ -366,22 +367,15 @@ func (c *Coordinator) Merge() ([]*crawler.SessionLog, farm.Stats, error) {
 			continue
 		}
 		seenDir[dir] = true
-		j, err := journal.Open(dir, journal.Options{})
+		sessions, err := journal.ReadSessions(dir)
 		if err != nil {
 			return nil, farm.Stats{}, fmt.Errorf("fleet: merging shard %s: %w", dir, err)
 		}
-		sessions, err := j.Sessions()
 		for _, lg := range sessions {
 			if !seenURL[lg.SeedURL] {
 				seenURL[lg.SeedURL] = true
 				logs = append(logs, lg)
 			}
-		}
-		if cerr := j.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, farm.Stats{}, fmt.Errorf("fleet: merging shard %s: %w", dir, err)
 		}
 	}
 	sort.Slice(logs, func(a, b int) bool {

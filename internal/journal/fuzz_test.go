@@ -3,9 +3,14 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"unicode/utf8"
+
+	"repro/internal/crawler"
 )
 
 // FuzzRecordRoundTrip drives the record framing from both directions. The
@@ -73,9 +78,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 // FuzzBindRun opens a journal directory whose segment bytes the fuzzer
 // supplies (split into two segments at split, when it falls inside them)
 // and binds it to a run manifest. Neither Open nor BindRun may panic, and
-// a bind that succeeds must hold: reopened, with its checkpoint and after
-// the checkpoint is deleted (recovery rebuilds it from the segments), the
-// journal still accepts the manifest and refuses a different one.
+// a bind that succeeds must hold: reopened, the journal still accepts the
+// manifest and refuses a different one.
 func FuzzBindRun(f *testing.F) {
 	// Seeds, in testdata/fuzz/FuzzBindRun, bind this manifest's run record,
 	// another manifest's, sessions without a run record, torn tails and
@@ -103,25 +107,93 @@ func FuzzBindRun(f *testing.F) {
 		if bound != nil {
 			return
 		}
-		for _, dropCheckpoint := range []bool{false, true} {
-			if dropCheckpoint {
-				if err := os.Remove(filepath.Join(dir, checkpointName)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			j, err := Open(dir, Options{Sync: SyncNone})
-			if err != nil {
-				t.Fatalf("reopening a bound journal (checkpoint dropped: %v): %v", dropCheckpoint, err)
-			}
-			if err := j.BindRun(manifest); err != nil {
-				t.Errorf("reopened journal (checkpoint dropped: %v) refuses the manifest it was bound to: %v", dropCheckpoint, err)
-			}
-			if err := j.BindRun(append(manifest[:len(manifest):len(manifest)], ' ')); err == nil {
-				t.Errorf("reopened journal (checkpoint dropped: %v) accepts a different manifest", dropCheckpoint)
-			}
-			if err := j.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
+		j, err = Open(dir, Options{Sync: SyncNone})
+		if err != nil {
+			t.Fatalf("reopening a bound journal: %v", err)
+		}
+		if err := j.BindRun(manifest); err != nil {
+			t.Errorf("reopened journal refuses the manifest it was bound to: %v", err)
+		}
+		if err := j.BindRun(append(manifest[:len(manifest):len(manifest)], ' ')); err == nil {
+			t.Error("reopened journal accepts a different manifest")
+		}
+		if err := j.Close(); err != nil {
+			t.Fatalf("close: %v", err)
 		}
 	})
+}
+
+// FuzzSessionURL checks that sessionURL, which walks only the top-level
+// keys of a payload, reads the SeedURL that a full decode would. A session
+// log built from the input strings (escapes, non-ASCII, empty) reads back
+// its SeedURL; raw input bytes never panic it; and wherever json.Unmarshal
+// into struct{SeedURL string} accepts an object in which no two keys bind
+// to the same field, the two agree.
+func FuzzSessionURL(f *testing.F) {
+	f.Add("site-1", "http://x.example/login", "PayPal", []byte(`{"SiteID":"a","SeedURL":"http://x.example/"}`))
+	f.Add("", "", "", []byte(`null`))
+	f.Add("<\"\u2028>", "http://\u00e9.example/?q=\"1\"&a=<b>", "\xff", []byte(`{"seedurl":"lower","Trace":[{"SeedURL":"nested"}]}`))
+	f.Add("s", "u", "b", []byte(`{"\u017feedURL":"long s folds to s","x":{"SeedURL":1}}`))
+	f.Add("s", "u", "b", []byte(`{"SeedURL":null}`))
+	f.Add("s", "u", "b", []byte(`{"SeedURL":7}`))
+	f.Add("s", "u", "b", []byte(`{"SeedURL":"a","SEEDURL":"b"}`))
+	f.Add("s", "u", "b", []byte(`[{"SeedURL":"in an array"}]`))
+	f.Add("s", "u", "b", []byte(`{"SeedURL":"\ud800 lone surrogate", "a":[1,{"b":null}]}`))
+
+	f.Fuzz(func(t *testing.T, siteID, seedURL, brand string, raw []byte) {
+		lg := crawler.SessionLog{SiteID: siteID, SeedURL: seedURL, Brand: brand}
+		payload, err := json.Marshal(&lg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Marshal replaces invalid UTF-8; compare with what a decode reads.
+		var back struct{ SeedURL string }
+		if err := json.Unmarshal(payload, &back); err != nil {
+			t.Fatal(err)
+		}
+		if got := sessionURL(payload); got != back.SeedURL {
+			t.Fatalf("sessionURL(%s) = %q, want %q", payload, got, back.SeedURL)
+		}
+		if utf8.ValidString(seedURL) && back.SeedURL != seedURL {
+			t.Fatalf("SeedURL %q decoded as %q", seedURL, back.SeedURL)
+		}
+
+		got := sessionURL(raw)
+		var probe struct{ SeedURL string }
+		if json.Unmarshal(raw, &probe) != nil || !distinctTopLevelKeys(raw) {
+			return
+		}
+		if got != probe.SeedURL {
+			t.Fatalf("sessionURL(%q) = %q, json.Unmarshal reads %q", raw, got, probe.SeedURL)
+		}
+	})
+}
+
+// distinctTopLevelKeys reports whether raw, valid JSON, is not an object
+// or is one in which no two keys are equal under the case folding
+// encoding/json binds fields with.
+func distinctTopLevelKeys(raw []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return true
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		key := tok.(string)
+		for _, k := range keys {
+			if strings.EqualFold(k, key) {
+				return false
+			}
+		}
+		keys = append(keys, key)
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			return false
+		}
+	}
+	return true
 }

@@ -17,7 +17,6 @@ type groupReq struct {
 	kind    Kind
 	payload []byte
 	url     string // a session's SeedURL; empty for the run record
-	seq     uint64 // assigned during commit
 	done    chan error
 }
 
@@ -52,11 +51,9 @@ func (j *Journal) commitLoop() {
 // single fsync before exposing any of its URLs as completed. Under
 // SyncNone only a batch holding the run record is synced. It is the only
 // writer of record frames. Its first failure poisons the journal: that
-// batch and every later append, BindRun and Close return the error, and no
-// checkpoint is written again, so nothing is acknowledged after a partial
-// frame and no checkpoint covers a record the URL index lacks. Whatever of
-// a failed batch reached the disk is deduplicated at read time by sequence
-// number.
+// batch and every later append, BindRun and Close return the error, so
+// nothing is acknowledged after a partial frame. Whatever of a failed
+// batch reached the disk is deduplicated at read time by sequence number.
 func (j *Journal) commitBatchLocked(batch []*groupReq) (err error) {
 	if j.err != nil {
 		return j.err
@@ -79,7 +76,6 @@ func (j *Journal) commitBatchLocked(batch []*groupReq) (err error) {
 		}
 		j.activeSize += int64(len(frame))
 		j.unsynced++
-		r.seq = j.nextSeq
 		j.nextSeq++
 		if r.kind == KindRun {
 			durable = true
@@ -92,26 +88,21 @@ func (j *Journal) commitBatchLocked(batch []*groupReq) (err error) {
 			return err
 		}
 	}
-	// The batch is durable: expose completions and advance the checkpoint
-	// cadence.
+	// The batch is durable: expose its completions.
 	for _, r := range batch {
 		if r.url != "" {
-			j.completed[r.url] = r.seq
-			j.dirtyCkpt++
+			j.completed[r.url] = true
 		}
-	}
-	if j.dirtyCkpt >= j.opts.CheckpointEvery {
-		return j.writeCheckpointLocked()
 	}
 	return nil
 }
 
-// closeLocked ends the journal for the commit loop: a final checkpoint,
-// which syncs first, unless a commit failed, then the segment's close.
+// closeLocked ends the journal for the commit loop: a final fsync of the
+// active segment, unless a commit failed, then the segment's close.
 func (j *Journal) closeLocked() error {
 	err := j.err
 	if err == nil {
-		err = j.writeCheckpointLocked()
+		err = j.syncActiveLocked()
 	}
 	if cerr := j.active.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("journal: close: %w", cerr)

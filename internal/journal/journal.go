@@ -4,13 +4,11 @@
 // such a run survivable — every finished session is durable the moment its
 // append returns, a crash (even one that tears the final record mid-write) is
 // recovered on the next Open by truncating the torn tail, and the
-// completed-URL checkpoint index lets a resumed run re-crawl only the URLs
-// it never finished. A MANIFEST file tracks segment order; a CHECKPOINT
-// file caches the completed-URL index so reopening a long journal does not
-// re-parse every session payload. Both are replaced atomically
-// (write-temp, fsync, rename), so the segment files themselves are the
-// only mutable state — and they only ever grow, except for tail
-// truncation during recovery.
+// completed-URL set Open rebuilds lets a resumed run re-crawl only the URLs
+// it never finished. The seg-*.wal files, in name order, are the whole
+// journal: they only ever grow, except for tail truncation during
+// recovery, and nothing else in the directory is read or written.
+// ReadSessions reads them without opening a writer.
 //
 // Every record reaches the disk through one path, the group commit in
 // group.go: appends queue, a background loop writes each queued frame and
@@ -25,9 +23,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,7 +47,7 @@ const (
 	// those URLs. The default, and what a 43-day crawl wants.
 	SyncAlways SyncPolicy = iota
 	// SyncNone leaves durability to the OS page cache (tests, throwaway
-	// runs). The run record and Close still sync.
+	// runs). The run record, segment rolls and Close still sync.
 	SyncNone
 )
 
@@ -59,10 +58,6 @@ type Options struct {
 	SegmentBytes int
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// CheckpointEvery rewrites the completed-URL checkpoint after this
-	// many session appends (default 256). The checkpoint is an
-	// optimization only — recovery never trusts it past the data.
-	CheckpointEvery int
 	// AfterSession, when set, is called right after each session record's
 	// frame is written, before its batch is synced, under the journal's
 	// write lock: when its n-th call runs, exactly n session frames have
@@ -76,42 +71,13 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 256
-	}
 	return o
 }
 
 const (
-	manifestName   = "MANIFEST"
-	checkpointName = "CHECKPOINT"
-	segmentPrefix  = "seg-"
-	segmentSuffix  = ".wal"
+	segmentPrefix = "seg-"
+	segmentSuffix = ".wal"
 )
-
-// segmentInfo is one manifest entry. FirstSeq is the sequence number the
-// segment's first record has (or would have, while it is still empty).
-type segmentInfo struct {
-	Name     string `json:"name"`
-	FirstSeq uint64 `json:"firstSeq"`
-}
-
-type manifest struct {
-	Version  int           `json:"version"`
-	Segments []segmentInfo `json:"segments"`
-}
-
-type checkpoint struct {
-	// Seq is the last sequence number the URL index below reflects; every
-	// record at or below it was durable when the checkpoint was written.
-	Seq uint64 `json:"seq"`
-	// URLs maps each completed URL to the sequence number of its latest
-	// session record.
-	URLs map[string]uint64 `json:"urls"`
-	// Run is the run manifest record's payload, so a reopen that skips the
-	// sealed segment holding that record still knows it.
-	Run []byte `json:"run,omitempty"`
-}
 
 // Journal is an open crawl journal. All methods are safe for concurrent
 // use; appends are serialized internally, so it can be handed directly to
@@ -121,14 +87,13 @@ type Journal struct {
 	opts Options
 
 	mu         sync.Mutex
-	segments   []segmentInfo
+	segments   []string // segment file names in order; the last is active
 	active     *os.File
 	activeSize int64
 	nextSeq    uint64
-	completed  map[string]uint64
+	completed  map[string]bool
 	run        []byte // the run manifest record's payload; nil until one exists
 	unsynced   int    // appends since the last fsync
-	dirtyCkpt  int    // session appends since the last checkpoint write
 	err        error  // the first commit failure; it poisons the journal
 
 	// Commit-loop state. pending is the queue the loop drains; groupCond
@@ -143,41 +108,61 @@ type Journal struct {
 }
 
 // Open opens (or creates) the journal in dir, recovering from any crash
-// that interrupted a previous writer: a torn record at the tail of the
-// last segment is truncated away, an orphan segment from an interrupted
-// roll is adopted, a stale segment left by an earlier version's
-// interrupted compaction is removed, and a checkpoint that claims more
-// than the surviving data is discarded and rebuilt by scanning.
-// Corruption anywhere else (a sealed segment that no longer parses) is an
-// error, never silent loss.
+// that interrupted a previous writer. It lists the segment files, creating
+// the first only when there is none, and scans each once to rebuild the
+// completed-URL set, the run record and the next sequence number. A torn
+// record at the tail of the last segment is truncated away; damage
+// anywhere else (a sealed segment that no longer parses) is ErrCorrupt,
+// never silent loss. Files other than segments are ignored, among them
+// the segment list and completed-URL cache that journals written by
+// earlier versions hold beside their segments.
 func Open(dir string, opts Options) (*Journal, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir, opts: opts, completed: map[string]uint64{}}
-	if err := j.loadManifest(); err != nil {
-		return nil, err
-	}
-	ckpt, err := j.loadCheckpoint()
+	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	if err := j.recover(ckpt); err != nil {
-		// A checkpoint ahead of the surviving data (possible after an OS
-		// crash under SyncNone) is discarded, and the index rebuilt from
-		// the records alone.
-		if !errors.Is(err, errStaleCheckpoint) {
-			return nil, err
-		}
-		j.completed = map[string]uint64{}
-		j.run = nil
-		if err := j.recover(nil); err != nil {
+	if len(segs) == 0 {
+		segs = []string{segmentName(1)}
+		if err := createFileSync(filepath.Join(dir, segs[0])); err != nil {
 			return nil, err
 		}
 	}
-	last := j.segments[len(j.segments)-1]
-	f, err := os.OpenFile(filepath.Join(dir, last.Name), os.O_WRONLY, 0)
+	j := &Journal{dir: dir, opts: opts, segments: segs, completed: map[string]bool{}}
+	var maxSeq uint64
+	replay := func(rec Record) error {
+		maxSeq = max(maxSeq, rec.Seq)
+		switch {
+		case rec.Kind == KindSession:
+			if url := sessionURL(rec.Payload); url != "" {
+				j.completed[url] = true
+			}
+		case rec.Kind == KindRun && j.run == nil:
+			j.run = bytes.Clone(rec.Payload)
+		}
+		return nil
+	}
+	for i, name := range segs {
+		path := filepath.Join(dir, name)
+		end, err := scanFile(path, replay)
+		if errors.Is(err, errTorn) && i == len(segs)-1 {
+			// Torn tail: drop the partial record, keep everything before it.
+			if err := os.Truncate(path, end); err != nil {
+				return nil, fmt.Errorf("journal: truncating torn tail: %w", err)
+			}
+			if err := syncPath(path); err != nil {
+				return nil, err
+			}
+		} else if err != nil {
+			return nil, corrupt(name, end, err)
+		}
+		j.activeSize = end // the last segment's, once the loop ends
+	}
+	j.nextSeq = maxSeq + 1
+	f, err := os.OpenFile(filepath.Join(dir, segs[len(segs)-1]), os.O_WRONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("journal: opening active segment: %w", err)
 	}
@@ -192,211 +177,41 @@ func Open(dir string, opts Options) (*Journal, error) {
 	return j, nil
 }
 
-// loadManifest reads MANIFEST, reconciles it with the segment files
-// actually on disk, and initializes an empty journal when there is
-// neither.
-func (j *Journal) loadManifest() error {
-	onDisk, err := listSegments(j.dir)
-	if err != nil {
-		return err
+// corrupt reports a scan failure at offset off of segment name: a torn
+// frame there is ErrCorrupt, any other error (an I/O failure) is itself.
+func corrupt(name string, off int64, err error) error {
+	if errors.Is(err, errTorn) {
+		return fmt.Errorf("%w: segment %s offset %d: %v", ErrCorrupt, name, off, err)
 	}
-	data, err := os.ReadFile(filepath.Join(j.dir, manifestName))
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		// No manifest. Adopt whatever segments exist, in name order (the
-		// manifest is reconstructible; the data files are authoritative).
-		for _, name := range onDisk {
-			j.segments = append(j.segments, segmentInfo{Name: name})
-		}
-	case err != nil:
-		return fmt.Errorf("journal: reading manifest: %w", err)
-	default:
-		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			return fmt.Errorf("journal: parsing manifest: %w", err)
-		}
-		j.segments = m.Segments
-		listed := make(map[string]bool, len(m.Segments))
-		for _, s := range m.Segments {
-			if _, err := os.Stat(filepath.Join(j.dir, s.Name)); err != nil {
-				return fmt.Errorf("journal: manifest names missing segment %s: %w", s.Name, err)
-			}
-			listed[s.Name] = true
-		}
-		lastName := ""
-		if len(m.Segments) > 0 {
-			lastName = m.Segments[len(m.Segments)-1].Name
-		}
-		for _, name := range onDisk {
-			switch {
-			case listed[name]:
-			case name > lastName:
-				// An orphan past the manifest's tail: a roll crashed after
-				// creating the file but before committing the manifest. It
-				// holds no records (writes only move after the commit);
-				// adopt it as the next segment.
-				j.segments = append(j.segments, segmentInfo{Name: name})
-			default:
-				// A leftover below the manifest's tail. Only an earlier
-				// version's compaction wrote such files: interrupted after
-				// it committed a manifest without the old segments, it left
-				// them behind.
-				if err := os.Remove(filepath.Join(j.dir, name)); err != nil {
-					return fmt.Errorf("journal: removing stale segment: %w", err)
-				}
-			}
-		}
-	}
-	if len(j.segments) == 0 {
-		name := segmentName(1)
-		if err := createFileSync(filepath.Join(j.dir, name)); err != nil {
-			return err
-		}
-		j.segments = []segmentInfo{{Name: name, FirstSeq: 1}}
-		j.nextSeq = 1
-		return j.writeManifest()
-	}
-	return nil
+	return err
 }
 
-func (j *Journal) loadCheckpoint() (*checkpoint, error) {
-	data, err := os.ReadFile(filepath.Join(j.dir, checkpointName))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("journal: reading checkpoint: %w", err)
-	}
-	var c checkpoint
-	if err := json.Unmarshal(data, &c); err != nil {
-		// A half-written checkpoint cannot happen (atomic rename), but a
-		// damaged one is still only a cache: rebuild by scanning.
-		return nil, nil
-	}
-	return &c, nil
-}
-
-var errStaleCheckpoint = errors.New("journal: checkpoint ahead of data")
-
-// recover scans the segments, rebuilding the completed-URL index and
-// truncating a torn tail off the final segment. With a checkpoint, sealed
-// segments wholly covered by it are skipped and the index is seeded from
-// it.
-func (j *Journal) recover(ckpt *checkpoint) error {
-	if ckpt != nil {
-		for u, s := range ckpt.URLs {
-			j.completed[u] = s
-		}
-		j.run = ckpt.Run
-	}
-	// dataMax is the highest sequence number the segment files provably
-	// hold — from scanning, or from a skipped sealed segment's coverage
-	// (it ends just below the next segment's first sequence). A checkpoint
-	// claiming more than dataMax outran the data (an OS crash under a
-	// relaxed sync policy) and must not be trusted.
-	var dataMax uint64
-	for i := range j.segments {
-		last := i == len(j.segments)-1
-		if ckpt != nil && !last {
-			// Segment i holds seqs below segments[i+1].FirstSeq; if the
-			// checkpoint already covers all of them, skip the scan.
-			if next := j.segments[i+1].FirstSeq; next > 0 && next-1 <= ckpt.Seq {
-				if next-1 > dataMax {
-					dataMax = next - 1
-				}
-				continue
-			}
-		}
-		segMax, first, err := j.scanSegment(i, last, ckpt)
-		if err != nil {
-			return err
-		}
-		if first > 0 && j.segments[i].FirstSeq == 0 {
-			j.segments[i].FirstSeq = first
-		}
-		if segMax > dataMax {
-			dataMax = segMax
-		}
-	}
-	if ckpt != nil && ckpt.Seq > dataMax {
-		return errStaleCheckpoint
-	}
-	j.nextSeq = dataMax + 1
-	if j.segments[len(j.segments)-1].FirstSeq == 0 {
-		j.segments[len(j.segments)-1].FirstSeq = j.nextSeq
-	}
-	return nil
-}
-
-// scanSegment replays one segment into the completed index. For the final
-// segment a torn tail is truncated in place; anywhere else it is
-// corruption. Returns the highest sequence seen and the first sequence in
-// the segment (0 when empty).
-func (j *Journal) scanSegment(i int, last bool, ckpt *checkpoint) (maxSeq, firstSeq uint64, err error) {
-	path := filepath.Join(j.dir, j.segments[i].Name)
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("journal: %w", err)
-	}
-	defer f.Close()
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, 0, fmt.Errorf("journal: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, fmt.Errorf("journal: %w", err)
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	var (
-		off int64
-		buf []byte
-	)
-	for {
-		rec, n, err := readFrame(br, size-off, &buf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if !last {
-				return 0, 0, fmt.Errorf("%w: segment %s offset %d: %v", ErrCorrupt, j.segments[i].Name, off, err)
-			}
-			// Torn tail: drop the partial record, keep everything before it.
-			if terr := os.Truncate(path, off); terr != nil {
-				return 0, 0, fmt.Errorf("journal: truncating torn tail: %w", terr)
-			}
-			if terr := syncPath(path); terr != nil {
-				return 0, 0, terr
-			}
-			break
-		}
-		if firstSeq == 0 {
-			firstSeq = rec.Seq
-		}
-		maxSeq = rec.Seq
-		if rec.Kind == KindSession && (ckpt == nil || rec.Seq > ckpt.Seq) {
-			if url := sessionURL(rec.Payload); url != "" {
-				j.completed[url] = rec.Seq
-			}
-		}
-		if rec.Kind == KindRun && j.run == nil {
-			j.run = bytes.Clone(rec.Payload)
-		}
-		off += int64(n)
-	}
-	if last {
-		j.activeSize = off
-	}
-	return maxSeq, firstSeq, nil
-}
-
-// sessionURL extracts just the SeedURL from a session payload without
-// decoding the full log.
+// sessionURL returns a session payload's SeedURL without decoding the
+// whole log: it walks the top-level keys and stops at the first one that
+// encoding/json would bind to SeedURL (keys match case-insensitively).
+// Anything else, including a payload that is not an object or a SeedURL
+// that is not a string, reads as "".
 func sessionURL(payload []byte) string {
-	var probe struct{ SeedURL string }
-	if err := json.Unmarshal(payload, &probe); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
 		return ""
 	}
-	return probe.SeedURL
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return ""
+		}
+		if k, _ := key.(string); strings.EqualFold(k, "SeedURL") {
+			v, _ := dec.Token()
+			url, _ := v.(string)
+			return url
+		}
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			return ""
+		}
+	}
+	return ""
 }
 
 // AppendSession appends one finished crawl session and marks its SeedURL
@@ -494,9 +309,11 @@ func (j *Journal) syncActiveLocked() error {
 	return nil
 }
 
-// rollLocked seals the active segment and starts the next one. The commit
-// point is the manifest rename; a crash before it leaves an empty orphan
-// that Open adopts.
+// rollLocked seals the active segment and starts the next one: it
+// fsyncs and closes the active file, then creates the next segment, which
+// createFileSync makes durable in the directory before any frame is
+// written into it. A crash in between leaves an empty last segment, which
+// Open takes as the active one.
 func (j *Journal) rollLocked() error {
 	if err := j.active.Sync(); err != nil {
 		return fmt.Errorf("journal: sealing segment: %w", err)
@@ -505,15 +322,13 @@ func (j *Journal) rollLocked() error {
 		return fmt.Errorf("journal: sealing segment: %w", err)
 	}
 	j.unsynced = 0
-	name := segmentName(segmentNumber(j.segments[len(j.segments)-1].Name) + 1)
-	if err := createFileSync(filepath.Join(j.dir, name)); err != nil {
+	name := segmentName(segmentNumber(j.segments[len(j.segments)-1]) + 1)
+	path := filepath.Join(j.dir, name)
+	if err := createFileSync(path); err != nil {
 		return err
 	}
-	j.segments = append(j.segments, segmentInfo{Name: name, FirstSeq: j.nextSeq})
-	if err := j.writeManifest(); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(filepath.Join(j.dir, name), os.O_WRONLY, 0)
+	j.segments = append(j.segments, name)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -522,37 +337,11 @@ func (j *Journal) rollLocked() error {
 	return nil
 }
 
-// writeCheckpointLocked syncs the data first, then atomically replaces the
-// checkpoint, so the checkpoint never claims records the disk does not
-// hold.
-func (j *Journal) writeCheckpointLocked() error {
-	if err := j.syncActiveLocked(); err != nil {
-		return err
-	}
-	c := checkpoint{Seq: j.nextSeq - 1, URLs: j.completed, Run: j.run}
-	data, err := json.Marshal(&c)
-	if err != nil {
-		return fmt.Errorf("journal: encoding checkpoint: %w", err)
-	}
-	if err := atomicWriteFile(filepath.Join(j.dir, checkpointName), data); err != nil {
-		return err
-	}
-	j.dirtyCkpt = 0
-	return nil
-}
-
-func (j *Journal) writeManifest() error {
-	data, err := json.MarshalIndent(manifest{Version: 1, Segments: j.segments}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("journal: encoding manifest: %w", err)
-	}
-	return atomicWriteFile(filepath.Join(j.dir, manifestName), data)
-}
-
 // Close stops the commit loop, which commits every append accepted before
-// Close, syncs, writes a final checkpoint and releases the active segment.
-// A poisoned journal writes no checkpoint, and Close returns its first
-// commit failure. Later calls return what the first one did.
+// Close, fsyncs every frame of the active segment not yet synced (under
+// either sync policy) and closes it. A poisoned journal syncs nothing
+// more, and Close returns its first commit failure. Later calls return
+// what the first one did.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	j.stopping = true
@@ -585,11 +374,7 @@ func (j *Journal) CompletedCount() int {
 func (j *Journal) CompletedURLs() map[string]bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make(map[string]bool, len(j.completed))
-	for u := range j.completed {
-		out[u] = true
-	}
-	return out
+	return maps.Clone(j.completed)
 }
 
 // Scan streams every record in sequence order through fn, reading straight
@@ -602,47 +387,52 @@ func (j *Journal) Scan(fn func(Record) error) error {
 	// Appends write straight to the fd (no user-space buffering), so a
 	// scan sees every record already appended by this process.
 	j.mu.Lock()
-	segs := append([]segmentInfo(nil), j.segments...)
+	segs := slices.Clone(j.segments)
 	j.mu.Unlock()
-	for _, seg := range segs {
-		if err := scanSegmentFile(filepath.Join(j.dir, seg.Name), fn); err != nil {
-			return err
+	return scanSegments(j.dir, segs, fn)
+}
+
+// scanSegments streams the records of the named segments of dir through
+// fn. A torn frame ends the scan quietly at the last segment's tail (a
+// writer may be appending to it), and is ErrCorrupt anywhere else.
+func scanSegments(dir string, segs []string, fn func(Record) error) error {
+	for i, name := range segs {
+		end, err := scanFile(filepath.Join(dir, name), fn)
+		if err != nil && !(errors.Is(err, errTorn) && i == len(segs)-1) {
+			return corrupt(name, end, err)
 		}
 	}
 	return nil
 }
 
-func scanSegmentFile(path string, fn func(Record) error) error {
+// scanFile streams the records of one segment file through fn and returns
+// the offset just past the last whole record. A frame that does not parse
+// stops it with an error wrapping errTorn; the caller decides whether
+// that is a torn tail or corruption.
+func scanFile(path string, fn func(Record) error) (end int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return 0, fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return 0, fmt.Errorf("journal: %w", err)
 	}
-	size := info.Size()
 	br := bufio.NewReaderSize(f, 1<<16)
-	var (
-		off int64
-		buf []byte
-	)
+	var buf []byte
 	for {
-		rec, n, err := readFrame(br, size-off, &buf)
-		if err == io.EOF || errors.Is(err, errTorn) {
-			// A torn tail mid-scan only happens when scanning a journal
-			// another process is appending to; stop at the last whole
-			// record.
-			return nil
+		rec, n, err := readFrame(br, info.Size()-end, &buf)
+		if err == io.EOF {
+			return end, nil
 		}
 		if err != nil {
-			return err
+			return end, err
 		}
 		if err := fn(rec); err != nil {
-			return err
+			return end, err
 		}
-		off += int64(n)
+		end += int64(n)
 	}
 }
 
@@ -652,12 +442,35 @@ func scanSegmentFile(path string, fn func(Record) error) error {
 // appends one session per URL; a journal holding more (an earlier
 // version's re-crawls) reads as its latest.
 func (j *Journal) Sessions() ([]*crawler.SessionLog, error) {
+	j.mu.Lock()
+	segs := slices.Clone(j.segments)
+	j.mu.Unlock()
+	return readSessions(j.dir, segs)
+}
+
+// ReadSessions reads the sessions of the journal in dir as Sessions does,
+// without opening it for writing: it creates, truncates and locks nothing,
+// so it may read a journal another process is still appending to, and a
+// torn tail ends the read at the last whole record. A directory that holds
+// no segment is refused.
+func ReadSessions(dir string) ([]*crawler.SessionLog, error) {
+	segs, err := listSegments(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(segs) == 0 {
+		return nil, fmt.Errorf("journal: %s holds no %s*%s segment", dir, segmentPrefix, segmentSuffix)
+	}
+	return readSessions(dir, segs)
+}
+
+func readSessions(dir string, segs []string) ([]*crawler.SessionLog, error) {
 	type slot struct {
 		seq uint64
 		lg  *crawler.SessionLog
 	}
 	latest := map[string]slot{}
-	err := j.Scan(func(r Record) error {
+	err := scanSegments(dir, segs, func(r Record) error {
 		if r.Kind != KindSession {
 			return nil
 		}
@@ -729,38 +542,6 @@ func createFileSync(path string) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return syncDir(filepath.Dir(path))
-}
-
-// atomicWriteFile replaces path with data: temp file in the same
-// directory, fsync, rename, directory fsync. A crash leaves either the old
-// file or the new one, never a truncated mix.
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { _ = os.Remove(tmpName) } // best-effort temp removal
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close() // the Write failure is the error worth reporting
-		cleanup()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close() // the Sync failure is the error worth reporting
-		cleanup()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		cleanup()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		cleanup()
-		return fmt.Errorf("journal: %w", err)
-	}
-	return syncDir(dir)
 }
 
 func syncDir(dir string) error {

@@ -1,9 +1,9 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -111,7 +111,7 @@ func TestJournalResumeSkipsCompleted(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Sync: SyncNone})
 	appendN(t, j, 7, 0)
-	// Simulate a crash: no Close, no final checkpoint.
+	// Simulate a crash: no Close.
 	j.active.Close()
 
 	j2 := mustOpen(t, dir, Options{})
@@ -178,39 +178,16 @@ func TestJournalSessionsKeepsLatestPerURL(t *testing.T) {
 	check(j2, 13)
 }
 
-func TestJournalManifestRebuiltFromSegments(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{SegmentBytes: 512, Sync: SyncNone})
-	want := appendN(t, j, 20, 0)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Lose the manifest (and the checkpoint, which might otherwise mask
-	// index rebuilding): the segment files alone must reconstruct the
-	// journal.
-	os.Remove(filepath.Join(dir, manifestName))
-	os.Remove(filepath.Join(dir, checkpointName))
-	j2 := mustOpen(t, dir, Options{})
-	defer j2.Close()
-	got, err := j2.Sessions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("manifest rebuild lost records")
-	}
-}
-
-func TestJournalStaleCheckpointDiscarded(t *testing.T) {
+// TestJournalTruncatedLastRecordDropped: an OS crash that loses the tail
+// of the last record leaves it short; the reopen drops it, and the
+// sessions before it all read back.
+func TestJournalTruncatedLastRecordDropped(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Sync: SyncNone})
 	appendN(t, j, 6, 0)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate an OS crash that lost the tail data but kept the newer
-	// checkpoint: chop the last record off the segment while CHECKPOINT
-	// still claims it.
 	segs, _ := listSegments(dir)
 	path := filepath.Join(dir, segs[len(segs)-1])
 	info, _ := os.Stat(path)
@@ -219,9 +196,8 @@ func TestJournalStaleCheckpointDiscarded(t *testing.T) {
 	}
 	j2 := mustOpen(t, dir, Options{})
 	defer j2.Close()
-	// The torn sixth record is gone; the checkpoint must not resurrect it.
-	if j2.CompletedCount() != 5 {
-		t.Fatalf("CompletedCount = %d, want 5 after stale checkpoint discard", j2.CompletedCount())
+	if j2.CompletedCount() != 5 || j2.Completed("http://host5.example/login") {
+		t.Fatalf("CompletedCount = %d, want 5 without the chopped sixth record", j2.CompletedCount())
 	}
 	got, err := j2.Sessions()
 	if err != nil {
@@ -232,10 +208,104 @@ func TestJournalStaleCheckpointDiscarded(t *testing.T) {
 	}
 }
 
-// TestJournalOrphanSegmentAdopted: Open reconciles the manifest with the
-// segment files on disk. An unlisted segment past the manifest's tail is
-// adopted; one below the tail is removed. Either way no record is lost and
-// the journal stays appendable.
+// TestJournalIgnoresLegacyFiles: journals written by earlier versions also
+// hold a MANIFEST listing their segments and a CHECKPOINT caching their
+// completed URLs. The segment files alone are the journal: a MANIFEST that
+// names fewer segments than exist and a CHECKPOINT claiming a URL the
+// segments lack change neither the completed set, nor Sessions, nor a
+// resume, and Open leaves both files as they were.
+func TestJournalIgnoresLegacyFiles(t *testing.T) {
+	manifest := []byte(`{"seed":1}`)
+	opts := Options{SegmentBytes: 512, Sync: SyncNone}
+	legacy := t.TempDir()
+	j := mustOpen(t, legacy, opts)
+	if err := j.BindRun(manifest); err != nil {
+		t.Fatal(err)
+	}
+	want := appendN(t, j, 20, 0)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(legacy)
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("need several segments, got %v (%v)", segs, err)
+	}
+	alone := t.TempDir()
+	for _, name := range segs {
+		data, err := os.ReadFile(filepath.Join(legacy, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(alone, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sideFiles := map[string]string{
+		"MANIFEST": `{
+  "version": 1,
+  "segments": [
+    {
+      "name": "` + segs[0] + `",
+      "firstSeq": 1
+    }
+  ]
+}`,
+		"CHECKPOINT": `{"seq":99,"urls":{"http://ghost.example/login":99,"http://host0.example/login":2},"run":"eyJzZWVkIjoxfQ=="}`,
+	}
+	for name, data := range sideFiles {
+		if err := os.WriteFile(filepath.Join(legacy, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Open each twin, check what it holds, and resume it by one session.
+	for _, dir := range []string{legacy, alone} {
+		j := mustOpen(t, dir, opts)
+		got, err := j.Sessions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Sessions differ from the 20 appended", dir)
+		}
+		if urls := j.CompletedURLs(); len(urls) != 20 || urls["http://ghost.example/login"] {
+			t.Fatalf("%s: completed set of %d URLs, want the 20 the segments hold", dir, len(urls))
+		}
+		if err := j.BindRun(manifest); err != nil {
+			t.Fatalf("%s: resume refused: %v", dir, err)
+		}
+		appendN(t, j, 1, 20)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, data := range sideFiles {
+		if got, err := os.ReadFile(filepath.Join(legacy, name)); err != nil || string(got) != data {
+			t.Fatalf("Open changed the legacy %s (%v)", name, err)
+		}
+	}
+	got, err := listSegments(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotAlone, _ := listSegments(alone); !reflect.DeepEqual(got, gotAlone) {
+		t.Fatalf("resumed segments %v, without legacy files %v", got, gotAlone)
+	}
+	for _, name := range got {
+		a, _ := os.ReadFile(filepath.Join(legacy, name))
+		b, _ := os.ReadFile(filepath.Join(alone, name))
+		if !bytes.Equal(a, b) {
+			t.Fatalf("resumed segment %s differs from its twin without legacy files", name)
+		}
+	}
+}
+
+// TestJournalOrphanSegmentAdopted: every segment file on disk is part of
+// the journal. An empty last segment (a roll that crashed right after
+// creating it) becomes the active one; a copy of the records below the
+// tail (left by an earlier version's interrupted compaction) keeps its
+// sequence numbers and reads each URL once. Either way no record is lost
+// and the journal stays appendable.
 func TestJournalOrphanSegmentAdopted(t *testing.T) {
 	written := func() (string, []*crawler.SessionLog) {
 		dir := t.TempDir()
@@ -246,7 +316,7 @@ func TestJournalOrphanSegmentAdopted(t *testing.T) {
 		}
 		return dir, want
 	}
-	reopen := func(dir string, want []*crawler.SessionLog) {
+	reopen := func(dir string, want []*crawler.SessionLog) []uint64 {
 		t.Helper()
 		j := mustOpen(t, dir, Options{})
 		defer j.Close()
@@ -255,58 +325,41 @@ func TestJournalOrphanSegmentAdopted(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatal("reconciling the segments lost records")
+			t.Fatal("reopening the segments lost records")
 		}
 		appendN(t, j, 2, 4)
 		if j.CompletedCount() != 6 {
 			t.Fatalf("CompletedCount = %d, want 6", j.CompletedCount())
 		}
+		var seqs []uint64
+		if err := j.Scan(func(r Record) error { seqs = append(seqs, r.Seq); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return seqs
 	}
 
-	// A roll that crashed after creating the next segment but before
-	// committing the manifest leaves an empty orphan past the tail.
+	// A roll that crashed after creating the next segment leaves it empty.
 	dir, want := written()
 	if err := os.WriteFile(filepath.Join(dir, segmentName(2)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reopen(dir, want)
+	if seqs := reopen(dir, want); !reflect.DeepEqual(seqs, []uint64{1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("sequence numbers %v after an empty last segment", seqs)
+	}
 
 	// An earlier version's compaction copied the records into a new
-	// segment and committed a manifest naming only it; interrupted before
-	// it removed the old segment, it left a stale copy below the tail.
+	// segment; interrupted before it removed the old segment, it left a
+	// copy below the tail.
 	dir, want = written()
-	stale := filepath.Join(dir, segmentName(1))
-	data, err := os.ReadFile(stale)
+	data, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, segmentName(2)), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	compacted := &Journal{dir: dir, segments: []segmentInfo{{Name: segmentName(2), FirstSeq: 1}}}
-	if err := compacted.writeManifest(); err != nil {
-		t.Fatal(err)
-	}
-	reopen(dir, want)
-	if _, err := os.Stat(stale); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("stale segment below the manifest's tail survived Open: %v", err)
-	}
-}
-
-func TestJournalCheckpointSpeedsReopen(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{SegmentBytes: 1024, CheckpointEvery: 4, Sync: SyncNone})
-	appendN(t, j, 30, 0)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, checkpointName)); err != nil {
-		t.Fatalf("no checkpoint written: %v", err)
-	}
-	j2 := mustOpen(t, dir, Options{})
-	defer j2.Close()
-	if j2.CompletedCount() != 30 {
-		t.Fatalf("CompletedCount = %d, want 30", j2.CompletedCount())
+	if seqs := reopen(dir, want); !reflect.DeepEqual(seqs, []uint64{1, 2, 3, 4, 1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("sequence numbers %v after a compaction's leftover copy", seqs)
 	}
 }
 
@@ -317,7 +370,6 @@ func TestJournalRejectsSealedSegmentCorruption(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(filepath.Join(dir, checkpointName)) // force a full scan
 	segs, _ := listSegments(dir)
 	if len(segs) < 3 {
 		t.Fatalf("need rolled segments, got %v", segs)
@@ -331,16 +383,18 @@ func TestJournalRejectsSealedSegmentCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("Open accepted a corrupt sealed segment")
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open of a corrupt sealed segment: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := ReadSessions(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadSessions of a corrupt sealed segment: err = %v, want ErrCorrupt", err)
 	}
 }
 
 // TestBindRunPolicy pins the run-record policy: a fresh journal records
 // the manifest, a journal holding one accepts only byte-equal manifests —
-// also after a reopen that skips the sealed segment holding the record
-// (checkpoint) and after one that rescans every segment — and a journal
-// with sessions but no run record is refused.
+// also after a reopen that finds the record in a sealed segment — and a
+// journal with sessions but no run record is refused.
 func TestBindRunPolicy(t *testing.T) {
 	manifest, other := []byte(`{"seed":1}`), []byte(`{"seed":2}`)
 	check := func(j *Journal, when string) {
@@ -355,7 +409,7 @@ func TestBindRunPolicy(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	opts := Options{Sync: SyncNone, SegmentBytes: 512, CheckpointEvery: 4}
+	opts := Options{Sync: SyncNone, SegmentBytes: 512}
 	j := mustOpen(t, dir, opts)
 	for _, empty := range [][]byte{nil, {}} {
 		if err := j.BindRun(empty); err == nil {
@@ -371,18 +425,10 @@ func TestBindRunPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(j.segments) < 3 {
-		t.Fatalf("journal has %d segments; the reopen below must skip a sealed one", len(j.segments))
+		t.Fatalf("journal has %d segments; the run record must be in a sealed one", len(j.segments))
 	}
 	j = mustOpen(t, dir, opts)
-	check(j, "reopened from checkpoint")
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, checkpointName)); err != nil {
-		t.Fatal(err)
-	}
-	j = mustOpen(t, dir, opts)
-	check(j, "reopened by rescan")
+	check(j, "reopened")
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -398,12 +444,12 @@ func TestBindRunPolicy(t *testing.T) {
 // TestBoundManifestSurvivesReopen: a scan reads every record into one
 // reused buffer, so the run manifest Open finds must be copied out of it.
 // A manifest longer than the many session records after it in its segment
-// is still the bound one after a reopen, from the checkpoint or by rescan.
+// is still the bound one after a reopen.
 func TestBoundManifestSurvivesReopen(t *testing.T) {
 	manifest := []byte(`{"pad":"` + strings.Repeat("m", 4096) + `"}`)
 	other := []byte(`{"pad":"` + strings.Repeat("o", 4096) + `"}`)
 	dir := t.TempDir()
-	opts := Options{Sync: SyncNone, CheckpointEvery: 16}
+	opts := Options{Sync: SyncNone}
 	j := mustOpen(t, dir, opts)
 	if err := j.BindRun(manifest); err != nil {
 		t.Fatal(err)
@@ -415,25 +461,18 @@ func TestBoundManifestSurvivesReopen(t *testing.T) {
 	if len(j.segments) != 1 {
 		t.Fatalf("journal has %d segments; the records must share the manifest's", len(j.segments))
 	}
-	for _, ckpt := range []bool{true, false} {
-		if !ckpt {
-			if err := os.Remove(filepath.Join(dir, checkpointName)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		j := mustOpen(t, dir, opts)
-		if err := j.BindRun(manifest); err != nil {
-			t.Fatalf("checkpoint %v: own manifest refused after reopen: %.200v", ckpt, err)
-		}
-		if err := j.BindRun(other); err == nil {
-			t.Fatalf("checkpoint %v: another manifest accepted after reopen", ckpt)
-		}
-		if got := j.CompletedCount(); got != 200 {
-			t.Fatalf("checkpoint %v: CompletedCount = %d, want 200", ckpt, got)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
+	j = mustOpen(t, dir, opts)
+	if err := j.BindRun(manifest); err != nil {
+		t.Fatalf("own manifest refused after reopen: %.200v", err)
+	}
+	if err := j.BindRun(other); err == nil {
+		t.Fatal("another manifest accepted after reopen")
+	}
+	if got := j.CompletedCount(); got != 200 {
+		t.Fatalf("CompletedCount = %d, want 200", got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -526,7 +565,7 @@ func TestAfterSessionCountsAppends(t *testing.T) {
 		segs, err := listSegments(dir)
 		for _, seg := range segs {
 			if err == nil {
-				err = scanSegmentFile(filepath.Join(dir, seg), func(r Record) error {
+				_, err = scanFile(filepath.Join(dir, seg), func(r Record) error {
 					if r.Kind == KindSession {
 						frames++
 					}

@@ -6,9 +6,8 @@
 //	body   := kind(1 byte) | seq(uint64 LE) | payload
 //
 // The CRC covers the body. The sequence number is assigned once, strictly
-// increasing across the whole journal, and never reused, so the
-// completed-URL checkpoint's URL → seq map stays valid for the journal's
-// whole life.
+// increasing across the whole journal, and never reused, so a reader that
+// meets a URL twice keeps the record with the higher sequence number.
 package journal
 
 import (

@@ -41,25 +41,8 @@ func TestTornTailTruncationRecovery(t *testing.T) {
 		start += n
 	}
 
-	manifestData, err := os.ReadFile(filepath.Join(master, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckptData, err := os.ReadFile(filepath.Join(master, checkpointName))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for cut := start; cut < len(whole); cut++ {
 		dir := t.TempDir()
-		// Keep the (now overly optimistic) checkpoint in place: recovery
-		// must notice it claims more than the data holds and discard it.
-		if err := os.WriteFile(filepath.Join(dir, manifestName), manifestData, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, checkpointName), ckptData, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(filepath.Join(dir, segName), whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -88,5 +71,49 @@ func TestTornTailTruncationRecovery(t *testing.T) {
 			t.Fatalf("cut at byte %d: reopen lost the healed append", cut)
 		}
 		j2.Close()
+	}
+}
+
+// TestReadSessionsTornTail: ReadSessions over a journal whose last record
+// is torn returns every whole session and leaves the segment as it found
+// it — a reader must not cut the in-flight tail of a live writer. A
+// directory without segments is refused, and nothing is created in it.
+func TestReadSessionsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{Sync: SyncNone, SegmentBytes: 512})
+	want := appendN(t, j, 12, 0)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("need rolled segments, got %v (%v)", segs, err)
+	}
+	last := filepath.Join(dir, segs[len(segs)-1])
+	info, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := info.Size() - 5
+	if err := os.Truncate(last, torn); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadSessions(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want[:len(want)-1]) {
+		t.Fatalf("ReadSessions over a torn tail read %d sessions, want the %d whole ones", len(got), len(want)-1)
+	}
+	if info, err := os.Stat(last); err != nil || info.Size() != torn {
+		t.Fatalf("ReadSessions changed the torn segment's size (%v)", err)
+	}
+
+	empty := t.TempDir()
+	if _, err := ReadSessions(empty); err == nil {
+		t.Fatal("ReadSessions accepted a directory without segments")
+	}
+	if entries, err := os.ReadDir(empty); err != nil || len(entries) != 0 {
+		t.Fatalf("ReadSessions wrote %d files into the directory it refused (%v)", len(entries), err)
 	}
 }

@@ -5,9 +5,11 @@ import (
 )
 
 // atomicwriteFuncs are the os entry points that create or clobber a file
-// in place. Run artifacts (session exports, reports, journal state) must
-// go through the temp+fsync+rename helpers in internal/sessionio or
-// internal/journal, so a crash never leaves a truncated artifact for a
+// in place. Run artifacts must go through the two writers a crash cannot
+// leave half-written: session exports and reports through the
+// temp+fsync+rename helpers in internal/sessionio, crawl records through
+// the CRC-framed, append-only segments of internal/journal, whose reopen
+// cuts a torn tail. So a crash never leaves a truncated artifact for a
 // later analysis to choke on.
 var atomicwriteFuncs = map[string]bool{"WriteFile": true, "Create": true}
 
@@ -27,7 +29,7 @@ func atomicwriteRule() Rule {
 					}
 					path, name := p.selectorPkgFunc(sel)
 					if path == "os" && atomicwriteFuncs[name] {
-						p.Reportf(sel.Pos(), "os.%s writes in place: run artifacts go through sessionio/journal's atomic temp+fsync+rename writers", name)
+						p.Reportf(sel.Pos(), "os.%s writes in place: run artifacts go through sessionio's atomic temp+fsync+rename writers or the journal's CRC-framed segments", name)
 					}
 					return true
 				})

@@ -9,7 +9,7 @@ import (
 // dropped inside the two packages that own the durability path —
 // internal/journal and internal/sessionio. In ordinary code an ignored
 // error is a style question; on the commit path (the journal's one commit
-// loop, segment rolls, checkpoint writes, manifest parsing) it silently turns
+// loop, segment rolls, tail truncation, session exports) it silently turns
 // "synced to stable storage" into "probably synced", so the whole package
 // is held to the checked-or-acknowledged standard.
 
