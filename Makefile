@@ -12,19 +12,20 @@ build:
 
 # Default test gate: lint first (gofmt, go vet, phishvet), the full suite,
 # then the race detector over the resilience-critical packages (retry
-# queue, fault injector, context deadlines, the journal's commit loop) so
-# a data race on the farm's retry paths or the journal's append path fails
-# `make test`.
+# queue, fault injector, context deadlines, the journal's commit loop, the
+# parallel session decode) so a data race on the farm's retry paths, the
+# journal's append path or a saved crawl's read fails `make test`.
 test: lint
 	$(GO) test ./...
-	$(GO) test -race ./internal/farm/... ./internal/chaos/... ./internal/browser/... ./internal/fleet/... ./internal/journal/...
+	$(GO) test -race ./internal/farm/... ./internal/chaos/... ./internal/browser/... ./internal/fleet/... ./internal/journal/... ./internal/sessionio/...
 
 # The farm and crawler are the concurrent hot paths (shared session
 # tally, worker pool over one crawler template, retry re-enqueues), the
-# fleet coordinator serves concurrent workers, and every journaled session
-# goes through the journal's commit loop; keep them race-clean.
+# fleet coordinator serves concurrent workers, every journaled session
+# goes through the journal's commit loop, and every saved crawl is read
+# back through the parallel session decode; keep them race-clean.
 race:
-	$(GO) test -race ./internal/farm/... ./internal/crawler/... ./internal/chaos/... ./internal/browser/... ./internal/fleet/... ./internal/journal/...
+	$(GO) test -race ./internal/farm/... ./internal/crawler/... ./internal/chaos/... ./internal/browser/... ./internal/fleet/... ./internal/journal/... ./internal/sessionio/...
 
 vet:
 	$(GO) vet ./...
@@ -168,10 +169,12 @@ fuzz:
 # of a 2,400-site clone-heavy corpus (BenchmarkGenerate), and the farm
 # layer alone (BenchmarkRunStream: 200 pixel-free sessions at Workers 2
 # behind a 1 ms timer per request and a 100 µs timer per sink delivery,
-# reported in sites/s).
+# reported in sites/s), and the report's read of a finished journal
+# (BenchmarkReadSessions: 2,000 crawled sessions, frames and parallel
+# decode).
 # End-to-end throughput is measured by `python3 _phishbench/run.py`, not here.
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkTypedPageDetect|BenchmarkRenderPages|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped|BenchmarkBuildPlan|BenchmarkGenerate|BenchmarkRunStream' -benchmem ./...
+	$(GO) test -run='^$$' -bench='BenchmarkDetect|BenchmarkTypedPageDetect|BenchmarkRenderPages|BenchmarkOCRPage|BenchmarkCrawlSession|BenchmarkNewPipeline|BenchmarkComputeRegion|BenchmarkEmbedCropped|BenchmarkBuildPlan|BenchmarkGenerate|BenchmarkRunStream|BenchmarkReadSessions' -benchmem ./...
 
 # Allocation gates: the per-session allocs/op budgets and the
 # pooled-vs-unpooled byte-identity pins (testing.AllocsPerRun enforces the
@@ -198,10 +201,12 @@ alloc-gate:
 # most at GOMAXPROCS=1: computing never exceeds Workers and in flight
 # reaches but never passes its cap, and neither sessions held on the
 # network nor ones held in the sink stop a Workers-1 farm admitting more.
-PINS = ^(TestRunDeterministicAcrossWorkerCounts.*|TestChaosDeterministicAcrossWorkerCounts|TestStagesIdenticalAcrossWorkerCounts|TestBuildPlanDeterministicAcrossWorkers|TestBuildPlanMemoMatchesNoMemo|TestCrawlPooledMatchesUnpooled.*|TestCrawlMemoMatchesNoMemo|TestKitsMatchPerDeploymentBuild|TestCrawlLeavesCorpusUnchanged|TestSlotBounds|TestHeldRoundTripsKeepAdmitting|TestHeldSinkKeepsAdmitting)$$
+# One pins the journal's parallel decode: ReadSessions and Sessions over a
+# many-segment journal with re-crawled URLs equal a serial decode loop.
+PINS = ^(TestRunDeterministicAcrossWorkerCounts.*|TestChaosDeterministicAcrossWorkerCounts|TestStagesIdenticalAcrossWorkerCounts|TestBuildPlanDeterministicAcrossWorkers|TestBuildPlanMemoMatchesNoMemo|TestCrawlPooledMatchesUnpooled.*|TestCrawlMemoMatchesNoMemo|TestKitsMatchPerDeploymentBuild|TestCrawlLeavesCorpusUnchanged|TestSlotBounds|TestHeldRoundTripsKeepAdmitting|TestHeldSinkKeepsAdmitting|TestReadSessionsMatchesSerialDecode)$$
 pins:
 	for procs in 1 2; do \
-		GOMAXPROCS=$$procs $(GO) test -count=3 -run '$(PINS)' ./internal/farm/ ./internal/crawler/ ./internal/triage/ ./internal/sitegen/ ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -count=3 -run '$(PINS)' ./internal/farm/ ./internal/crawler/ ./internal/triage/ ./internal/sitegen/ ./internal/core/ ./internal/journal/ || exit 1; \
 	done
 
 # The reproduction report as a checked artifact: phishreport's stdout is a

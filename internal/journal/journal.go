@@ -31,8 +31,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/crawler"
+	"repro/internal/sessionio"
 )
 
 // SyncPolicy controls when appends reach stable storage.
@@ -187,31 +189,132 @@ func corrupt(name string, off int64, err error) error {
 }
 
 // sessionURL returns a session payload's SeedURL without decoding the
-// whole log: it walks the top-level keys and stops at the first one that
-// encoding/json would bind to SeedURL (keys match case-insensitively).
-// Anything else, including a payload that is not an object or a SeedURL
-// that is not a string, reads as "".
+// whole log: it scans the top-level keys byte by byte and stops at the
+// first one that encoding/json would bind to SeedURL (keys match with
+// strings.EqualFold once unquoted). Anything else, including a payload
+// that is not an object or a SeedURL that is not a string, reads as "".
+// Keys and strings without a backslash are read in place; only escaped
+// (or, for the value, non-UTF-8) strings go through json.Unmarshal.
 func sessionURL(payload []byte) string {
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+	s := keyScanner{b: payload}
+	if !s.next('{') {
 		return ""
 	}
-	for dec.More() {
-		key, err := dec.Token()
-		if err != nil {
+	for {
+		key, esc, ok := s.str()
+		if !ok || !s.next(':') {
 			return ""
 		}
-		if k, _ := key.(string); strings.EqualFold(k, "SeedURL") {
-			v, _ := dec.Token()
-			url, _ := v.(string)
-			return url
+		if isSeedURL(key, esc) {
+			url, esc, ok := s.str()
+			if !ok {
+				return "" // null, or not a string
+			}
+			return unquote(url, esc)
 		}
-		var skip json.RawMessage
-		if err := dec.Decode(&skip); err != nil {
+		if !s.skipValue() || !s.next(',') {
 			return ""
 		}
 	}
-	return ""
+}
+
+// isSeedURL reports whether a key, given as the bytes between its quotes,
+// binds to SeedURL.
+func isSeedURL(raw []byte, esc bool) bool {
+	if !esc {
+		return bytes.EqualFold(raw, []byte("SeedURL"))
+	}
+	return strings.EqualFold(unquote(raw, esc), "SeedURL")
+}
+
+// unquote returns a JSON string's value from the bytes between its quotes
+// and whether they hold an escape; an invalid string reads as "".
+func unquote(raw []byte, esc bool) string {
+	if !esc && utf8.Valid(raw) {
+		return string(raw)
+	}
+	var v string
+	_ = json.Unmarshal(append(append([]byte{'"'}, raw...), '"'), &v) // on error v stays ""
+	return v
+}
+
+// keyScanner walks JSON text without validating it: it only has to find
+// the right bytes in a valid document, and never panics on any input.
+type keyScanner struct {
+	b []byte
+	i int
+}
+
+func (s *keyScanner) space() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// next consumes c after any whitespace.
+func (s *keyScanner) next(c byte) bool {
+	s.space()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// str consumes a string after any whitespace and returns the bytes
+// between its quotes and whether they hold an escape.
+func (s *keyScanner) str() (raw []byte, esc, ok bool) {
+	if !s.next('"') {
+		return nil, false, false
+	}
+	for start := s.i; s.i < len(s.b); s.i++ {
+		switch s.b[s.i] {
+		case '\\':
+			esc = true
+			s.i++ // the escaped byte
+		case '"':
+			s.i++
+			return s.b[start : s.i-1], esc, true
+		}
+	}
+	return nil, false, false
+}
+
+// skipValue consumes one value after any whitespace: a string, an object
+// or array to its matching close, or a scalar to the next delimiter.
+func (s *keyScanner) skipValue() bool {
+	s.space()
+	depth := 0
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case '"':
+			if _, _, ok := s.str(); !ok || depth == 0 {
+				return ok
+			}
+			continue
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return true // the end of a scalar
+			}
+			if depth--; depth == 0 {
+				s.i++
+				return true
+			}
+		case ',', ' ', '\t', '\n', '\r':
+			if depth == 0 {
+				return true
+			}
+		}
+		s.i++
+	}
+	return false
 }
 
 // AppendSession appends one finished crawl session and marks its SeedURL
@@ -440,7 +543,8 @@ func scanFile(path string, fn func(Record) error) (end int64, err error) {
 // URL, ordered by FeedIndex — the same order an uninterrupted in-memory
 // run would have produced, so the export is byte-identical to one. A crawl
 // appends one session per URL; a journal holding more (an earlier
-// version's re-crawls) reads as its latest.
+// version's re-crawls) reads as its latest. Payloads are decoded on every
+// core, as readSessions describes.
 func (j *Journal) Sessions() ([]*crawler.SessionLog, error) {
 	j.mu.Lock()
 	segs := slices.Clone(j.segments)
@@ -464,31 +568,38 @@ func ReadSessions(dir string) ([]*crawler.SessionLog, error) {
 	return readSessions(dir, segs)
 }
 
+// readSessions reads the frames of segs serially, with the CRC, torn-tail
+// and ErrCorrupt rules of scanSegments, and decodes the session payloads on
+// runtime.GOMAXPROCS(0) goroutines through sessionio.Decode: at most 4
+// payloads per decoder are in flight, however long the journal. When
+// payloads do not decode, the error names the first of them in journal
+// order, which is the lowest Seq, since Seqs grow along the journal. The
+// latest session per URL wins by Seq.
 func readSessions(dir string, segs []string) ([]*crawler.SessionLog, error) {
-	type slot struct {
-		seq uint64
-		lg  *crawler.SessionLog
-	}
-	latest := map[string]slot{}
-	err := scanSegments(dir, segs, func(r Record) error {
-		if r.Kind != KindSession {
-			return nil
-		}
-		var lg crawler.SessionLog
-		if err := json.Unmarshal(r.Payload, &lg); err != nil {
-			return fmt.Errorf("journal: decoding session seq %d: %w", r.Seq, err)
-		}
-		if prev, ok := latest[lg.SeedURL]; !ok || r.Seq > prev.seq {
-			latest[lg.SeedURL] = slot{seq: r.Seq, lg: &lg}
-		}
-		return nil
+	var seqs []uint64
+	logs, err := sessionio.Decode(func(emit func(uint64, []byte) error) error {
+		return scanSegments(dir, segs, func(r Record) error {
+			if r.Kind != KindSession {
+				return nil
+			}
+			seqs = append(seqs, r.Seq)
+			return emit(r.Seq, r.Payload)
+		})
+	}, func(seq uint64, err error) error {
+		return fmt.Errorf("journal: decoding session seq %d: %w", seq, err)
 	})
 	if err != nil {
 		return nil, err
 	}
+	latest := make(map[string]int, len(logs))
+	for i, lg := range logs {
+		if prev, ok := latest[lg.SeedURL]; !ok || seqs[i] > seqs[prev] {
+			latest[lg.SeedURL] = i
+		}
+	}
 	out := make([]*crawler.SessionLog, 0, len(latest))
-	for _, s := range latest {
-		out = append(out, s.lg)
+	for _, i := range latest {
+		out = append(out, logs[i])
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].FeedIndex != out[b].FeedIndex {

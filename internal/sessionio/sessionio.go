@@ -3,7 +3,8 @@
 // crawl and analysis halves (the paper crawls for 43 days and analyzes the
 // accumulated logs afterwards; this is the accumulation). Logs round-trip
 // losslessly, so an analysis can be re-run — or a new analysis written —
-// without re-crawling.
+// without re-crawling. Decode, the parse stage of every read of a saved
+// crawl (Read, and the journal's), decodes sessions on every core.
 package sessionio
 
 import (
@@ -32,28 +33,27 @@ func Write(w io.Writer, logs []*crawler.SessionLog) error {
 	return bw.Flush()
 }
 
-// Read loads all sessions from r.
+// Read loads all sessions from r, decoding them on every core (see
+// Decode). A line that does not decode is reported by its number: the
+// first such line in the file.
 func Read(r io.Reader) ([]*crawler.SessionLog, error) {
-	var out []*crawler.SessionLog
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		data := sc.Bytes()
-		if len(data) == 0 {
-			continue
+	return Decode(func(emit func(uint64, []byte) error) error {
+		sc := bufio.NewScanner(r)
+		sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+		for line := uint64(1); sc.Scan(); line++ {
+			if data := sc.Bytes(); len(data) > 0 {
+				if err := emit(line, data); err != nil {
+					return err
+				}
+			}
 		}
-		var l crawler.SessionLog
-		if err := json.Unmarshal(data, &l); err != nil {
-			return nil, fmt.Errorf("sessionio: line %d: %w", line, err)
+		if err := sc.Err(); err != nil {
+			return fmt.Errorf("sessionio: reading: %w", err)
 		}
-		out = append(out, &l)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sessionio: reading: %w", err)
-	}
-	return out, nil
+		return nil
+	}, func(line uint64, err error) error {
+		return fmt.Errorf("sessionio: line %d: %w", line, err)
+	})
 }
 
 // WriteFile writes the sessions to path crash-safely: the JSONL is
