@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/crawler"
+	"repro/internal/sessionio"
 )
 
 // FuzzRecordRoundTrip drives the record framing from both directions. The
@@ -123,12 +124,13 @@ func FuzzBindRun(f *testing.F) {
 	})
 }
 
-// FuzzSessionURL checks that sessionURL, which walks only the top-level
-// keys of a payload, reads the SeedURL that a full decode would. A session
-// log built from the input strings (escapes, non-ASCII, empty) reads back
-// its SeedURL; raw input bytes never panic it; and wherever json.Unmarshal
-// into struct{SeedURL string} accepts an object in which no two keys bind
-// to the same field, the two agree.
+// FuzzSessionURL checks that sessionio.SeedURL, Open's read of each
+// session's URL, which walks only the top-level keys of a payload, reads
+// the SeedURL that a full decode would. A session log built from the
+// input strings (escapes, non-ASCII, empty) reads back its SeedURL; raw
+// input bytes never panic it; and wherever json.Unmarshal into
+// struct{SeedURL string} accepts an object in which no two keys bind to
+// the same field, the two agree.
 func FuzzSessionURL(f *testing.F) {
 	f.Add("site-1", "http://x.example/login", "PayPal", []byte(`{"SiteID":"a","SeedURL":"http://x.example/"}`))
 	f.Add("", "", "", []byte(`null`))
@@ -151,20 +153,20 @@ func FuzzSessionURL(f *testing.F) {
 		if err := json.Unmarshal(payload, &back); err != nil {
 			t.Fatal(err)
 		}
-		if got := sessionURL(payload); got != back.SeedURL {
-			t.Fatalf("sessionURL(%s) = %q, want %q", payload, got, back.SeedURL)
+		if got := sessionio.SeedURL(payload); got != back.SeedURL {
+			t.Fatalf("SeedURL(%s) = %q, want %q", payload, got, back.SeedURL)
 		}
 		if utf8.ValidString(seedURL) && back.SeedURL != seedURL {
 			t.Fatalf("SeedURL %q decoded as %q", seedURL, back.SeedURL)
 		}
 
-		got := sessionURL(raw)
+		got := sessionio.SeedURL(raw)
 		var probe struct{ SeedURL string }
 		if json.Unmarshal(raw, &probe) != nil || !distinctTopLevelKeys(raw) {
 			return
 		}
 		if got != probe.SeedURL {
-			t.Fatalf("sessionURL(%q) = %q, json.Unmarshal reads %q", raw, got, probe.SeedURL)
+			t.Fatalf("SeedURL(%q) = %q, json.Unmarshal reads %q", raw, got, probe.SeedURL)
 		}
 	})
 }

@@ -31,7 +31,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"repro/internal/crawler"
 	"repro/internal/sessionio"
@@ -139,7 +138,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 		maxSeq = max(maxSeq, rec.Seq)
 		switch {
 		case rec.Kind == KindSession:
-			if url := sessionURL(rec.Payload); url != "" {
+			if url := sessionio.SeedURL(rec.Payload); url != "" {
 				j.completed[url] = true
 			}
 		case rec.Kind == KindRun && j.run == nil:
@@ -186,135 +185,6 @@ func corrupt(name string, off int64, err error) error {
 		return fmt.Errorf("%w: segment %s offset %d: %v", ErrCorrupt, name, off, err)
 	}
 	return err
-}
-
-// sessionURL returns a session payload's SeedURL without decoding the
-// whole log: it scans the top-level keys byte by byte and stops at the
-// first one that encoding/json would bind to SeedURL (keys match with
-// strings.EqualFold once unquoted). Anything else, including a payload
-// that is not an object or a SeedURL that is not a string, reads as "".
-// Keys and strings without a backslash are read in place; only escaped
-// (or, for the value, non-UTF-8) strings go through json.Unmarshal.
-func sessionURL(payload []byte) string {
-	s := keyScanner{b: payload}
-	if !s.next('{') {
-		return ""
-	}
-	for {
-		key, esc, ok := s.str()
-		if !ok || !s.next(':') {
-			return ""
-		}
-		if isSeedURL(key, esc) {
-			url, esc, ok := s.str()
-			if !ok {
-				return "" // null, or not a string
-			}
-			return unquote(url, esc)
-		}
-		if !s.skipValue() || !s.next(',') {
-			return ""
-		}
-	}
-}
-
-// isSeedURL reports whether a key, given as the bytes between its quotes,
-// binds to SeedURL.
-func isSeedURL(raw []byte, esc bool) bool {
-	if !esc {
-		return bytes.EqualFold(raw, []byte("SeedURL"))
-	}
-	return strings.EqualFold(unquote(raw, esc), "SeedURL")
-}
-
-// unquote returns a JSON string's value from the bytes between its quotes
-// and whether they hold an escape; an invalid string reads as "".
-func unquote(raw []byte, esc bool) string {
-	if !esc && utf8.Valid(raw) {
-		return string(raw)
-	}
-	var v string
-	_ = json.Unmarshal(append(append([]byte{'"'}, raw...), '"'), &v) // on error v stays ""
-	return v
-}
-
-// keyScanner walks JSON text without validating it: it only has to find
-// the right bytes in a valid document, and never panics on any input.
-type keyScanner struct {
-	b []byte
-	i int
-}
-
-func (s *keyScanner) space() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\n', '\r':
-			s.i++
-		default:
-			return
-		}
-	}
-}
-
-// next consumes c after any whitespace.
-func (s *keyScanner) next(c byte) bool {
-	s.space()
-	if s.i < len(s.b) && s.b[s.i] == c {
-		s.i++
-		return true
-	}
-	return false
-}
-
-// str consumes a string after any whitespace and returns the bytes
-// between its quotes and whether they hold an escape.
-func (s *keyScanner) str() (raw []byte, esc, ok bool) {
-	if !s.next('"') {
-		return nil, false, false
-	}
-	for start := s.i; s.i < len(s.b); s.i++ {
-		switch s.b[s.i] {
-		case '\\':
-			esc = true
-			s.i++ // the escaped byte
-		case '"':
-			s.i++
-			return s.b[start : s.i-1], esc, true
-		}
-	}
-	return nil, false, false
-}
-
-// skipValue consumes one value after any whitespace: a string, an object
-// or array to its matching close, or a scalar to the next delimiter.
-func (s *keyScanner) skipValue() bool {
-	s.space()
-	depth := 0
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case '"':
-			if _, _, ok := s.str(); !ok || depth == 0 {
-				return ok
-			}
-			continue
-		case '{', '[':
-			depth++
-		case '}', ']':
-			if depth == 0 {
-				return true // the end of a scalar
-			}
-			if depth--; depth == 0 {
-				s.i++
-				return true
-			}
-		case ',', ' ', '\t', '\n', '\r':
-			if depth == 0 {
-				return true
-			}
-		}
-		s.i++
-	}
-	return false
 }
 
 // AppendSession appends one finished crawl session and marks its SeedURL

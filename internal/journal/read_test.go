@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/crawler"
+	"repro/internal/sessionio"
 )
 
 // crawledSessions returns n distinct sessions cut from the crawled ones in
@@ -309,7 +310,7 @@ func BenchmarkSessionURL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sessionURL(payload) == "" {
+		if sessionio.SeedURL(payload) == "" {
 			b.Fatal("no SeedURL")
 		}
 	}

@@ -62,37 +62,14 @@ type Swap struct {
 // "tricks" (Section 4.3): the pixels look like a button but no DOM button
 // exists, so only coordinate-based clicking activates it.
 type ClickZone struct {
-	X, Y, W, H int
+	X int `json:"x"`
+	Y int `json:"y"`
+	W int `json:"w"`
+	H int `json:"h"`
 	// Action is "submit" (submit the form FormID) or "nav" (go to Href).
-	Action string
-	FormID string
-	Href   string
-}
-
-// clickZoneJSON is the wire form with explicit field names.
-type clickZoneJSON struct {
-	X      int    `json:"x"`
-	Y      int    `json:"y"`
-	W      int    `json:"w"`
-	H      int    `json:"h"`
 	Action string `json:"action"`
 	FormID string `json:"form,omitempty"`
 	Href   string `json:"href,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (z ClickZone) MarshalJSON() ([]byte, error) {
-	return json.Marshal(clickZoneJSON{z.X, z.Y, z.W, z.H, z.Action, z.FormID, z.Href})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (z *ClickZone) UnmarshalJSON(data []byte) error {
-	var w clickZoneJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*z = ClickZone{w.X, w.Y, w.W, w.H, w.Action, w.FormID, w.Href}
-	return nil
 }
 
 // Behavior is the full behaviour document of one page.

@@ -1,7 +1,6 @@
 package sessionio
 
 import (
-	"encoding/json"
 	"errors"
 	"runtime"
 	"sync"
@@ -23,6 +22,12 @@ var errStopped = errors.New("sessionio: an earlier session failed to decode")
 // goroutine and hands each payload to emit, with an id that names it in
 // errors (a line number, a sequence number). emit copies the payload, so
 // produce may reuse its buffer at once.
+//
+// Each payload is decoded as json.Unmarshal would into a fresh log, in one
+// pass by the session decoder (see unmarshal). A payload outside the
+// grammar the crawler writes (an unknown or repeated key, a wrong type,
+// trailing bytes, invalid JSON) falls back to json.Unmarshal itself, so
+// such input decodes, or fails, exactly as it did through encoding/json.
 //
 // Memory: the copies live in 4 reused buffers per decoder, and emit blocks
 // while all of them are queued or being decoded, so the raw bytes in
@@ -72,7 +77,7 @@ func Decode(produce func(emit func(id uint64, payload []byte) error) error, wrap
 			for jb := range jobs {
 				// A payload after a failure cannot change the result.
 				if !failedBy(jb.i) {
-					if err := json.Unmarshal(jb.buf, jb.lg); err != nil {
+					if err := unmarshal(jb.buf, jb.lg); err != nil {
 						mu.Lock()
 						if failAt < 0 || jb.i < failAt {
 							failAt, failID, failErr = jb.i, jb.id, err

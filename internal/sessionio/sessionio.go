@@ -4,7 +4,10 @@
 // accumulated logs afterwards; this is the accumulation). Logs round-trip
 // losslessly, so an analysis can be re-run — or a new analysis written —
 // without re-crawling. Decode, the parse stage of every read of a saved
-// crawl (Read, and the journal's), decodes sessions on every core.
+// crawl (Read, and the journal's), decodes sessions on every core, each in
+// one pass by a decoder written for the session log's shape; a payload
+// outside the grammar the crawler writes is decoded again by encoding/json,
+// so its result and error text are encoding/json's.
 package sessionio
 
 import (
